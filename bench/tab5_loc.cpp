@@ -44,9 +44,9 @@ struct Row {
 int main() {
   const fs::path root = UD_SOURCE_DIR;
   const std::vector<Row> rows = {
-      {"PR", "src/apps/pagerank.cpp", "218"},
+      {"PR", "src/serve/pagerank.cpp", "218"},
       {"BFS", "src/apps/bfs.cpp", "226"},
-      {"TC", "src/apps/tc.cpp", "312"},
+      {"TC", "src/serve/triangles.cpp", "312"},
       {"Ingestion (WF2 K1)", "src/apps/ingestion.cpp", "782"},
       {"Partial Match (WF2)", "src/apps/partial_match.cpp", "-"},
       {"Scalable Hash Table", "src/abstractions/sht.cpp", "4764"},

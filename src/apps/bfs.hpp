@@ -64,8 +64,6 @@ class App {
 
   Result run();
 
-  const kvmsr::JobState& round_state() const { return lib_->state(job_); }
-
  private:
   friend struct BfsDriver;
   friend struct BfsAccelMaster;

@@ -1,187 +1,8 @@
 #include "apps/pagerank.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 namespace updown::pr {
-
-// ---------------------------------------------------------------------------
-// Propagate phase: kv_map per sub-vertex (Listing 3's PageRankWorker).
-// ---------------------------------------------------------------------------
-struct PrMapTask : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  Word degree = 0;
-  Word nbr_ptr = 0;
-  Word owner = 0;
-  Word owner_degree = 0;
-  double contrib = 0.0;
-  Word loaded_neighbors = 0;  // the paper's loadedNeighbors completion counter
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    job = kvmsr::Library::map_job(ctx);
-    auto& app = ctx.machine().user<App>();
-    const Word v = kvmsr::Library::map_key(ctx);
-    // One read returns the whole 8-word vertex record.
-    ctx.send_dram_read(app.dg_.vertex_addr(v), 8, app.lb_.v_loaded);
-  }
-
-  void v_loaded(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    auto& lib = *app.lib_;
-    owner = ctx.op(DeviceGraph::kId);
-    degree = ctx.op(DeviceGraph::kDegree);
-    nbr_ptr = ctx.op(DeviceGraph::kNbrPtr);
-    owner_degree = ctx.op(DeviceGraph::kOwnerDegree);
-    ctx.charge(3);
-    if (degree == 0) {
-      lib.map_return(ctx, kvmsr_cont);
-      return;
-    }
-    ctx.send_dram_read(app.rank_base_ + owner * 8, 1, app.lb_.r_loaded);
-  }
-
-  void r_loaded(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    contrib = std::bit_cast<double>(ctx.op(0)) / static_cast<double>(owner_degree);
-    ctx.charge(2);
-    // Issue all neighbor-chunk reads up front: memory parallelism
-    // proportional to the edges (Section 4.1.2).
-    for (Word i = 0; i < degree; i += 8) {
-      const unsigned n = static_cast<unsigned>(std::min<Word>(8, degree - i));
-      ctx.charge(2);  // loop control + address arithmetic
-      ctx.send_dram_read(nbr_ptr + i * 8, n, app.lb_.n_loaded);
-    }
-  }
-
-  void n_loaded(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    auto& lib = *app.lib_;
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      lib.emit(ctx, job, ctx.op(i), std::bit_cast<Word>(contrib));
-    }
-    loaded_neighbors += ctx.nops();
-    if (loaded_neighbors == degree) lib.map_return(ctx, kvmsr_cont);
-  }
-};
-
-struct PrReduce : ThreadState {
-  void kv_reduce(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    const Word v = kvmsr::Library::reduce_key(ctx);
-    const double c = std::bit_cast<double>(kvmsr::Library::reduce_val(ctx));
-    app.cc_->add_f64(ctx, app.acc_base_ + v * 8, c);
-    app.lib_->reduce_return(ctx, kvmsr::Library::reduce_job(ctx));
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Apply phase: one task per ORIGINAL vertex v. Sum v's accumulator slots
-// [slot_offset[v], slot_offset[v+1]), fold in the damping formula, write the
-// new rank, and zero the slots for the next iteration.
-// ---------------------------------------------------------------------------
-struct PrApply : kvmsr::MapTask {
-  Word v = 0;
-  Word first_slot = 0, end_slot = 0;
-  double sum = 0.0;
-  Word chunks_loaded = 0, chunks_expected = 0;
-  unsigned acks = 0, acks_expected = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& app = ctx.machine().user<App>();
-    v = kvmsr::Library::map_key(ctx);
-    ctx.send_dram_read(app.slot_tab_ + v * 8, 2, app.lb_.o_loaded);
-  }
-
-  void o_loaded(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    first_slot = ctx.op(0);
-    end_slot = ctx.op(1);
-    chunks_expected = ceil_div(end_slot - first_slot, 8);
-    ctx.charge(2);
-    for (Word s = first_slot; s < end_slot; s += 8) {
-      const unsigned n = static_cast<unsigned>(std::min<Word>(8, end_slot - s));
-      ctx.charge(2);
-      ctx.send_dram_read(app.acc_base_ + s * 8, n, app.lb_.a_loaded);
-    }
-  }
-
-  void a_loaded(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      sum += std::bit_cast<double>(ctx.op(i));
-    }
-    if (++chunks_loaded < chunks_expected) return;
-
-    const double n = static_cast<double>(app.dg_.num_original);
-    const double rank = (1.0 - app.opt_.damping) / n + app.opt_.damping * sum;
-    ctx.charge(4);
-    // Acked writes: the next iteration must not read stale ranks or stale
-    // accumulators.
-    acks_expected = 1 + static_cast<unsigned>(chunks_expected);
-    ctx.send_dram_write(app.rank_base_ + v * 8, {std::bit_cast<Word>(rank)},
-                        app.lb_.a_written);
-    const Word zeros[8] = {};
-    for (Word s = first_slot; s < end_slot; s += 8) {
-      const unsigned k = static_cast<unsigned>(std::min<Word>(8, end_slot - s));
-      ctx.send_dram_writev(app.acc_base_ + s * 8, zeros, k,
-                           ctx.evw_update_event(ctx.cevnt(), app.lb_.a_written));
-    }
-  }
-
-  void a_written(Ctx& ctx) {
-    if (++acks == acks_expected) ctx.machine().user<App>().lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Driver thread: chains propagate -> apply per iteration via continuations.
-// ---------------------------------------------------------------------------
-struct PrDriver : ThreadState {
-  unsigned iter = 0;
-
-  void d_start(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    app.start_tick_ = ctx.start_time();
-    launch_propagate(ctx);
-  }
-
-  void d_prop_done(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    app.edge_updates_ += ctx.op(0);  // emitted tuples == edge updates
-    app.lib_->launch(ctx, app.apply_job_, 0, app.dg_.num_original,
-                     ctx.evw_update_event(ctx.cevnt(), app.lb_.d_apply_done));
-  }
-
-  void d_apply_done(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    ctx.trace_phase_end("pr.iteration");
-    if (++iter < app.opt_.iterations) {
-      launch_propagate(ctx);
-    } else {
-      app.done_tick_ = ctx.now();
-      app.finished_ = true;
-      ctx.log("[pagerank] done: %u iterations, %llu edge updates", iter,
-              static_cast<unsigned long long>(app.edge_updates_));
-      ctx.yield_terminate();
-    }
-  }
-
- private:
-  void launch_propagate(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    // udtrace superstep span: one "pr.iteration" covering propagate + apply,
-    // nesting the two KVMSR jobs' own phase spans on the driver lane.
-    ctx.trace_phase_begin("pr.iteration");
-    app.lib_->launch(ctx, app.propagate_job_, 0, app.dg_.num_vertices,
-                     ctx.evw_update_event(ctx.cevnt(), app.lb_.d_prop_done));
-  }
-};
-
-// ---------------------------------------------------------------------------
 
 App& App::install(Machine& m, const DeviceGraph& dg, const SplitGraph& sg,
                   const Options& opt) {
@@ -189,72 +10,32 @@ App& App::install(Machine& m, const DeviceGraph& dg, const SplitGraph& sg,
 }
 
 App::App(Machine& m, const DeviceGraph& dg, const SplitGraph& sg, const Options& opt)
-    : m_(m), dg_(dg), opt_(opt), num_slots_(sg.num_slots()) {
-  lib_ = &kvmsr::Library::install(m);
-  cc_ = &kvmsr::CombiningCache::install(m);
-  Program& p = m.program();
-
-  lb_.v_loaded = p.event("pr::v_loaded", &PrMapTask::v_loaded);
-  lb_.r_loaded = p.event("pr::r_loaded", &PrMapTask::r_loaded);
-  lb_.n_loaded = p.event("pr::n_loaded", &PrMapTask::n_loaded);
-  lb_.o_loaded = p.event("pr::o_loaded", &PrApply::o_loaded);
-  lb_.a_loaded = p.event("pr::a_loaded", &PrApply::a_loaded);
-  lb_.a_written = p.event("pr::a_written", &PrApply::a_written);
-  lb_.d_prop_done = p.event("pr::d_prop_done", &PrDriver::d_prop_done);
-  lb_.d_apply_done = p.event("pr::d_apply_done", &PrDriver::d_apply_done);
-  driver_start_ = p.event("pr::d_start", &PrDriver::d_start);
-
-  // Rank array (per original), accumulator array (per slot), and the
-  // slot_offset table, placed per Options (defaults: spread over the whole
-  // machine in 32 KiB blocks, like the graph itself).
-  const std::uint32_t nr =
-      opt.value_placement.nr_nodes ? opt.value_placement.nr_nodes : m.config().nodes;
-  auto place = [&](std::uint64_t bytes) {
-    return m.memory().dram_malloc(std::max<std::uint64_t>(8, bytes),
-                                  opt.value_placement.first_node, nr,
-                                  opt.value_placement.block_size);
-  };
-  rank_base_ = place(dg.num_original * 8);
-  acc_base_ = place(num_slots_ * 8);
-  slot_tab_ = place((dg.num_original + 1) * 8);
-  const double init = 1.0 / static_cast<double>(dg.num_original);
-  for (VertexId v = 0; v < dg.num_original; ++v)
-    m.memory().host_store<double>(rank_base_ + v * 8, init);
-  for (std::uint64_t s = 0; s < num_slots_; ++s)
-    m.memory().host_store<double>(acc_base_ + s * 8, 0.0);
-  m.memory().host_write(slot_tab_, sg.slot_offset.data(), (dg.num_original + 1) * 8);
-
-  kvmsr::JobSpec prop;
-  prop.kv_map = p.event("pr::kv_map", &PrMapTask::kv_map);
-  prop.kv_reduce = p.event("pr::kv_reduce", &PrReduce::kv_reduce);
-  prop.flush = cc_->flush_label();
-  prop.map_binding = opt.map_binding;
-  prop.coalesce_tuples = opt.coalesce_tuples;
-  // Contributions to one accumulator slot are order-insensitive f64 sums up
-  // to rounding; combining only activates when the job coalesces.
-  prop.combiner = kvmsr::Combiner::kSumF64;
-  prop.name = "pr.propagate";
-  propagate_job_ = lib_->add_job(prop);
-
-  kvmsr::JobSpec apply;
-  apply.kv_map = p.event("pr::apply", &PrApply::kv_map);
-  apply.name = "pr.apply";
-  apply_job_ = lib_->add_job(apply);
+    : eng_(serve::QueryEngine::install(m)), dg_(dg) {
+  if (!dg.split() || dg.num_vertices != sg.num_sub() || dg.num_original != sg.num_original)
+    throw std::invalid_argument("pagerank: dg is not the device image of sg");
+  serve::QuerySpec s;
+  s.kind = serve::QueryKind::kPageRank;
+  s.graph = &dg_;
+  s.values = opt.value_placement;
+  s.map_binding = opt.map_binding;
+  s.iterations = opt.iterations;
+  s.damping = opt.damping;
+  s.coalesce_tuples = opt.coalesce_tuples;
+  s.name = "pr";
+  query_ = eng_.add_query(std::move(s));
 }
 
 Result App::run() {
-  m_.send_from_host(evw::make_new(0, driver_start_), {});
-  m_.run();
-  if (!finished_) throw std::runtime_error("pagerank: driver did not finish");
-
+  eng_.launch(query_);
+  eng_.machine().run();
+  if (!eng_.done(query_)) throw std::runtime_error("pagerank: driver did not finish");
+  serve::QueryResult q = eng_.collect(query_);
   Result r;
-  r.start_tick = start_tick_;
-  r.done_tick = done_tick_;
-  r.edge_updates = edge_updates_;
-  r.iterations = opt_.iterations;
-  r.rank.resize(dg_.num_original);
-  for (VertexId v = 0; v < dg_.num_original; ++v)
-    r.rank[v] = m_.memory().host_load<double>(rank_base_ + v * 8);
+  r.rank = std::move(q.rank);
+  r.start_tick = q.launch_tick;
+  r.done_tick = q.done_tick;
+  r.edge_updates = q.emitted;
+  r.iterations = eng_.spec(query_).iterations;
   return r;
 }
 

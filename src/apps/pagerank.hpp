@@ -1,30 +1,24 @@
-// Push-based PageRank on KVMSR (paper Section 4.1, Listing 3).
+// Push-based PageRank on KVMSR (paper Section 4.1, Listing 3): the
+// single-tenant app interface.
 //
-// One kv_map task per (sub-)vertex reads its vertex record, the owner's
-// current rank, and its neighbor list in chunks of eight, then emits a
-// <target, contribution> tuple per edge — vertex parallelism on the map side,
-// edge parallelism on the reduce side. kv_reduce accumulates contributions
-// into a per-vertex accumulator array through the combining cache (the
-// paper's software fetch&add). An apply phase (a second, map-only KVMSR job)
-// folds the accumulators into ranks with the damping formula and zeroes them
-// for the next iteration.
+// The kernel lives in the serve layer (serve/pagerank.cpp, the kPageRank
+// query): App installs the QueryEngine and adds one PageRank query on all
+// lanes, with the binding, coalescing and value placement below as query
+// inputs. run() launches the query's driver, simulates to quiescence, and
+// reads back the ranks.
 //
 // The graph is vertex-split to a maximum degree (default 512, the paper's PR
-// setting) "yet yields the correct result for the original graph": sub-vertex
-// s pushes rank[owner(s)] / total_degree(owner(s)) along its slice of the
-// owner's edges, and reductions key on original vertex ids.
-//
-// Iterations are chained on-device by a driver thread using KVMSR launch
-// continuations — the host only fires the driver and reads results after
-// quiescence.
+// setting) "yet yields the correct result for the original graph": the split
+// upload carries the accumulator-slot table that load-balances reductions
+// into high-in-degree vertices, and ranks come back per original vertex.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "graph/layout.hpp"
-#include "kvmsr/combining_cache.hpp"
 #include "kvmsr/kvmsr.hpp"
+#include "serve/query_engine.hpp"
 
 namespace updown::pr {
 
@@ -76,40 +70,10 @@ class App {
   /// Fire the driver, simulate to completion, read back ranks.
   Result run();
 
-  // -- introspection (used by benches) --
-  const kvmsr::JobState& propagate_state() const { return lib_->state(propagate_job_); }
-
  private:
-  friend struct PrDriver;
-  friend struct PrMapTask;
-  friend struct PrReduce;
-  friend struct PrApply;
-
-  Machine& m_;
-  kvmsr::Library* lib_;
-  kvmsr::CombiningCache* cc_;
-  DeviceGraph dg_;
-  Options opt_;
-
-  Addr rank_base_ = 0;   ///< f64 rank per original vertex
-  Addr acc_base_ = 0;    ///< f64 accumulator per slot (num_slots cells)
-  Addr slot_tab_ = 0;    ///< slot_offset table, num_original + 1 words
-  std::uint64_t num_slots_ = 0;
-
-  kvmsr::JobId propagate_job_ = 0;
-  kvmsr::JobId apply_job_ = 0;
-  EventLabel driver_start_ = 0;
-  struct Labels {
-    EventLabel v_loaded = 0, r_loaded = 0, n_loaded = 0;
-    EventLabel o_loaded = 0, a_loaded = 0, a_written = 0;
-    EventLabel d_prop_done = 0, d_apply_done = 0;
-  } lb_;
-
-  // Result fields written by the driver thread.
-  Tick start_tick_ = 0;
-  Tick done_tick_ = 0;
-  std::uint64_t edge_updates_ = 0;
-  bool finished_ = false;
+  serve::QueryEngine& eng_;
+  DeviceGraph dg_;  ///< the query reads this copy
+  serve::QueryId query_ = 0;
 };
 
 }  // namespace updown::pr

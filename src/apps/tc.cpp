@@ -1,190 +1,36 @@
 #include "apps/tc.hpp"
 
-#include <algorithm>
-#include <array>
+#include <stdexcept>
 
 namespace updown::tc {
-
-// ---------------------------------------------------------------------------
-// Map: enumerate connected pairs <x, y> with x > y.
-// ---------------------------------------------------------------------------
-struct TcMap : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  Word x = 0;
-  Word degree = 0;
-  Word loaded = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& app = ctx.machine().user<App>();
-    job = kvmsr::Library::map_job(ctx);
-    x = kvmsr::Library::map_key(ctx);
-    ctx.send_dram_read(app.dg_.vertex_addr(x), 8, app.lb_.m_rec);
-  }
-
-  void m_rec(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    degree = ctx.op(DeviceGraph::kDegree);
-    const Word nbr_ptr = ctx.op(DeviceGraph::kNbrPtr);
-    ctx.charge(2);
-    if (degree == 0) {
-      app.lib_->map_return(ctx, kvmsr_cont);
-      return;
-    }
-    for (Word i = 0; i < degree; i += 8) {
-      const unsigned n = static_cast<unsigned>(std::min<Word>(8, degree - i));
-      ctx.charge(2);
-      ctx.send_dram_read(nbr_ptr + i * 8, n, app.lb_.m_nbrs);
-    }
-  }
-
-  void m_nbrs(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      const Word y = ctx.op(i);
-      ctx.charge(1);
-      if (y < x) app.lib_->emit(ctx, job, pair_key(x, y), 0);
-    }
-    loaded += ctx.nops();
-    if (loaded == degree) app.lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Reduce: stream-intersect the z < y prefixes of N(x) and N(y).
-// ---------------------------------------------------------------------------
-struct TcReduce : ThreadState {
-  kvmsr::JobId job = 0;
-  Word x = 0, y = 0;
-  Word deg[2] = {0, 0};
-  Word ptr[2] = {0, 0};
-  unsigned recs = 0;
-
-  // Both lists are streamed with full memory parallelism (every chunk read
-  // issued at once) and merged locally when complete. A strict
-  // request-response chunk chain would serialize tens of round trips on the
-  // critical path; issuing them all up front is the paper's second TC
-  // version — "streams both neighbor lists ... consuming more memory
-  // bandwidth but improving load balance. This is a net win."
-  std::vector<Word> list[2];
-  Word arrived = 0, expected = 0;
-  Word found = 0;
-
-  void kv_reduce(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    job = kvmsr::Library::reduce_job(ctx);
-    const Word key = kvmsr::Library::reduce_key(ctx);
-    x = pair_x(key);
-    y = pair_y(key);
-    ctx.charge(2);
-    ctx.send_dram_read(app.dg_.vertex_addr(x), 8, app.lb_.r_rec);
-    ctx.send_dram_read(app.dg_.vertex_addr(y), 8, app.lb_.r_rec);
-  }
-
-  void r_rec(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    const unsigned side = ctx.ccont() == app.dg_.vertex_addr(x) ? 0 : 1;
-    deg[side] = ctx.op(DeviceGraph::kDegree);
-    ptr[side] = ctx.op(DeviceGraph::kNbrPtr);
-    ctx.charge(2);
-    if (++recs < 2) return;
-    if (deg[0] == 0 || deg[1] == 0) {
-      finish(ctx);
-      return;
-    }
-    for (unsigned side2 = 0; side2 < 2; ++side2) {
-      list[side2].assign(deg[side2], 0);
-      for (Word i = 0; i < deg[side2]; i += 8) {
-        const unsigned n = static_cast<unsigned>(std::min<Word>(8, deg[side2] - i));
-        ctx.charge(2);
-        ctx.send_dram_read(ptr[side2] + i * 8, n,
-                           side2 == 0 ? app.lb_.r_xchunk : app.lb_.r_ychunk);
-        ++expected;
-      }
-    }
-  }
-
-  void r_xchunk(Ctx& ctx) { chunk_arrived(ctx, 0); }
-  void r_ychunk(Ctx& ctx) { chunk_arrived(ctx, 1); }
-
- private:
-  void chunk_arrived(Ctx& ctx, unsigned side) {
-    // The DRAM response continuation carries the request address.
-    const Word base = (ctx.ccont() - ptr[side]) / 8;
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      list[side][base + i] = ctx.op(i);
-    }
-    if (++arrived == expected) merge(ctx);
-  }
-
-  void merge(Ctx& ctx) {
-    std::size_t i = 0, j = 0;
-    while (i < list[0].size() && j < list[1].size()) {
-      const Word a = list[0][i], b = list[1][j];
-      ctx.charge(1);
-      if (a >= y || b >= y) break;  // only the z < y prefix counts
-      if (a < b) {
-        ++i;
-      } else if (b < a) {
-        ++j;
-      } else {
-        ++found;
-        ++i;
-        ++j;
-      }
-    }
-    finish(ctx);
-  }
-
-  void finish(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    if (found > 0)
-      app.cc_->add_u64(ctx, app.count_base_ + static_cast<Addr>(ctx.nwid()) * 8, found);
-    app.lib_->reduce_return(ctx, job);
-  }
-};
-
-// ---------------------------------------------------------------------------
 
 App& App::install(Machine& m, const DeviceGraph& dg, const Options& opt) {
   return m.emplace_user<App>(m, dg, opt);
 }
 
 App::App(Machine& m, const DeviceGraph& dg, const Options& opt)
-    : m_(m), dg_(dg), opt_(opt) {
-  lib_ = &kvmsr::Library::install(m);
-  cc_ = &kvmsr::CombiningCache::install(m);
-  Program& p = m.program();
-
-  lb_.m_rec = p.event("tc::m_rec", &TcMap::m_rec);
-  lb_.m_nbrs = p.event("tc::m_nbrs", &TcMap::m_nbrs);
-  lb_.r_rec = p.event("tc::r_rec", &TcReduce::r_rec);
-  lb_.r_xchunk = p.event("tc::r_xchunk", &TcReduce::r_xchunk);
-  lb_.r_ychunk = p.event("tc::r_ychunk", &TcReduce::r_ychunk);
-
-  const std::uint64_t lanes = m.config().total_lanes();
-  count_base_ = m.memory().dram_malloc_spread(lanes * 8, 4096);
-  m.memory().host_fill(count_base_, 0, lanes * 8);
-
-  kvmsr::JobSpec spec;
-  spec.kv_map = p.event("tc::kv_map", &TcMap::kv_map);
-  spec.kv_reduce = p.event("tc::kv_reduce", &TcReduce::kv_reduce);
-  spec.flush = cc_->flush_label();
-  spec.map_binding = opt.map_binding;
-  spec.coalesce_tuples = opt.coalesce_tuples;  // combiner stays kNone: pair keys are unique
-  spec.name = "tc";
-  job_ = lib_->add_job(spec);
+    : eng_(serve::QueryEngine::install(m)), dg_(dg) {
+  serve::QuerySpec s;
+  s.kind = serve::QueryKind::kTriangles;
+  s.graph = &dg_;
+  // One count cell per lane, spread over the machine in 4 KiB blocks.
+  s.values = {0, 0, 4096};
+  s.map_binding = opt.map_binding;
+  s.coalesce_tuples = opt.coalesce_tuples;
+  s.name = "tc";
+  query_ = eng_.add_query(std::move(s));
 }
 
 Result App::run() {
-  const kvmsr::JobState& st = lib_->run_to_completion(job_, 0, dg_.num_vertices);
+  eng_.launch(query_);
+  eng_.machine().run();
+  if (!eng_.done(query_)) throw std::runtime_error("tc: driver did not finish");
+  const serve::QueryResult q = eng_.collect(query_);
   Result r;
-  r.start_tick = st.start_tick;
-  r.done_tick = st.done_tick;
-  r.pairs = st.total_emitted;
-  for (std::uint64_t l = 0; l < m_.config().total_lanes(); ++l)
-    r.triangles += m_.memory().host_load<Word>(count_base_ + l * 8);
+  r.triangles = q.count;
+  r.pairs = q.emitted;
+  r.start_tick = q.launch_tick;
+  r.done_tick = q.done_tick;
   return r;
 }
 

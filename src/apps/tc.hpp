@@ -1,15 +1,11 @@
-// Triangle Counting on KVMSR (paper Section 4.3).
+// Triangle Counting on KVMSR (paper Section 4.3): the single-tenant app
+// interface.
 //
-// kv_map tasks run over all vertices; each enumerates the connected vertex
-// pairs <v_x, v_y> with x > y and emits one tuple per pair — vertex
-// parallelism on the map side, edge parallelism on the reduce side. kv_reduce
-// tasks stream BOTH neighbor lists from DRAM (the paper's second TC version:
-// "streams both neighbor lists in the reduce function, consuming more memory
-// bandwidth but improving load balance") and merge-intersect the prefixes
-// z < y, so every triangle x > y > z is counted exactly once.
-//
-// Counts accumulate through the combining cache into per-lane counter cells
-// (lane-owned, so flushes never race); the host sums the cells after the run.
+// The kernel lives in the serve layer (serve/triangles.cpp, the kTriangles
+// query): pair-enumeration map, stream-intersect reduce, counts through the
+// combining cache into per-lane cells. App installs the QueryEngine and adds
+// one triangle query on all lanes; run() launches it, simulates to
+// quiescence, and sums the cells.
 //
 // The map side supports both Block and PBMW computation binding — the paper
 // compares the two and found Block sufficient once the reduce was
@@ -19,8 +15,8 @@
 #include <cstdint>
 
 #include "graph/layout.hpp"
-#include "kvmsr/combining_cache.hpp"
 #include "kvmsr/kvmsr.hpp"
+#include "serve/query_engine.hpp"
 
 namespace updown::tc {
 
@@ -53,26 +49,9 @@ class App {
   Result run();
 
  private:
-  friend struct TcMap;
-  friend struct TcReduce;
-
-  Machine& m_;
-  kvmsr::Library* lib_;
-  kvmsr::CombiningCache* cc_;
-  DeviceGraph dg_;
-  Options opt_;
-
-  Addr count_base_ = 0;  ///< one u64 counter cell per lane
-  kvmsr::JobId job_ = 0;
-  struct Labels {
-    EventLabel m_rec = 0, m_nbrs = 0;
-    EventLabel r_rec = 0, r_xchunk = 0, r_ychunk = 0;
-  } lb_;
+  serve::QueryEngine& eng_;
+  DeviceGraph dg_;  ///< the query reads this copy
+  serve::QueryId query_ = 0;
 };
-
-/// Pack/unpack the pair key (vertex ids fit in 32 bits at simulated scales).
-constexpr Word pair_key(Word x, Word y) { return (x << 32) | y; }
-constexpr Word pair_x(Word key) { return key >> 32; }
-constexpr Word pair_y(Word key) { return key & 0xFFFFFFFFull; }
 
 }  // namespace updown::tc

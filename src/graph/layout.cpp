@@ -37,6 +37,11 @@ DeviceGraph upload_graph(Machine& m, const Graph& g, const GraphPlacement& place
     rec[DeviceGraph::kAux] = 0;
     mem.host_write(dg.vertex_addr(v), rec.data(), DeviceGraph::kVertexBytes);
   }
+  if (split) {
+    const std::uint64_t slot_bytes = (dg.num_original + 1) * 8;
+    dg.slot_base = mem.dram_malloc(slot_bytes, place.first_node, nr, place.block_size);
+    mem.host_write(dg.slot_base, split->slot_offset.data(), slot_bytes);
+  }
   return dg;
 }
 

@@ -31,6 +31,10 @@ struct DeviceGraph {
   std::uint64_t num_vertices = 0;
   std::uint64_t num_edges = 0;
   std::uint64_t num_original = 0;  ///< == num_vertices unless split
+  /// Split graphs only: VA of the slot_offset table (num_original + 1 words),
+  /// so original vertex v's accumulator slots are [slot[v], slot[v+1]).
+  /// 0 for an unsplit upload.
+  Addr slot_base = 0;
 
   static constexpr std::uint64_t kVertexWords = 8;
   static constexpr std::uint64_t kVertexBytes = 64;
@@ -47,6 +51,7 @@ struct DeviceGraph {
 
   Addr vertex_addr(VertexId v) const { return vtx_base + v * kVertexBytes; }
   Addr field_addr(VertexId v, Field f) const { return vertex_addr(v) + f * 8; }
+  bool split() const { return slot_base != 0; }
 };
 
 struct GraphPlacement {
@@ -56,7 +61,9 @@ struct GraphPlacement {
 };
 
 /// Upload an (optionally split) graph into simulated global memory. Host-side
-/// writes model the data-loading phase outside the timed region.
+/// writes model the data-loading phase outside the timed region. A split
+/// upload also places the split's slot_offset table (DeviceGraph::slot_base)
+/// with the same placement.
 DeviceGraph upload_graph(Machine& m, const Graph& g, const GraphPlacement& place = {},
                          const SplitGraph* split = nullptr);
 

@@ -4,8 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "apps/tc.hpp"  // pair_key/pair_x/pair_y packing
-
 namespace updown::serve {
 
 const char* kind_name(QueryKind k) {
@@ -55,9 +53,6 @@ struct SqDriver : ThreadState {
         }
         launch_main(ctx, eng, q, eng.lb_.d_pr_prop_done);
         break;
-      case QueryKind::kBfs:
-        launch_main(ctx, eng, q, eng.lb_.d_bfs_round_done);
-        break;
       case QueryKind::kPathCount:
       case QueryKind::kTriangles:
         launch_main(ctx, eng, q, eng.lb_.d_pass_done);
@@ -69,6 +64,7 @@ struct SqDriver : ThreadState {
         }
         launch_main(ctx, eng, q, eng.lb_.d_ipr_round_done);
         break;
+      case QueryKind::kBfs:
       case QueryKind::kIncBfs:
         if (q.seeded == 0) {
           finish(ctx, eng, q);
@@ -83,7 +79,7 @@ struct SqDriver : ThreadState {
     auto& eng = ctx.machine().service<QueryEngine>();
     auto& q = *eng.queries_.at(qid);
     q.emitted += ctx.op(0);
-    eng.lib_->launch(ctx, q.apply_job, 0, q.spec.graph->num_vertices,
+    eng.lib_->launch(ctx, q.apply_job, 0, q.spec.graph->num_original,
                      ctx.evw_update_event(ctx.cevnt(), eng.lb_.d_pr_apply_done));
   }
 
@@ -96,24 +92,6 @@ struct SqDriver : ThreadState {
       return;
     }
     launch_main(ctx, eng, q, eng.lb_.d_pr_prop_done);
-  }
-
-  void d_bfs_round_done(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    auto& q = *eng.queries_.at(qid);
-    q.emitted += ctx.op(0);
-    q.round++;
-    if (q.cancel || q.added.load(std::memory_order_relaxed) == 0) {
-      finish(ctx, eng, q);
-      return;
-    }
-    // Swap frontier roles: the drained current buffer is cleared and becomes
-    // the next round's write side. Host-side state, ordered by the round's
-    // gather -> driver -> relaunch message chain.
-    std::fill(q.frontier[q.cur_buf].begin(), q.frontier[q.cur_buf].end(), 0);
-    q.cur_buf ^= 1;
-    q.added.store(0, std::memory_order_relaxed);
-    launch_main(ctx, eng, q, eng.lb_.d_bfs_round_done);
   }
 
   void d_pass_done(Ctx& ctx) {
@@ -167,16 +145,18 @@ struct SqDriver : ThreadState {
       finish(ctx, eng, q);
       return;
     }
+    // Swap frontier roles: the drained current buffer is cleared and becomes
+    // the next round's write side. Host-side state, ordered by the round's
+    // gather -> driver -> relaunch message chain.
     std::fill(q.frontier[q.cur_buf].begin(), q.frontier[q.cur_buf].end(), 0);
     q.cur_buf ^= 1;
     q.added.store(0, std::memory_order_relaxed);
     // Snapshot the improved levels for the next round's map tasks: levels is
     // only written here, at the round barrier, so maps never race the
     // reduce-side dist updates within a round.
-    const serve::ResidentState* rs = q.spec.resident;
     const VertexId nv = q.spec.graph->num_vertices;
     for (VertexId v = 0; v < nv; ++v)
-      if (q.frontier[q.cur_buf][v]) q.levels[v] = rs->dist[v];
+      if (q.frontier[q.cur_buf][v]) q.levels[v] = (*q.dist)[v];
     launch_main(ctx, eng, q, eng.lb_.d_ibfs_round_done);
   }
 
@@ -196,194 +176,6 @@ struct SqDriver : ThreadState {
     q.finished = true;  // published to the host at the next pause point
     (void)eng;
     ctx.yield_terminate();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// PageRank propagate: per-vertex map emits rank/degree to every neighbor;
-// reduce folds into the query's accumulator array through the (job-tagged)
-// combining cache. Same shape as apps/pagerank, minus the split-vertex
-// indirection: serve graphs are unsplit, so the map key IS the rank index.
-// ---------------------------------------------------------------------------
-struct SqPrMap : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  Word v = 0;
-  Word degree = 0;
-  Word nbr_ptr = 0;
-  double contrib = 0.0;
-  Word loaded = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::map_job(ctx);
-    v = kvmsr::Library::map_key(ctx);
-    ctx.send_dram_read(eng.query_of_job(job).spec.graph->vertex_addr(v), 8,
-                       eng.lb_.pr_rec);
-  }
-
-  void pr_rec(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    auto& q = eng.query_of_job(job);
-    degree = ctx.op(DeviceGraph::kDegree);
-    nbr_ptr = ctx.op(DeviceGraph::kNbrPtr);
-    ctx.charge(3);
-    if (degree == 0) {
-      eng.lib_->map_return(ctx, kvmsr_cont);
-      return;
-    }
-    ctx.send_dram_read(q.rank_base + v * 8, 1, eng.lb_.pr_rank);
-  }
-
-  void pr_rank(Ctx& ctx) {
-    contrib = std::bit_cast<double>(ctx.op(0)) / static_cast<double>(degree);
-    ctx.charge(2);
-    auto& eng = ctx.machine().service<QueryEngine>();
-    for (Word i = 0; i < degree; i += 8) {
-      const unsigned n = static_cast<unsigned>(std::min<Word>(8, degree - i));
-      ctx.charge(2);
-      ctx.send_dram_read(nbr_ptr + i * 8, n, eng.lb_.pr_nbrs);
-    }
-  }
-
-  void pr_nbrs(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      eng.lib_->emit(ctx, job, ctx.op(i), std::bit_cast<Word>(contrib));
-    }
-    loaded += ctx.nops();
-    if (loaded == degree) eng.lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-struct SqPrReduce : ThreadState {
-  void kv_reduce(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    const kvmsr::JobId job = kvmsr::Library::reduce_job(ctx);
-    auto& q = eng.query_of_job(job);
-    const Word v = kvmsr::Library::reduce_key(ctx);
-    const double c = std::bit_cast<double>(kvmsr::Library::reduce_val(ctx));
-    eng.cc_->add_f64(ctx, q.acc_base + v * 8, c, job);
-    eng.lib_->reduce_return(ctx, job);
-  }
-};
-
-/// Apply sweep: rank'[v] = (1-d)/n + d*acc[v]; acked writes so the next
-/// propagate cannot read a stale rank or accumulator.
-struct SqPrApply : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  Word v = 0;
-  unsigned acks = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::map_job(ctx);
-    v = kvmsr::Library::map_key(ctx);
-    ctx.send_dram_read(eng.query_of_job(job).acc_base + v * 8, 1, eng.lb_.pr_acc);
-  }
-
-  void pr_acc(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    auto& q = eng.query_of_job(job);
-    const double sum = std::bit_cast<double>(ctx.op(0));
-    const double n = static_cast<double>(q.spec.graph->num_original);
-    const double rank = (1.0 - q.spec.damping) / n + q.spec.damping * sum;
-    ctx.charge(4);
-    ctx.send_dram_write(q.rank_base + v * 8, {std::bit_cast<Word>(rank)},
-                        eng.lb_.pr_written);
-    ctx.send_dram_write(q.acc_base + v * 8, {0}, eng.lb_.pr_written);
-  }
-
-  void pr_written(Ctx& ctx) {
-    if (++acks == 2)
-      ctx.machine().service<QueryEngine>().lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Level-synchronous BFS. Frontier membership is lane-local scratchpad state
-// modeled host-side (the apps/bfs discipline): the map task for key v pays a
-// one-cycle flag probe and expands only frontier vertices; the reduce
-// test-and-sets the visited flag on v's hash-owner lane and writes the level
-// into the query's dist array with an acked write.
-// ---------------------------------------------------------------------------
-struct SqBfsMap : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  Word v = 0;
-  Word degree = 0;
-  Word nbr_ptr = 0;
-  Word loaded = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::map_job(ctx);
-    v = kvmsr::Library::map_key(ctx);
-    auto& q = eng.query_of_job(job);
-    ctx.charge(1);  // scratchpad frontier-flag probe
-    if (!q.frontier[q.cur_buf][v]) {
-      eng.lib_->map_return(ctx, kvmsr_cont);
-      return;
-    }
-    ctx.send_dram_read(q.spec.graph->vertex_addr(v), 8, eng.lb_.bfs_rec);
-  }
-
-  void bfs_rec(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    degree = ctx.op(DeviceGraph::kDegree);
-    nbr_ptr = ctx.op(DeviceGraph::kNbrPtr);
-    ctx.charge(2);
-    if (degree == 0) {
-      eng.lib_->map_return(ctx, kvmsr_cont);
-      return;
-    }
-    for (Word i = 0; i < degree; i += 8) {
-      const unsigned n = static_cast<unsigned>(std::min<Word>(8, degree - i));
-      ctx.charge(2);
-      ctx.send_dram_read(nbr_ptr + i * 8, n, eng.lb_.bfs_nbrs);
-    }
-  }
-
-  void bfs_nbrs(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    auto& q = eng.query_of_job(job);
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      eng.lib_->emit(ctx, job, ctx.op(i), q.round + 1);
-    }
-    loaded += ctx.nops();
-    if (loaded == degree) eng.lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-struct SqBfsReduce : ThreadState {
-  kvmsr::JobId job = 0;
-
-  void kv_reduce(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::reduce_job(ctx);
-    auto& q = eng.query_of_job(job);
-    const Word v = kvmsr::Library::reduce_key(ctx);
-    const Word level = kvmsr::Library::reduce_val(ctx);
-    ctx.charge(2);  // scratchpad visited test-and-set
-    if (q.visited[v]) {
-      eng.lib_->reduce_return(ctx, job);
-      return;
-    }
-    q.visited[v] = 1;
-    q.frontier[q.cur_buf ^ 1][v] = 1;
-    q.added.fetch_add(1, std::memory_order_relaxed);
-    ctx.charge(1);
-    // Acked: the level must be durable before the round can complete (dist
-    // is only read back by the host, but an unacked in-flight write would be
-    // an unordered access against a later query reusing the region).
-    ctx.send_dram_write(q.dist_base + v * 8, {level}, eng.lb_.bfs_written);
-  }
-
-  void bfs_written(Ctx& ctx) {
-    ctx.machine().service<QueryEngine>().lib_->reduce_return(ctx, job);
   }
 };
 
@@ -454,143 +246,6 @@ struct SqPcReduce : ThreadState {
     const Word deg = ctx.op(DeviceGraph::kDegree);
     ctx.charge(2);
     const Word found = paths_in * deg;
-    if (found > 0) {
-      const Addr cell =
-          q.cells_base + static_cast<Addr>(ctx.nwid() - q.rlanes.first) * 8;
-      eng.cc_->add_u64(ctx, cell, found, job);
-    }
-    eng.lib_->reduce_return(ctx, job);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Triangle count: apps/tc's pair-enumeration map and stream-intersect reduce,
-// re-homed onto per-query count cells and the job-tagged combining cache.
-// ---------------------------------------------------------------------------
-struct SqTcMap : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  Word x = 0;
-  Word degree = 0;
-  Word loaded = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::map_job(ctx);
-    x = kvmsr::Library::map_key(ctx);
-    ctx.send_dram_read(eng.query_of_job(job).spec.graph->vertex_addr(x), 8,
-                       eng.lb_.tc_rec);
-  }
-
-  void tc_rec(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    degree = ctx.op(DeviceGraph::kDegree);
-    const Word nbr_ptr = ctx.op(DeviceGraph::kNbrPtr);
-    ctx.charge(2);
-    if (degree == 0) {
-      eng.lib_->map_return(ctx, kvmsr_cont);
-      return;
-    }
-    for (Word i = 0; i < degree; i += 8) {
-      const unsigned n = static_cast<unsigned>(std::min<Word>(8, degree - i));
-      ctx.charge(2);
-      ctx.send_dram_read(nbr_ptr + i * 8, n, eng.lb_.tc_nbrs);
-    }
-  }
-
-  void tc_nbrs(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      const Word y = ctx.op(i);
-      ctx.charge(1);
-      if (y < x) eng.lib_->emit(ctx, job, tc::pair_key(x, y), 0);
-    }
-    loaded += ctx.nops();
-    if (loaded == degree) eng.lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-struct SqTcReduce : ThreadState {
-  kvmsr::JobId job = 0;
-  Word x = 0, y = 0;
-  Word deg[2] = {0, 0};
-  Word ptr[2] = {0, 0};
-  unsigned recs = 0;
-  std::vector<Word> list[2];
-  Word arrived = 0, expected = 0;
-  Word found = 0;
-
-  void kv_reduce(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::reduce_job(ctx);
-    const Word key = kvmsr::Library::reduce_key(ctx);
-    x = tc::pair_x(key);
-    y = tc::pair_y(key);
-    ctx.charge(2);
-    const DeviceGraph* dg = eng.query_of_job(job).spec.graph;
-    ctx.send_dram_read(dg->vertex_addr(x), 8, eng.lb_.tc_rrec);
-    ctx.send_dram_read(dg->vertex_addr(y), 8, eng.lb_.tc_rrec);
-  }
-
-  void tc_rrec(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    const DeviceGraph* dg = eng.query_of_job(job).spec.graph;
-    const unsigned side = ctx.ccont() == dg->vertex_addr(x) ? 0 : 1;
-    deg[side] = ctx.op(DeviceGraph::kDegree);
-    ptr[side] = ctx.op(DeviceGraph::kNbrPtr);
-    ctx.charge(2);
-    if (++recs < 2) return;
-    if (deg[0] == 0 || deg[1] == 0) {
-      finish(ctx);
-      return;
-    }
-    for (unsigned s = 0; s < 2; ++s) {
-      list[s].assign(deg[s], 0);
-      for (Word i = 0; i < deg[s]; i += 8) {
-        const unsigned n = static_cast<unsigned>(std::min<Word>(8, deg[s] - i));
-        ctx.charge(2);
-        ctx.send_dram_read(ptr[s] + i * 8, n,
-                           s == 0 ? eng.lb_.tc_xchunk : eng.lb_.tc_ychunk);
-        ++expected;
-      }
-    }
-  }
-
-  void tc_xchunk(Ctx& ctx) { chunk_arrived(ctx, 0); }
-  void tc_ychunk(Ctx& ctx) { chunk_arrived(ctx, 1); }
-
- private:
-  void chunk_arrived(Ctx& ctx, unsigned side) {
-    const Word base = (ctx.ccont() - ptr[side]) / 8;
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      list[side][base + i] = ctx.op(i);
-    }
-    if (++arrived == expected) merge(ctx);
-  }
-
-  void merge(Ctx& ctx) {
-    std::size_t i = 0, j = 0;
-    while (i < list[0].size() && j < list[1].size()) {
-      const Word a = list[0][i], b = list[1][j];
-      ctx.charge(1);
-      if (a >= y || b >= y) break;  // only the z < y prefix counts
-      if (a < b) {
-        ++i;
-      } else if (b < a) {
-        ++j;
-      } else {
-        ++found;
-        ++i;
-        ++j;
-      }
-    }
-    finish(ctx);
-  }
-
-  void finish(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    auto& q = eng.query_of_job(job);
     if (found > 0) {
       const Addr cell =
           q.cells_base + static_cast<Addr>(ctx.nwid() - q.rlanes.first) * 8;
@@ -738,11 +393,15 @@ struct SqIprMap : kvmsr::MapTask {
 };
 
 // ---------------------------------------------------------------------------
-// Incremental BFS frontier repair: seeded from delta-touched sources, each
-// round relaxes `dist` monotonically downward (improve-test in the reduce),
-// so final levels are independent of message arrival order — and of shard
-// count, work stealing, and unrelated concurrent jobs. Map tasks read level
-// candidates from the per-round `levels` snapshot, never live dist.
+// BFS frontier repair, the one serve-side BFS kernel. kIncBfs seeds it from
+// delta-touched sources; kBfs (and kIncBfs with Seeds::kAll) seeds it at the
+// root with every other level at infinity, which makes it a level-synchronous
+// BFS. Each round relaxes `dist` monotonically downward (improve-test in the
+// reduce), so final levels are independent of message arrival order — and
+// of shard count, work stealing, and unrelated concurrent jobs. Frontier
+// membership is lane-local scratchpad state modeled host-side (the apps/bfs
+// discipline); map tasks read level candidates from the per-round `levels`
+// snapshot, never live dist.
 // ---------------------------------------------------------------------------
 struct SqIbfsMap : kvmsr::MapTask {
   kvmsr::JobId job = 0;
@@ -802,19 +461,22 @@ struct SqIbfsReduce : ThreadState {
     auto& eng = ctx.machine().service<QueryEngine>();
     job = kvmsr::Library::reduce_job(ctx);
     auto& q = eng.query_of_job(job);
-    ResidentState* rs = q.spec.resident;
+    std::vector<Word>& dist = *q.dist;
     const Word w = kvmsr::Library::reduce_key(ctx);
     const Word level = kvmsr::Library::reduce_val(ctx);
     ctx.charge(2);  // improve-test against the lane-owned mirror entry
-    if (level >= rs->dist[w]) {
+    if (level >= dist[w]) {
       eng.lib_->reduce_return(ctx, job);
       return;
     }
-    rs->dist[w] = level;  // w's hash-owner lane serializes updates to dist[w]
+    dist[w] = level;  // w's hash-owner lane serializes updates to dist[w]
     q.frontier[q.cur_buf ^ 1][w] = 1;
     q.added.fetch_add(1, std::memory_order_relaxed);
     ctx.charge(1);
-    ctx.send_dram_write(rs->dist_base + w * 8, {level}, eng.lb_.ibfs_written);
+    // Acked: the level must be durable before the round can complete (an
+    // unacked in-flight write would be an unordered access against a later
+    // query reusing the region).
+    ctx.send_dram_write(q.dist_base + w * 8, {level}, eng.lb_.ibfs_written);
   }
 
   void ibfs_written(Ctx& ctx) {
@@ -840,31 +502,24 @@ QueryEngine::QueryEngine(Machine& m) : m_(m) {
   tick_ = p.event("serve::sched_tick", &SqTick::t_fire);
   lb_.d_pr_prop_done = p.event("serve::d_pr_prop_done", &SqDriver::d_pr_prop_done);
   lb_.d_pr_apply_done = p.event("serve::d_pr_apply_done", &SqDriver::d_pr_apply_done);
-  lb_.d_bfs_round_done = p.event("serve::d_bfs_round_done", &SqDriver::d_bfs_round_done);
   lb_.d_pass_done = p.event("serve::d_pass_done", &SqDriver::d_pass_done);
-  lb_.pr_rec = p.event("serve::pr_rec", &SqPrMap::pr_rec);
-  lb_.pr_rank = p.event("serve::pr_rank", &SqPrMap::pr_rank);
-  lb_.pr_nbrs = p.event("serve::pr_nbrs", &SqPrMap::pr_nbrs);
-  lb_.pr_acc = p.event("serve::pr_acc", &SqPrApply::pr_acc);
-  lb_.pr_written = p.event("serve::pr_written", &SqPrApply::pr_written);
-  lb_.bfs_rec = p.event("serve::bfs_rec", &SqBfsMap::bfs_rec);
-  lb_.bfs_nbrs = p.event("serve::bfs_nbrs", &SqBfsMap::bfs_nbrs);
-  lb_.bfs_written = p.event("serve::bfs_written", &SqBfsReduce::bfs_written);
+  lb_.d_ipr_round_done = p.event("serve::d_ipr_round_done", &SqDriver::d_ipr_round_done);
+  lb_.d_ibfs_round_done = p.event("serve::d_ibfs_round_done", &SqDriver::d_ibfs_round_done);
+  register_pagerank(p);
+  register_triangles(p);
+  lb_.pc_map = p.event("serve::pc_map", &SqPcMap::kv_map);
+  lb_.pc_reduce = p.event("serve::pc_reduce", &SqPcReduce::kv_reduce);
   lb_.pc_rec = p.event("serve::pc_rec", &SqPcMap::pc_rec);
   lb_.pc_nbrs = p.event("serve::pc_nbrs", &SqPcMap::pc_nbrs);
   lb_.pc_deg = p.event("serve::pc_deg", &SqPcReduce::pc_deg);
-  lb_.tc_rec = p.event("serve::tc_rec", &SqTcMap::tc_rec);
-  lb_.tc_nbrs = p.event("serve::tc_nbrs", &SqTcMap::tc_nbrs);
-  lb_.tc_rrec = p.event("serve::tc_rrec", &SqTcReduce::tc_rrec);
-  lb_.tc_xchunk = p.event("serve::tc_xchunk", &SqTcReduce::tc_xchunk);
-  lb_.tc_ychunk = p.event("serve::tc_ychunk", &SqTcReduce::tc_ychunk);
-  lb_.d_ipr_round_done = p.event("serve::d_ipr_round_done", &SqDriver::d_ipr_round_done);
-  lb_.d_ibfs_round_done = p.event("serve::d_ibfs_round_done", &SqDriver::d_ibfs_round_done);
+  lb_.ipr_map = p.event("serve::ipr_map", &SqIprMap::kv_map);
   lb_.ipr_rrec = p.event("serve::ipr_rrec", &SqIprMap::ipr_rrec);
   lb_.ipr_ids = p.event("serve::ipr_ids", &SqIprMap::ipr_ids);
   lb_.ipr_deg = p.event("serve::ipr_deg", &SqIprMap::ipr_deg);
   lb_.ipr_rank = p.event("serve::ipr_rank", &SqIprMap::ipr_rank);
   lb_.ipr_written = p.event("serve::ipr_written", &SqIprMap::ipr_written);
+  lb_.ibfs_map = p.event("serve::ibfs_map", &SqIbfsMap::kv_map);
+  lb_.ibfs_reduce = p.event("serve::ibfs_reduce", &SqIbfsReduce::kv_reduce);
   lb_.ibfs_rec = p.event("serve::ibfs_rec", &SqIbfsMap::ibfs_rec);
   lb_.ibfs_nbrs = p.event("serve::ibfs_nbrs", &SqIbfsMap::ibfs_nbrs);
   lb_.ibfs_written = p.event("serve::ibfs_written", &SqIbfsReduce::ibfs_written);
@@ -878,20 +533,28 @@ Addr QueryEngine::place(const QuerySpec& spec, std::uint64_t bytes) {
                                  spec.values.block_size);
 }
 
+void QueryEngine::bind_job(kvmsr::JobId j, QueryId q) {
+  if (j >= job2query_.size()) job2query_.resize(j + 1, kNoQuery);
+  job2query_[j] = q;
+}
+
 QueryId QueryEngine::add_query(QuerySpec spec) {
   if (!spec.graph && spec.resident) {
     if (spec.kind == QueryKind::kIncPageRank) spec.graph = spec.resident->rev;
     if (spec.kind == QueryKind::kIncBfs) spec.graph = spec.resident->fwd;
   }
   if (!spec.graph) throw std::invalid_argument("serve: QuerySpec::graph is null");
-  if (spec.graph->num_vertices != spec.graph->num_original)
+  if (spec.graph->split() && spec.kind != QueryKind::kPageRank)
     throw std::invalid_argument(
-        "serve: queries require an unsplit graph (num_vertices == num_original)");
+        std::string("serve: ") + kind_name(spec.kind) + " requires an unsplit graph");
   const std::uint64_t nv = spec.graph->num_vertices;
   if (spec.lanes.count != 0 &&
       spec.lanes.first + spec.lanes.count > m_.config().total_lanes())
     throw std::invalid_argument("serve: lane partition beyond the machine");
-  if (spec.kind == QueryKind::kBfs && spec.root >= nv)
+  const bool bfs_from_root =
+      spec.kind == QueryKind::kBfs ||
+      (spec.kind == QueryKind::kIncBfs && spec.seeds == QuerySpec::Seeds::kAll);
+  if (bfs_from_root && spec.root >= nv)
     throw std::invalid_argument("serve: BFS root out of range");
 
   auto qp = std::make_unique<Query>();
@@ -904,58 +567,47 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
     q.rlanes.count = static_cast<std::uint32_t>(m_.config().total_lanes());
   }
 
-  Program& p = m_.program();
   kvmsr::JobSpec js;
   js.lanes = q.spec.lanes;
+  js.map_binding = q.spec.map_binding;
   js.coalesce_tuples = q.spec.coalesce_tuples;
   js.name = q.spec.name;
 
   switch (q.spec.kind) {
     case QueryKind::kPageRank: {
-      q.rank_base = place(q.spec, nv * 8);
+      // Ranks per original vertex; accumulators per vertex, or per slot on
+      // a split graph (one slot per sub-vertex, so also num_vertices).
+      const std::uint64_t no = q.spec.graph->num_original;
+      q.rank_base = place(q.spec, no * 8);
       q.acc_base = place(q.spec, nv * 8);
-      const double init = nv ? 1.0 / static_cast<double>(nv) : 0.0;
-      for (VertexId v = 0; v < nv; ++v) {
+      const double init = no ? 1.0 / static_cast<double>(no) : 0.0;
+      for (VertexId v = 0; v < no; ++v)
         m_.memory().host_store<double>(q.rank_base + v * 8, init);
+      for (VertexId v = 0; v < nv; ++v)
         m_.memory().host_store<double>(q.acc_base + v * 8, 0.0);
-      }
-      js.kv_map = p.event("serve::pr_map", &SqPrMap::kv_map);
-      js.kv_reduce = p.event("serve::pr_reduce", &SqPrReduce::kv_reduce);
+      js.kv_map = lb_.pr_map;
+      js.kv_reduce = lb_.pr_reduce;
       js.flush = cc_->flush_label();
+      // Contributions to one accumulator are order-insensitive f64 sums up
+      // to rounding; combining only activates when the job coalesces.
       js.combiner = kvmsr::Combiner::kSumF64;
       js.name = q.spec.name + ".prop";
       q.job = lib_->add_job(js);
 
       kvmsr::JobSpec as;
-      as.kv_map = p.event("serve::pr_apply", &SqPrApply::kv_map);
+      as.kv_map = lb_.pr_apply;
       as.lanes = q.spec.lanes;
       as.name = q.spec.name + ".apply";
       q.apply_job = lib_->add_job(as);
-      job2query_[q.apply_job] = q.id;
-      break;
-    }
-    case QueryKind::kBfs: {
-      q.dist_base = place(q.spec, nv * 8);
-      for (VertexId v = 0; v < nv; ++v)
-        m_.memory().host_store<Word>(q.dist_base + v * 8, kInfDist);
-      q.frontier[0].assign(nv, 0);
-      q.frontier[1].assign(nv, 0);
-      q.visited.assign(nv, 0);
-      q.frontier[0][q.spec.root] = 1;
-      q.visited[q.spec.root] = 1;
-      m_.memory().host_store<Word>(q.dist_base + q.spec.root * 8, 0);
-      js.kv_map = p.event("serve::bfs_map", &SqBfsMap::kv_map);
-      js.kv_reduce = p.event("serve::bfs_reduce", &SqBfsReduce::kv_reduce);
-      js.name = q.spec.name + ".round";
-      q.job = lib_->add_job(js);
+      bind_job(q.apply_job, q.id);
       break;
     }
     case QueryKind::kPathCount: {
       q.cells_base = place(q.spec, static_cast<std::uint64_t>(q.rlanes.count) * 8);
       for (std::uint32_t l = 0; l < q.rlanes.count; ++l)
         m_.memory().host_store<Word>(q.cells_base + static_cast<Addr>(l) * 8, 0);
-      js.kv_map = p.event("serve::pc_map", &SqPcMap::kv_map);
-      js.kv_reduce = p.event("serve::pc_reduce", &SqPcReduce::kv_reduce);
+      js.kv_map = lb_.pc_map;
+      js.kv_reduce = lb_.pc_reduce;
       js.flush = cc_->flush_label();
       js.combiner = kvmsr::Combiner::kSumU64;
       js.name = q.spec.name + ".paths";
@@ -966,9 +618,10 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
       q.cells_base = place(q.spec, static_cast<std::uint64_t>(q.rlanes.count) * 8);
       for (std::uint32_t l = 0; l < q.rlanes.count; ++l)
         m_.memory().host_store<Word>(q.cells_base + static_cast<Addr>(l) * 8, 0);
-      js.kv_map = p.event("serve::tc_map", &SqTcMap::kv_map);
-      js.kv_reduce = p.event("serve::tc_reduce", &SqTcReduce::kv_reduce);
+      js.kv_map = lb_.tc_map;
+      js.kv_reduce = lb_.tc_reduce;
       js.flush = cc_->flush_label();
+      // The combiner stays kNone: every pair key is emitted exactly once.
       js.name = q.spec.name + ".tc";
       q.job = lib_->add_job(js);
       break;
@@ -997,49 +650,60 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
       q.alist.reserve(q.seeded);
       for (VertexId v = 0; v < nv; ++v)
         if (q.visited[v]) q.alist.push_back(v);
-      js.kv_map = p.event("serve::ipr_map", &SqIprMap::kv_map);
+      js.kv_map = lb_.ipr_map;
       js.name = q.spec.name + ".rank";
       q.job = lib_->add_job(js);
       break;
     }
+    case QueryKind::kBfs:
     case QueryKind::kIncBfs: {
-      ResidentState* rs = q.spec.resident;
-      if (!rs || !rs->fwd)
-        throw std::invalid_argument("serve: kIncBfs requires a ResidentState");
-      if (rs->dist.size() != nv)
-        throw std::invalid_argument(
-            "serve: ResidentState dist mirror does not match the graph");
+      // One kernel: kBfs repairs its own level array from the root; kIncBfs
+      // repairs the session's resident one.
+      if (q.spec.kind == QueryKind::kBfs) {
+        q.dist_base = place(q.spec, nv * 8);
+        q.own_dist.resize(nv);
+        q.dist = &q.own_dist;
+      } else {
+        ResidentState* rs = q.spec.resident;
+        if (!rs || !rs->fwd)
+          throw std::invalid_argument("serve: kIncBfs requires a ResidentState");
+        if (rs->dist.size() != nv)
+          throw std::invalid_argument(
+              "serve: ResidentState dist mirror does not match the graph");
+        q.dist_base = rs->dist_base;
+        q.dist = &rs->dist;
+      }
+      std::vector<Word>& dist = *q.dist;
       q.frontier[0].assign(nv, 0);
       q.frontier[1].assign(nv, 0);
-      if (q.spec.seeds == QuerySpec::Seeds::kAll) {
-        if (q.spec.root >= nv)
-          throw std::invalid_argument("serve: BFS root out of range");
-        // Full traversal from scratch: reset the resident levels.
-        std::fill(rs->dist.begin(), rs->dist.end(), kInfDist);
-        rs->dist[q.spec.root] = 0;
+      if (bfs_from_root) {
+        // Full traversal from scratch: every level infinite but the root's.
+        std::fill(dist.begin(), dist.end(), kInfDist);
+        dist[q.spec.root] = 0;
         for (VertexId v = 0; v < nv; ++v)
-          m_.memory().host_store<Word>(rs->dist_base + v * 8, rs->dist[v]);
+          m_.memory().host_store<Word>(q.dist_base + v * 8, dist[v]);
         q.frontier[0][q.spec.root] = 1;
         q.seeded = 1;
       } else {
         // Repair: only delta-touched sources that are themselves reachable
         // can lower a neighbor's level.
+        ResidentState* rs = q.spec.resident;
         for (const VertexId v : rs->bfs_dirty)
-          if (v < nv && rs->dist[v] != kInfDist && !q.frontier[0][v]) {
+          if (v < nv && dist[v] != kInfDist && !q.frontier[0][v]) {
             q.frontier[0][v] = 1;
             ++q.seeded;
           }
         rs->bfs_dirty.clear();
       }
-      q.levels = rs->dist;
-      js.kv_map = p.event("serve::ibfs_map", &SqIbfsMap::kv_map);
-      js.kv_reduce = p.event("serve::ibfs_reduce", &SqIbfsReduce::kv_reduce);
-      js.name = q.spec.name + ".repair";
+      q.levels = dist;
+      js.kv_map = lb_.ibfs_map;
+      js.kv_reduce = lb_.ibfs_reduce;
+      js.name = q.spec.name + (q.spec.kind == QueryKind::kBfs ? ".round" : ".repair");
       q.job = lib_->add_job(js);
       break;
     }
   }
-  job2query_[q.job] = q.id;
+  bind_job(q.job, q.id);
   queries_.push_back(std::move(qp));
   return q.id;
 }
@@ -1088,11 +752,12 @@ QueryResult QueryEngine::collect(QueryId qid) const {
   const std::uint64_t nv = q.spec.graph->num_vertices;
   switch (q.spec.kind) {
     case QueryKind::kPageRank:
-      r.rank.resize(nv);
-      for (VertexId v = 0; v < nv; ++v)
+      r.rank.resize(q.spec.graph->num_original);
+      for (VertexId v = 0; v < r.rank.size(); ++v)
         r.rank[v] = m_.memory().host_load<double>(q.rank_base + v * 8);
       break;
     case QueryKind::kBfs:
+    case QueryKind::kIncBfs:
       r.dist.resize(nv);
       for (VertexId v = 0; v < nv; ++v)
         r.dist[v] = m_.memory().host_load<Word>(q.dist_base + v * 8);
@@ -1109,11 +774,6 @@ QueryResult QueryEngine::collect(QueryId qid) const {
         for (VertexId v = 0; v < nv; ++v)
           r.rank[v] = m_.memory().host_load<double>(last + v * 8);
       }
-      break;
-    case QueryKind::kIncBfs:
-      r.dist.resize(nv);
-      for (VertexId v = 0; v < nv; ++v)
-        r.dist[v] = m_.memory().host_load<Word>(q.spec.resident->dist_base + v * 8);
       break;
   }
   return r;

@@ -1,13 +1,14 @@
-// Multi-tenant query kernels for job serving (ROADMAP item 2).
+// Query kernels for job serving: the one home of this repo's PageRank,
+// triangle-count, path-count and serve-side BFS kernels.
 //
-// The existing apps (src/apps/) are single-tenant by construction: each owns
-// Machine::user<App>() and drives the machine to global drain. The serve
-// layer re-expresses the same workloads as *queries* — self-contained KVMSR
-// job bundles with per-query device arrays, a per-query device-side driver
-// thread, and a host-visible completion flag — so any number of them can be
-// resident at once, each on its own lane partition (or interleaved over the
-// whole machine) with its own value placement (the paper's fig12
-// `nr_nodes`-style knob).
+// A query is a self-contained KVMSR job bundle with per-query device arrays,
+// a per-query device-side driver thread, and a host-visible completion flag,
+// so any number of them can be resident at once, each on its own lane
+// partition (or interleaved over the whole machine) with its own value
+// placement (the paper's fig12 `nr_nodes`-style knob). The single-tenant
+// apps pr::App and tc::App are thin wrappers that submit one query on all
+// lanes; binding, split-vertex slots and placement are query inputs, so one
+// kernel serves every machine size and every tier.
 //
 // Per-query quiescence: a query is done when its driver thread sets
 // Query::finished — the predicate handed to Machine::run_until. Nothing here
@@ -15,17 +16,20 @@
 // the engine while other queries stay in flight.
 //
 // Query kinds:
-//   kPageRank  — push PageRank, `iterations` synchronous sweeps (propagate
-//                job with f64 combining + apply job per sweep, chained by the
-//                driver exactly like apps/pagerank).
-//   kBfs       — level-synchronous BFS: one KVMSR job launch per round over
-//                the whole key range; frontier membership is lane-local
-//                scratchpad state modeled host-side (per-query flag vectors),
-//                distances land in a per-query DRAM array.
+//   kPageRank  — push PageRank (paper Section 4.1), `iterations` synchronous
+//                sweeps: a propagate job with f64 combining plus an apply job
+//                per sweep, chained by the driver. The only kind that also
+//                runs on a split graph (upload_split_graph): the map pushes
+//                the owner's rank over its slice of the owner's edges, and
+//                the apply sums each vertex's accumulator slots. Kernel in
+//                serve/pagerank.cpp.
+//   kBfs       — full BFS: the kIncBfs repair kernel, seeded at `root` on the
+//                query's own level array.
 //   kPathCount — 2-hop path count (#{(a,b,c): a->b->c}), the PartialMatch
 //                stand-in: a two-edge pattern-matching query in one
 //                map+reduce pass (cf. apps/partial_match).
-//   kTriangles — triangle count, the tc app's stream-intersect reduce.
+//   kTriangles — triangle count (paper Section 4.3): pair-enumeration map,
+//                stream-intersect reduce. Kernel in serve/triangles.cpp.
 //   kIncPageRank — incremental PageRank refresh over a streaming ResidentState
 //                (src/stream/): re-ranks only the delta-affected frontier, one
 //                pull sweep per round against the resident rank history, each
@@ -44,10 +48,10 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/layout.hpp"
@@ -95,11 +99,14 @@ struct QuerySpec {
   QueryKind kind = QueryKind::kPageRank;
   /// Device graph the query reads (resident shared copy, or a per-query
   /// partition-local copy when bit-exact isolation is required). Must be an
-  /// unsplit upload (num_vertices == num_original).
+  /// unsplit upload, except for kPageRank, which also takes a split one.
   const DeviceGraph* graph = nullptr;
   /// Lane partition the query's KVMSR jobs, driver, and reducers run on.
   /// count 0 = interleaved over the whole machine.
   kvmsr::LaneSet lanes;
+  /// Computation binding of the query's main map job (PageRank propagate,
+  /// triangle pairs, ...); the paper compares Block and PBMW.
+  kvmsr::MapBinding map_binding = kvmsr::MapBinding::kBlock;
   /// Placement of the query's own value arrays (rank/dist/count cells) —
   /// the fig12 placement knob. nr_nodes 0 = spread over the whole machine.
   GraphPlacement values;
@@ -131,8 +138,8 @@ struct QueryResult {
   std::uint64_t emitted = 0;  ///< shuffle tuples over all rounds
   std::uint64_t count = 0;    ///< kPathCount paths / kTriangles triangles
   bool cancelled = false;     ///< drained early via cancel()
-  std::vector<double> rank;   ///< kPageRank
-  std::vector<Word> dist;     ///< kBfs levels (kInfDist = unreachable)
+  std::vector<double> rank;   ///< kPageRank, per original vertex
+  std::vector<Word> dist;     ///< kBfs / kIncBfs levels (kInfDist = unreachable)
 
   Tick duration() const { return done_tick - launch_tick; }
 };
@@ -202,8 +209,6 @@ class QueryEngine {
   friend struct SqPrMap;
   friend struct SqPrReduce;
   friend struct SqPrApply;
-  friend struct SqBfsMap;
-  friend struct SqBfsReduce;
   friend struct SqPcMap;
   friend struct SqPcReduce;
   friend struct SqTcMap;
@@ -212,6 +217,8 @@ class QueryEngine {
   friend struct SqIbfsMap;
   friend struct SqIbfsReduce;
 
+  static constexpr QueryId kNoQuery = ~QueryId{0};
+
   struct Query {
     QuerySpec spec;
     QueryId id = 0;
@@ -219,26 +226,32 @@ class QueryEngine {
     kvmsr::JobId apply_job = 0;  ///< kPageRank only
     kvmsr::LaneSet rlanes;       ///< spec.lanes with count 0 resolved
     // Per-query device arrays.
-    Addr rank_base = 0;   ///< PR ranks (f64 per vertex)
-    Addr acc_base = 0;    ///< PR accumulators (f64 per vertex)
-    Addr dist_base = 0;   ///< BFS levels (word per vertex)
+    Addr rank_base = 0;   ///< PR ranks (f64 per original vertex)
+    Addr acc_base = 0;    ///< PR accumulators (f64 per vertex / split slot)
     Addr cells_base = 0;  ///< PC/TC per-partition-lane count cells
+    // BFS levels: the device array and its host mirror — the kBfs query's
+    // own, or the resident ones a kIncBfs query repairs. dist[w] is written
+    // only by the reduce on w's hash-owner lane.
+    Addr dist_base = 0;
+    std::vector<Word>* dist = nullptr;
+    std::vector<Word> own_dist;  ///< kBfs: the storage behind `dist`
     // BFS lane-local frontier state, modeled host-side like apps/bfs: cur is
     // read by map tasks, nxt written by reduce tasks, swapped by the driver
     // between rounds (ordered by the round's message chain).
     std::vector<char> frontier[2];
+    // kIncPageRank affected flags, plus the same set as a compact ascending
+    // list. The sweep job launches keys [0, alist.size()) and maps key ->
+    // alist[key], so a sweep's KVMSR cost scales with the affected set, not
+    // num_vertices.
     std::vector<char> visited;
-    // kIncPageRank: visited, as a compact ascending list. The sweep job
-    // launches keys [0, alist.size()) and maps key -> alist[key], so a
-    // sweep's KVMSR cost scales with the affected set, not num_vertices.
     std::vector<VertexId> alist;
     unsigned cur_buf = 0;
-    std::uint64_t seeded = 0;  ///< incremental: initial frontier size
-    // kIncBfs per-round level snapshot: levels[v] = resident dist[v] at the
-    // round boundary, refreshed by the driver between rounds so map tasks
-    // never race the reduce-side dist updates within a round.
+    std::uint64_t seeded = 0;  ///< BFS / kIncPageRank: initial frontier size
+    // BFS per-round level snapshot: levels[v] = dist[v] at the round
+    // boundary, refreshed by the driver between rounds so map tasks never
+    // race the reduce-side dist updates within a round.
     std::vector<Word> levels;
-    std::atomic<std::uint64_t> added{0};  ///< vertices discovered this round
+    std::atomic<std::uint64_t> added{0};  ///< vertices improved this round
     // Driver-owned progress (host-visible once published at a pause point).
     std::uint64_t round = 0;
     std::uint64_t emitted = 0;
@@ -249,14 +262,22 @@ class QueryEngine {
     bool cancel = false;  ///< host set; driver checks at round boundaries
   };
 
-  Query& query_of_job(kvmsr::JobId j) { return *queries_.at(job2query_.at(j)); }
+  /// Handlers run once per event: a vector index, no hash lookup.
+  Query& query_of_job(kvmsr::JobId j) {
+    assert(j < job2query_.size() && job2query_[j] != kNoQuery);
+    return *queries_[job2query_[j]];
+  }
+  void bind_job(kvmsr::JobId j, QueryId q);
   Addr place(const QuerySpec& spec, std::uint64_t bytes);
+  /// Kernel label registration, defined next to each kernel.
+  void register_pagerank(Program& p);   // serve/pagerank.cpp
+  void register_triangles(Program& p);  // serve/triangles.cpp
 
   Machine& m_;
   kvmsr::Library* lib_ = nullptr;
   kvmsr::CombiningCache* cc_ = nullptr;
   std::vector<std::unique_ptr<Query>> queries_;
-  std::unordered_map<kvmsr::JobId, QueryId> job2query_;
+  std::vector<QueryId> job2query_;  ///< JobId -> QueryId (kNoQuery: not ours)
 
   // Event labels (registered once; per-query state rides in job ids).
   EventLabel d_start_ = 0;
@@ -265,31 +286,39 @@ class QueryEngine {
   struct Labels {
     EventLabel d_pr_prop_done = 0;
     EventLabel d_pr_apply_done = 0;
-    EventLabel d_bfs_round_done = 0;
     EventLabel d_pass_done = 0;  ///< kPathCount / kTriangles single pass
+    EventLabel d_ipr_round_done = 0;
+    EventLabel d_ibfs_round_done = 0;
+    EventLabel pr_map = 0;
+    EventLabel pr_reduce = 0;
+    EventLabel pr_apply = 0;
     EventLabel pr_rec = 0;
     EventLabel pr_rank = 0;
     EventLabel pr_nbrs = 0;
     EventLabel pr_acc = 0;
+    EventLabel pr_slots = 0;
+    EventLabel pr_slot_acc = 0;
     EventLabel pr_written = 0;
-    EventLabel bfs_rec = 0;
-    EventLabel bfs_nbrs = 0;
-    EventLabel bfs_written = 0;
+    EventLabel pc_map = 0;
+    EventLabel pc_reduce = 0;
     EventLabel pc_rec = 0;
     EventLabel pc_nbrs = 0;
     EventLabel pc_deg = 0;
+    EventLabel tc_map = 0;
+    EventLabel tc_reduce = 0;
     EventLabel tc_rec = 0;
     EventLabel tc_nbrs = 0;
     EventLabel tc_rrec = 0;
     EventLabel tc_xchunk = 0;
     EventLabel tc_ychunk = 0;
-    EventLabel d_ipr_round_done = 0;
-    EventLabel d_ibfs_round_done = 0;
+    EventLabel ipr_map = 0;
     EventLabel ipr_rrec = 0;
     EventLabel ipr_ids = 0;
     EventLabel ipr_deg = 0;
     EventLabel ipr_rank = 0;
     EventLabel ipr_written = 0;
+    EventLabel ibfs_map = 0;
+    EventLabel ibfs_reduce = 0;
     EventLabel ibfs_rec = 0;
     EventLabel ibfs_nbrs = 0;
     EventLabel ibfs_written = 0;

@@ -131,7 +131,11 @@ Tick Scheduler::next_attention() const {
   if (next_cancel_ < cancels_.size()) t = std::min(t, cancels_[next_cancel_].at);
   for (const MutRec& r : muts_) {
     if (r.applied) continue;
-    t = std::min(t, r.started ? r.mu.not_before : r.mu.arrival);
+    // A started mutation whose not_before has passed waits for the running
+    // queries, not for a time: a past tick would satisfy the run_until
+    // predicate before any event runs, and drain() would spin.
+    const Tick due = r.started ? r.mu.not_before : r.mu.arrival;
+    if (due > m_.now()) t = std::min(t, due);
   }
   return t;
 }

@@ -24,8 +24,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
-#include <typeindex>
-#include <unordered_map>
+#include <typeinfo>
 #include <vector>
 
 #include "common/types.hpp"
@@ -246,24 +245,29 @@ class Machine {
 
   /// Library services (KVMSR, SHT, ...) register themselves here, keyed by
   /// type, so their event handlers can find their state without going
-  /// through the application's user struct.
+  /// through the application's user struct. Handlers look a service up on
+  /// every event, so each type gets a dense slot index (assigned on first
+  /// use, process-wide) into a vector instead of a hash-map key.
   template <typename T, typename... Args>
   T& add_service(Args&&... args) {
     auto ptr = std::make_shared<T>(std::forward<Args>(args)...);
     T& ref = *ptr;
-    services_[std::type_index(typeid(T))] = std::move(ptr);
+    const std::size_t s = service_slot<T>();
+    if (s >= services_.size()) services_.resize(s + 1);
+    services_[s] = std::move(ptr);
     return ref;
   }
   template <typename T>
   T& service() {
-    auto it = services_.find(std::type_index(typeid(T)));
-    if (it == services_.end())
+    const std::size_t s = service_slot<T>();
+    if (s >= services_.size() || !services_[s])
       throw std::logic_error("Machine: service not registered: " + std::string(typeid(T).name()));
-    return *static_cast<T*>(it->second.get());
+    return *static_cast<T*>(services_[s].get());
   }
   template <typename T>
   bool has_service() const {
-    return services_.count(std::type_index(typeid(T))) > 0;
+    const std::size_t s = service_slot<T>();
+    return s < services_.size() && services_[s] != nullptr;
   }
 
  private:
@@ -377,7 +381,17 @@ class Machine {
   std::unique_ptr<Tracer> tracer_;    ///< null unless tracing is enabled
   std::shared_ptr<void> user_;
   void* user_ptr_ = nullptr;
-  std::unordered_map<std::type_index, std::shared_ptr<void>> services_;
+  std::vector<std::shared_ptr<void>> services_;  ///< indexed by service_slot<T>()
+
+  static std::size_t next_service_slot() {
+    static std::atomic<std::size_t> next{0};
+    return next.fetch_add(1, std::memory_order_relaxed);
+  }
+  template <typename T>
+  static std::size_t service_slot() {
+    static const std::size_t slot = next_service_slot();
+    return slot;
+  }
 };
 
 }  // namespace updown

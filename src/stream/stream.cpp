@@ -253,8 +253,9 @@ void StreamEngine::refresh_device(const DeltaGraph::CompactionResult& cr) {
         slice = place(nbrs.size() * 8);
         m_.memory().host_write(slice, nbrs.data(), nbrs.size() * 8);
       }
-      m_.memory().host_store<Word>(dev.field_addr(v, DeviceGraph::kDegree),
-                                   nbrs.size());
+      // Unsplit graph: the owner degree is the vertex's own degree.
+      for (const auto f : {DeviceGraph::kDegree, DeviceGraph::kOwnerDegree})
+        m_.memory().host_store<Word>(dev.field_addr(v, f), nbrs.size());
       m_.memory().host_store<Word>(dev.field_addr(v, DeviceGraph::kNbrPtr), slice);
     }
     dev.num_edges = g.num_edges();

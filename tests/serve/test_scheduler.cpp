@@ -53,20 +53,27 @@ QueryResult run_single(Machine& m, const DeviceGraph& dg, QuerySpec spec) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeQueries, PageRankMatchesOracle) {
-  Machine m(MachineConfig::scaled(2));
   Graph g = rmat(7, {}, 21);
-  DeviceGraph dg = upload_graph(m, g);
-  QuerySpec s;
-  s.kind = QueryKind::kPageRank;
-  s.iterations = 3;
-  s.name = "pr";
-  const QueryResult r = run_single(m, dg, std::move(s));
   const auto oracle = baseline::pagerank(g, 3);
-  ASSERT_EQ(r.rank.size(), oracle.size());
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    EXPECT_NEAR(r.rank[v], oracle[v], 1e-9) << "vertex " << v;
-  EXPECT_EQ(r.rounds, 3u);
-  EXPECT_GT(r.done_tick, r.launch_tick);
+  // Unsplit, and vertex-split so hub contributions spread over slots.
+  for (const bool split : {false, true}) {
+    Machine m(MachineConfig::scaled(2));
+    DeviceGraph dg =
+        split ? upload_split_graph(m, split_vertices(g, 8)) : upload_graph(m, g);
+    if (split) {
+      ASSERT_GT(dg.num_vertices, dg.num_original);
+    }
+    QuerySpec s;
+    s.kind = QueryKind::kPageRank;
+    s.iterations = 3;
+    s.name = "pr";
+    const QueryResult r = run_single(m, dg, std::move(s));
+    ASSERT_EQ(r.rank.size(), oracle.size()) << "split=" << split;
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      EXPECT_NEAR(r.rank[v], oracle[v], 1e-9) << "vertex " << v << " split=" << split;
+    EXPECT_EQ(r.rounds, 3u);
+    EXPECT_GT(r.done_tick, r.launch_tick);
+  }
 }
 
 TEST(ServeQueries, BfsMatchesOracle) {
@@ -158,6 +165,26 @@ TEST(ServeQueries, SpecValidationRejectsBadInput) {
   s.root = 0;
   s.lanes = {0, static_cast<std::uint32_t>(m.config().total_lanes()) + 1};
   EXPECT_THROW(eng.add_query(s), std::invalid_argument);
+
+  // A split upload serves PageRank only: every other kernel reads vertex
+  // ids, not owners and accumulator slots.
+  const DeviceGraph split = upload_split_graph(m, split_vertices(g, 4));
+  ASSERT_GT(split.num_vertices, split.num_original);
+  const auto rejects_split = [&](QueryKind k) {
+    QuerySpec q;
+    q.kind = k;
+    q.graph = &split;
+    try {
+      eng.add_query(q);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).find("unsplit") != std::string::npos;
+    }
+    return false;
+  };
+  for (const QueryKind k : {QueryKind::kBfs, QueryKind::kPathCount, QueryKind::kTriangles,
+                            QueryKind::kIncPageRank, QueryKind::kIncBfs})
+    EXPECT_TRUE(rejects_split(k)) << kind_name(k);
+  EXPECT_FALSE(rejects_split(QueryKind::kPageRank));
 }
 
 // ---------------------------------------------------------------------------
@@ -173,11 +200,14 @@ struct Tenant {
   QuerySpec spec;
 };
 
+/// `split_degree` > 0 uploads the graph vertex-split to that maximum degree.
 Tenant make_tenant(Machine& m, QueryKind kind, Graph graph, std::uint32_t first_node,
-                   std::uint32_t nr_nodes, const std::string& name) {
+                   std::uint32_t nr_nodes, const std::string& name,
+                   std::uint64_t split_degree = 0) {
   Tenant t{std::move(graph), {}, {}};
   const GraphPlacement place{first_node, nr_nodes, 32 * 1024};
-  t.dg = upload_graph(m, t.g, place);
+  t.dg = split_degree ? upload_split_graph(m, split_vertices(t.g, split_degree), place)
+                      : upload_graph(m, t.g, place);
   const auto lanes_per_node =
       static_cast<std::uint32_t>(m.config().total_lanes() / m.config().nodes);
   t.spec.kind = kind;
@@ -239,13 +269,15 @@ struct SoloVsShared {
   std::uint64_t emitted = 0;
 };
 
-SoloVsShared run_partitioned(std::uint32_t shards, bool check, bool launch_both) {
+SoloVsShared run_partitioned(std::uint32_t shards, bool check, bool launch_both,
+                             bool split = false) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
   EnvGuard g3("UD_STEAL", "0");
   Machine m(MachineConfig::scaled(4));
   auto& eng = QueryEngine::install(m);
-  Tenant a = make_tenant(m, QueryKind::kPageRank, rmat(8, {}, 41), 0, 2, "A.pr");
+  Tenant a = make_tenant(m, QueryKind::kPageRank, rmat(8, {}, 41), 0, 2, "A.pr",
+                         split ? 8 : 0);
   Tenant b = make_tenant(m, QueryKind::kBfs, rmat(8, {.symmetrize = true}, 42), 2, 2, "B.bfs");
   a.spec.graph = &a.dg;
   b.spec.graph = &b.dg;
@@ -267,18 +299,23 @@ TEST(ServeConcurrent, PartitionedJobIsBitIdenticalToRunningAlone) {
   // The acceptance property: with per-job graph copies, value arrays, and
   // lane partitions confined to disjoint node sets, a job's results AND its
   // per-job completion tick are bit-identical whether or not another job is
-  // resident — for any shard count, checked or not.
-  const SoloVsShared solo = run_partitioned(1, false, false);
-  ASSERT_FALSE(solo.rank.empty());
-  for (std::uint32_t shards : {1u, 2u, 4u}) {
-    for (bool check : {false, true}) {
-      const SoloVsShared shared = run_partitioned(shards, check, true);
-      EXPECT_EQ(shared.done, solo.done) << "shards=" << shards << " check=" << check;
-      EXPECT_EQ(shared.emitted, solo.emitted);
-      ASSERT_EQ(shared.rank.size(), solo.rank.size());
-      for (std::size_t v = 0; v < solo.rank.size(); ++v)
-        EXPECT_EQ(std::bit_cast<Word>(shared.rank[v]), std::bit_cast<Word>(solo.rank[v]))
-            << "vertex " << v << " shards=" << shards << " check=" << check;
+  // resident — for any shard count, checked or not, on an unsplit or a
+  // vertex-split PageRank graph.
+  for (const bool split : {false, true}) {
+    const SoloVsShared solo = run_partitioned(1, false, false, split);
+    ASSERT_FALSE(solo.rank.empty());
+    for (std::uint32_t shards : {1u, 2u, 4u}) {
+      for (bool check : {false, true}) {
+        const SoloVsShared shared = run_partitioned(shards, check, true, split);
+        EXPECT_EQ(shared.done, solo.done)
+            << "shards=" << shards << " check=" << check << " split=" << split;
+        EXPECT_EQ(shared.emitted, solo.emitted);
+        ASSERT_EQ(shared.rank.size(), solo.rank.size());
+        for (std::size_t v = 0; v < solo.rank.size(); ++v)
+          EXPECT_EQ(std::bit_cast<Word>(shared.rank[v]), std::bit_cast<Word>(solo.rank[v]))
+              << "vertex " << v << " shards=" << shards << " check=" << check
+              << " split=" << split;
+      }
     }
   }
 }

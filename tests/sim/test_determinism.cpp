@@ -403,7 +403,11 @@ TEST(Determinism, PageRankGoldenCounts) {
   EXPECT_EQ(s.dram_writes, 3010u);
   EXPECT_EQ(s.threads_created, 14657u);
   EXPECT_EQ(s.charged_cycles, 187382u);
-  EXPECT_EQ(s.message_bytes, 991968u);
+  // 991968 -> 991976 when pr::App became a wrapper around the serve layer's
+  // PageRank query: the query driver's start message carries the query id
+  // (one 8-byte operand). Host -> lane 0 is a same-lane send, so no tick and
+  // no other count moved.
+  EXPECT_EQ(s.message_bytes, 991976u);
 }
 
 TEST(Determinism, BfsGoldenCounts) {

@@ -192,6 +192,14 @@ TEST(StreamRefresh, HostStagedEpochsTrackFromScratchBaselines) {
     EXPECT_GT(cr.inserted, 0u) << "epoch " << epoch;
     cur = apply_delta(cur, recs);
     EXPECT_EQ(se.graph().csr().neighbors(), cur.neighbors());
+    // Patched records keep the unsplit-graph invariant the PageRank map
+    // relies on: a vertex is its own owner, so owner_degree == degree.
+    for (const DeviceGraph* dg : {se.resident().fwd, se.resident().rev})
+      for (VertexId v = 0; v < n; ++v)
+        ASSERT_EQ(m.memory().host_load<Word>(dg->field_addr(v, DeviceGraph::kOwnerDegree)),
+                  m.memory().host_load<Word>(dg->field_addr(v, DeviceGraph::kDegree)))
+            << "epoch " << epoch << " vertex " << v
+            << (dg == se.resident().fwd ? " (fwd)" : " (rev)");
 
     const RefreshResult r = se.refresh();
     expect_rank_bits(r.pr.rank, baseline::pagerank(cur, 3),
@@ -445,6 +453,42 @@ TEST(StreamScheduler, MutationGatesPostArrivalQueriesAndAppliesOnEpochGrid) {
             baseline::bfs(post, 0).dist);
   EXPECT_EQ(se.graph().epochs(), 1u);
   EXPECT_EQ(se.last_epoch_tick(), sched.mutation_applied_tick(mu));
+}
+
+TEST(StreamScheduler, MutationDueWhileAQueryRunsWaitsForIt) {
+  // With one slot and no epoch grid, the mutation's not_before passes while
+  // the PageRank read still holds the slot. The mutation must wait for the
+  // read to finish, not for that passed tick, or drain() never returns.
+  Machine m(MachineConfig::scaled(2));
+  const Graph base = rmat(7, {}, 9);
+  StreamOptions opt;
+  opt.pr_iterations = 2;
+  opt.epoch = 0;
+  auto& se = StreamEngine::install(m, base, opt);
+  auto& eng = serve::QueryEngine::install(m);
+  se.warm();
+
+  serve::Scheduler sched(eng, {.max_concurrent = 1, .max_queue = 8});
+  serve::QuerySpec read;
+  read.kind = serve::QueryKind::kPageRank;
+  read.graph = se.resident().fwd;
+  read.iterations = 2;
+  read.name = "read";
+  const serve::TicketId t = sched.submit(std::move(read), serve::QoS::kNormal, m.now() + 1000);
+  const serve::MutationId mu =
+      se.submit(sched, delta_recs(base.num_vertices(), 20, 77), m.now() + 2000);
+  sched.drain();
+
+  ASSERT_EQ(sched.ticket(t).status, serve::TicketStatus::kDone);
+  ASSERT_TRUE(sched.mutation_applied(mu));
+  EXPECT_GE(sched.mutation_applied_tick(mu), sched.ticket(t).done);
+  EXPECT_EQ(se.graph().epochs(), 1u);
+  // The read ran on the pre-delta graph.
+  const auto oracle = baseline::pagerank(base, 2);
+  const serve::QueryResult r = eng.collect(sched.ticket(t).query);
+  ASSERT_EQ(r.rank.size(), oracle.size());
+  for (VertexId v = 0; v < base.num_vertices(); ++v)
+    EXPECT_NEAR(r.rank[v], oracle[v], 1e-9) << "vertex " << v;
 }
 
 }  // namespace
