@@ -6,18 +6,18 @@
 namespace updown::bfs {
 
 // ---------------------------------------------------------------------------
-// Accelerator master: the kv_map task of a BFS round (one per accelerator).
-// Fans a scan subtask out to each lane of its accelerator and retires the
-// map task when all lanes report back — the paper's local master-worker.
+// Node master: the kv_map task of a BFS round (one per node, on the node's
+// first lane). Fans a scan subtask out to each lane of its node and retires
+// the map task when all lanes report back — the paper's local master-worker.
 // ---------------------------------------------------------------------------
-struct BfsAccelMaster : kvmsr::MapTask {
+struct BfsMaster : kvmsr::MapTask {
   std::uint32_t pending = 0;
 
   void kv_map(Ctx& ctx) {
     kvmsr_begin(ctx);
     auto& app = ctx.machine().user<App>();
     const Word job = kvmsr::Library::map_job(ctx);
-    const std::uint32_t lanes = ctx.machine().config().lanes_per_accel;
+    const std::uint32_t lanes = ctx.machine().config().lanes_per_node();
     pending = lanes;
     for (std::uint32_t l = 0; l < lanes; ++l) {
       ctx.charge(1);
@@ -220,11 +220,12 @@ struct BfsReduce : ThreadState {
     const Word dist = kvmsr::Library::reduce_val(ctx, 0);
     const Word parent = kvmsr::Library::reduce_val(ctx, 1);
 
-    ctx.charge(2);  // scratchpad visited-set test-and-set
-    if (!app.visited_[ctx.nwid()].insert(v).second) {
+    ctx.charge(2);  // scratchpad visited-flag test-and-set
+    if (app.visited_[v]) {
       lib.reduce_return(ctx, static_cast<kvmsr::JobId>(job));
       return;
     }
+    app.visited_[v] = 1;
     app.added_++;
     std::uint32_t& fill = app.nxt_count_[ctx.nwid()];
     if (fill >= app.slice_cap_)
@@ -285,10 +286,7 @@ struct BfsDriver : ThreadState {
     auto& app = ctx.machine().user<App>();
     // udtrace superstep span: one "bfs.round" per frontier expansion.
     ctx.trace_phase_begin("bfs.round");
-    const std::uint64_t accels =
-        static_cast<std::uint64_t>(ctx.machine().config().nodes) *
-        ctx.machine().config().accels_per_node;
-    app.lib_->launch(ctx, app.job_, 0, accels,
+    app.lib_->launch(ctx, app.job_, 0, ctx.machine().config().nodes,
                      ctx.evw_update_event(ctx.cevnt(), app.lb_.d_round_done));
   }
 };
@@ -304,7 +302,7 @@ App::App(Machine& m, const DeviceGraph& dg, const Options& opt) : m_(m), dg_(dg)
   Program& p = m.program();
 
   lb_.d_round_done = p.event("bfs::d_round_done", &BfsDriver::d_round_done);
-  lb_.m_scan_done = p.event("bfs::m_scan_done", &BfsAccelMaster::m_scan_done);
+  lb_.m_scan_done = p.event("bfs::m_scan_done", &BfsMaster::m_scan_done);
   scan_start_ = p.event("bfs::s_start", &BfsScan::s_start);
   lb_.s_slice_loaded = p.event("bfs::s_slice_loaded", &BfsScan::s_slice_loaded);
   lb_.s_expand_done = p.event("bfs::s_expand_done", &BfsScan::s_expand_done);
@@ -337,14 +335,14 @@ App::App(Machine& m, const DeviceGraph& dg, const Options& opt) : m_(m), dg_(dg)
 
   cur_count_.assign(lanes, 0);
   nxt_count_.assign(lanes, 0);
-  visited_.assign(lanes, {});
+  visited_.assign(dg.num_vertices, 0);
 
   kvmsr::JobSpec spec;
-  spec.kv_map = p.event("bfs::kv_map", &BfsAccelMaster::kv_map);
+  spec.kv_map = p.event("bfs::kv_map", &BfsMaster::kv_map);
   spec.kv_reduce = p.event("bfs::kv_reduce", &BfsReduce::kv_reduce);
   spec.map_binding = kvmsr::MapBinding::kDirect;
-  const std::uint32_t lpa = m.config().lanes_per_accel;
-  spec.map_home = [lpa](Word accel) { return static_cast<NetworkId>(accel * lpa); };
+  const std::uint32_t lpn = m.config().lanes_per_node();
+  spec.map_home = [lpn](Word node) { return static_cast<NetworkId>(node * lpn); };
   spec.name = "bfs.round";
   job_ = lib_->add_job(spec);
 
@@ -353,7 +351,7 @@ App::App(Machine& m, const DeviceGraph& dg, const Options& opt) : m_(m), dg_(dg)
   const NetworkId seed_lane = static_cast<NetworkId>(hash64(opt.root) % lanes);
   cur_count_[seed_lane] = 1;
   m.memory().host_store<Word>(slice_addr(0, seed_lane), opt.root);
-  visited_[seed_lane].insert(opt.root);
+  visited_[opt.root] = 1;
   m.memory().host_store<Word>(dg_.field_addr(opt.root, DeviceGraph::kDist), 0);
   m.memory().host_store<Word>(dg_.field_addr(opt.root, DeviceGraph::kParent), opt.root);
 }

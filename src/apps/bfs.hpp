@@ -8,22 +8,21 @@
 //     per-lane slices. Reading the current frontier and writing the next one
 //     is node-local.
 //   - Each BFS round is one KVMSR invocation whose kv_map tasks are bound one
-//     per accelerator (Direct binding to the accelerator's first lane). The
-//     accelerator master fans out scan subtasks to its lanes with plain
-//     UDWeave messages — the paper's local master-worker scheme.
+//     per node (Direct binding to the node's first lane). The node master
+//     fans out scan subtasks to its node's lanes with plain UDWeave
+//     messages — the paper's local master-worker scheme.
 //   - Scan subtasks spawn one expand task per frontier vertex; expands read
 //     the vertex record and neighbor list and emit <neighbor, dist, parent>
-//     tuples. kv_reduce tasks land on hash(vertex) lanes, test-and-set a
-//     lane-owned visited set (scratchpad), write dist/parent into the vertex
-//     record, and append fresh vertices to their own lane's next-frontier
-//     slice.
+//     tuples. kv_reduce tasks land on hash(vertex) lanes, test-and-set the
+//     vertex's visited flag (held by that owner lane), write dist/parent
+//     into the vertex record, and append fresh vertices to their own lane's
+//     next-frontier slice.
 //   - A driver thread chains rounds via KVMSR continuations and terminates
 //     when a round adds nothing ("add queue 0" in the paper's log).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/layout.hpp"
@@ -66,7 +65,7 @@ class App {
 
  private:
   friend struct BfsDriver;
-  friend struct BfsAccelMaster;
+  friend struct BfsMaster;
   friend struct BfsScan;
   friend struct BfsExpand;
   friend struct BfsExpandChunk;
@@ -87,10 +86,12 @@ class App {
   std::uint64_t round_ = 0;
 
   // Lane-local scratchpad state, modeled host-side with charged access costs:
-  // frontier slice fill counts and the visited test-and-set sets.
+  // per-lane frontier slice fill counts, and one visited flag per vertex.
+  // Only a vertex's hash-owner lane touches its flag, so shards write
+  // distinct bytes.
   std::vector<std::uint32_t> cur_count_;
   std::vector<std::uint32_t> nxt_count_;
-  std::vector<std::unordered_set<VertexId>> visited_;
+  std::vector<std::uint8_t> visited_;
   // Bumped by reduce tasks on many lanes (= many shards); read only after
   // the round's gather, which is ordered by a happens-before message chain.
   std::atomic<std::uint64_t> added_{0};

@@ -63,50 +63,86 @@ Word combine_values(const JobSpec& spec, Word a, Word b) {
   }
   return b;
 }
+
+/// Nodes [first, end) that a lane set spans: one relay each in the control
+/// tree.
+struct NodeSpan {
+  std::uint32_t first, end;
+};
+NodeSpan nodes_of(const Machine& m, LaneSet s) {
+  return {m.node_of(s.first), m.node_of(s.first + s.count - 1) + 1};
+}
+
+/// Lanes [lo, hi) of `node` inside a lane set. The node's relay runs on lo.
+struct LaneSpan {
+  NetworkId lo, hi;
+};
+LaneSpan lanes_in_node(const Machine& m, LaneSet s, std::uint32_t node) {
+  const NetworkId node_first = m.first_lane_of_node(node);
+  return {std::max(s.first, node_first),
+          std::min<NetworkId>(s.first + s.count, node_first + m.config().lanes_per_node())};
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Runtime thread classes. These are the KVMSR library's own UDWeave threads:
-// a per-launch master, per-node broadcast relays, a per-lane worker that
-// pumps map tasks with a bounded in-flight window, and per-lane poll agents
-// for the termination gather.
+// a per-launch master, per-node relays (the control tree), a per-lane worker
+// that pumps map tasks with a bounded in-flight window, and per-lane poll
+// agents for the termination gather.
 // ---------------------------------------------------------------------------
 
 struct MasterThread : ThreadState {
   JobId job = 0;
   std::uint64_t key_begin = 0, key_end = 0;
   Word cont = IGNRCONT;
-  std::uint32_t lanes_done = 0;
-  std::uint64_t keys_done = 0;  // kDirect mode
-  std::uint32_t poll_replies = 0;
+  /// Replies still due in the current exchange: map-done reports, then poll
+  /// replies, then flush replies (the phases never overlap).
+  std::uint64_t pending = 0;
   std::uint64_t poll_emitted = 0, poll_received = 0;
   std::uint64_t pbmw_next = 0;
-  std::uint32_t flush_replies = 0;
   Tick backoff = 128;  ///< exponential re-poll delay, capped at spec.poll_backoff
 
   void m_start(Ctx& ctx);
-  void m_lane_map_done(Ctx& ctx);
+  void m_map_done(Ctx& ctx);
   void m_poll_again(Ctx& ctx);
-  void m_key_returned(Ctx& ctx);
   void m_pbmw_request(Ctx& ctx);
   void m_poll_reply(Ctx& ctx);
   void m_flush_done(Ctx& ctx);
 
  private:
+  std::uint32_t to_relays(Ctx& ctx, EventLabel relay_label, EventLabel reply,
+                          std::initializer_list<Word> ops);
   void map_phase_complete(Ctx& ctx);
   void start_poll_round(Ctx& ctx);
   void start_flush(Ctx& ctx);
   void finish(Ctx& ctx);
 };
 
+/// One node's relay in the control tree. The master exchanges one message
+/// with it per exchange; it exchanges one message with each of its node's
+/// lanes in the job's set, folds their replies and answers its CCONT once.
 struct RelayThread : ThreadState {
-  void relay(Ctx& ctx);
+  JobId job = 0;
+  Word reply = IGNRCONT;
+  std::uint32_t pending = 0;
+  bool poll = false;
+  std::uint64_t emitted = 0, received = 0;
+
+  void r_launch(Ctx& ctx);  ///< kBlock: start the lanes' workers, collect map-done
+  void r_poll(Ctx& ctx);    ///< termination poll: sum the lanes' counters
+  void r_flush(Ctx& ctx);   ///< flush phase: run spec.flush on every lane
+  void r_lane_done(Ctx& ctx);
+
+ private:
+  LaneSpan enter(Ctx& ctx);
+  void fan_out(Ctx& ctx, EventLabel label);
 };
 
 struct WorkerThread : ThreadState {
   JobId job = 0;
   std::uint64_t next = 0, end = 0;
-  Word master = 0;  ///< master thread event word (any label)
+  Word master = 0;  ///< PBMW grant server: master thread event word (any label)
+  Word done = IGNRCONT;  ///< map-done report target (the launching relay or master)
   std::uint32_t inflight = 0;
   bool waiting_grant = false;
   bool no_more = false;
@@ -143,13 +179,15 @@ Library& Library::install(Machine& m) {
 Library::Library(Machine& m) : m_(m) {
   Program& p = m.program();
   m_start_ = p.event("kvmsr::m_start", &MasterThread::m_start);
-  m_lane_map_done_ = p.event("kvmsr::m_lane_map_done", &MasterThread::m_lane_map_done);
-  m_key_returned_ = p.event("kvmsr::m_key_returned", &MasterThread::m_key_returned);
+  m_map_done_ = p.event("kvmsr::m_map_done", &MasterThread::m_map_done);
   m_pbmw_request_ = p.event("kvmsr::m_pbmw_request", &MasterThread::m_pbmw_request);
   m_poll_reply_ = p.event("kvmsr::m_poll_reply", &MasterThread::m_poll_reply);
   m_poll_again_ = p.event("kvmsr::m_poll_again", &MasterThread::m_poll_again);
   m_flush_done_ = p.event("kvmsr::m_flush_done", &MasterThread::m_flush_done);
-  relay_start_ = p.event("kvmsr::relay", &RelayThread::relay);
+  r_launch_ = p.event("kvmsr::r_launch", &RelayThread::r_launch);
+  r_poll_ = p.event("kvmsr::r_poll", &RelayThread::r_poll);
+  r_flush_ = p.event("kvmsr::r_flush", &RelayThread::r_flush);
+  r_lane_done_ = p.event("kvmsr::r_lane_done", &RelayThread::r_lane_done);
   w_start_ = p.event("kvmsr::w_start", &WorkerThread::w_start);
   w_map_returned_ = p.event("kvmsr::w_map_returned", &WorkerThread::w_map_returned);
   w_grant_ = p.event("kvmsr::w_grant", &WorkerThread::w_grant);
@@ -385,55 +423,61 @@ void MasterThread::m_start(Ctx& ctx) {
   const LaneSet s = lib.resolved_lanes(j);
 
   switch (j.spec.map_binding) {
-    case MapBinding::kBlock: {
-      // Broadcast through one relay per node (the multi-level control tree
-      // the paper's BFS artifact describes).
-      const NetworkId set_end = s.first + s.count;
-      for (std::uint32_t node = ctx.machine().node_of(s.first);
-           node <= ctx.machine().node_of(set_end - 1); ++node) {
-        const NetworkId node_first =
-            std::max<NetworkId>(s.first, ctx.machine().first_lane_of_node(node));
-        ctx.send_event(ctx.evw_new(node_first, lib.relay_start_),
-                       {job, key_begin, key_end, s.first, s.count, ctx.cevnt()});
-      }
+    case MapBinding::kBlock:
+      // Each node's relay starts its lanes' workers and reports once when
+      // all of them have retired their map tasks.
+      pending = to_relays(ctx, lib.r_launch_, lib.m_map_done_, {job, key_begin, key_end});
       break;
-    }
     case MapBinding::kPBMW: {
       // Partial block + master-worker: each lane starts with one chunk and
-      // asks this master for more.
+      // asks this master for more, so the master launches every lane itself.
       pbmw_next = key_begin;
+      pending = s.count;
       for (std::uint32_t i = 0; i < s.count; ++i) {
         const std::uint64_t b = std::min(key_end, pbmw_next);
         const std::uint64_t e = std::min(key_end, b + j.spec.pbmw_chunk);
         pbmw_next = e;
         ctx.charge(1);
-        ctx.send_event(ctx.evw_new(s.first + i, lib.w_start_), {job, b, e, ctx.cevnt()});
+        ctx.send_event(ctx.evw_new(s.first + i, lib.w_start_), {job, b, e, ctx.cevnt()},
+                       ctx.evw_update_event(ctx.cevnt(), lib.m_map_done_));
       }
       break;
     }
     case MapBinding::kDirect: {
       // One map task per key, placed by the user's map_home binding. Used
-      // when tasks are few and location-sensitive (BFS per-accelerator
-      // frontier masters).
+      // when tasks are few and location-sensitive (BFS per-node frontier
+      // masters).
+      pending = key_end - key_begin;
       for (std::uint64_t k = key_begin; k < key_end; ++k) {
         ctx.charge(1);
         ctx.send_event(ctx.evw_new(j.spec.map_home(k), j.spec.kv_map), {k, job},
-                       ctx.evw_update_event(ctx.cevnt(), lib.m_key_returned_));
+                       ctx.evw_update_event(ctx.cevnt(), lib.m_map_done_));
       }
-      if (key_begin == key_end) map_phase_complete(ctx);
+      if (pending == 0) map_phase_complete(ctx);
       break;
     }
   }
 }
 
-void MasterThread::m_lane_map_done(Ctx& ctx) {
+/// Send `relay_label` {ops} to the relay of every node the job's lane set
+/// spans, each replying to `reply` on this master. Returns the relay count.
+std::uint32_t MasterThread::to_relays(Ctx& ctx, EventLabel relay_label, EventLabel reply,
+                                      std::initializer_list<Word> ops) {
   Library& lib = ctx.machine().service<Library>();
-  const LaneSet s = lib.resolved_lanes(lib.jobs_.at(job));
-  if (++lanes_done == s.count) map_phase_complete(ctx);
+  const LaneSet s = lib.lanes_of(job);
+  const NodeSpan nodes = nodes_of(ctx.machine(), s);
+  for (std::uint32_t node = nodes.first; node < nodes.end; ++node) {
+    ctx.charge(1);
+    ctx.send_eventv(ctx.evw_new(lanes_in_node(ctx.machine(), s, node).lo, relay_label),
+                    ops.begin(), ops.size(), ctx.evw_update_event(ctx.cevnt(), reply));
+  }
+  return nodes.end - nodes.first;
 }
 
-void MasterThread::m_key_returned(Ctx& ctx) {
-  if (++keys_done == key_end - key_begin) map_phase_complete(ctx);
+/// One map-done report: a relay's for its node (kBlock), a worker's for its
+/// lane (PBMW) or a map task's for its key (kDirect).
+void MasterThread::m_map_done(Ctx& ctx) {
+  if (--pending == 0) map_phase_complete(ctx);
 }
 
 void MasterThread::map_phase_complete(Ctx& ctx) {
@@ -454,25 +498,18 @@ void MasterThread::map_phase_complete(Ctx& ctx) {
 
 void MasterThread::start_poll_round(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
-  Library::Job& j = lib.jobs_.at(job);
-  const LaneSet s = lib.resolved_lanes(j);
-  poll_replies = 0;
   poll_emitted = poll_received = 0;
-  j.state.poll_rounds++;
-  for (std::uint32_t i = 0; i < s.count; ++i) {
-    ctx.charge(1);
-    ctx.send_event(ctx.evw_new(s.first + i, lib.p_poll_), {job},
-                   ctx.evw_update_event(ctx.cevnt(), lib.m_poll_reply_));
-  }
+  lib.jobs_.at(job).state.poll_rounds++;
+  pending = to_relays(ctx, lib.r_poll_, lib.m_poll_reply_, {job});
 }
 
 void MasterThread::m_poll_reply(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
   Library::Job& j = lib.jobs_.at(job);
-  const LaneSet s = lib.resolved_lanes(j);
+  ctx.charge(2);  // two scratchpad adds
   poll_emitted += ctx.op(0);
   poll_received += ctx.op(1);
-  if (++poll_replies < s.count) return;
+  if (--pending > 0) return;
   if (poll_emitted == poll_received) {
     j.state.total_emitted = poll_emitted;
     if (ctx.machine().tracer()) ctx.trace_phase_end(j.spec.name + ":drain");
@@ -485,7 +522,7 @@ void MasterThread::m_poll_reply(Ctx& ctx) {
     // growing backoff, so short drains re-poll quickly while long-running
     // reduce phases do not saturate the master lane with polling.
     const Tick delay = std::min(backoff, j.spec.poll_backoff);
-    backoff *= 2;
+    backoff = std::min(backoff * 2, j.spec.poll_backoff);
     ctx.send_event_delayed(ctx.evw_update_event(ctx.cevnt(), lib.m_poll_again_), {},
                            IGNRCONT, delay);
   }
@@ -495,21 +532,12 @@ void MasterThread::m_poll_again(Ctx& ctx) { start_poll_round(ctx); }
 
 void MasterThread::start_flush(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
-  Library::Job& j = lib.jobs_.at(job);
-  const LaneSet s = lib.resolved_lanes(j);
-  flush_replies = 0;
-  if (ctx.machine().tracer()) ctx.trace_phase_begin(j.spec.name + ":flush");
-  for (std::uint32_t i = 0; i < s.count; ++i) {
-    ctx.charge(1);
-    ctx.send_event(ctx.evw_new(s.first + i, j.spec.flush), {job},
-                   ctx.evw_update_event(ctx.cevnt(), lib.m_flush_done_));
-  }
+  if (ctx.machine().tracer()) ctx.trace_phase_begin(lib.jobs_.at(job).spec.name + ":flush");
+  pending = to_relays(ctx, lib.r_flush_, lib.m_flush_done_, {job});
 }
 
 void MasterThread::m_flush_done(Ctx& ctx) {
-  Library& lib = ctx.machine().service<Library>();
-  const LaneSet s = lib.resolved_lanes(lib.jobs_.at(job));
-  if (++flush_replies == s.count) finish(ctx);
+  if (--pending == 0) finish(ctx);
 }
 
 void MasterThread::finish(Ctx& ctx) {
@@ -543,38 +571,77 @@ void MasterThread::m_pbmw_request(Ctx& ctx) {
 // Relay + worker + poll agent
 // ---------------------------------------------------------------------------
 
-void RelayThread::relay(Ctx& ctx) {
+/// Common relay entry: ops = {job, ...}, CCONT = the master event that takes
+/// the folded reply. Returns the lanes this relay serves.
+LaneSpan RelayThread::enter(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
-  const JobId job_id = static_cast<JobId>(ctx.op(0));
+  job = static_cast<JobId>(ctx.op(0));
+  reply = ctx.ccont();
+  const LaneSpan lanes =
+      lanes_in_node(ctx.machine(), lib.lanes_of(job), ctx.machine().node_of(ctx.nwid()));
+  pending = lanes.hi - lanes.lo;
+  return lanes;
+}
+
+void RelayThread::r_launch(Ctx& ctx) {
+  Library& lib = ctx.machine().service<Library>();
+  const LaneSpan lanes = enter(ctx);
   const std::uint64_t key_begin = ctx.op(1), key_end = ctx.op(2);
-  const NetworkId set_first = static_cast<NetworkId>(ctx.op(3));
-  const std::uint32_t set_count = static_cast<std::uint32_t>(ctx.op(4));
-  const Word master = ctx.op(5);
-
-  Machine& m = ctx.machine();
-  const std::uint32_t node = m.node_of(ctx.nwid());
-  const NetworkId node_first = m.first_lane_of_node(node);
-  const NetworkId node_end = node_first + m.config().lanes_per_node();
-  const NetworkId lo = std::max(set_first, node_first);
-  const NetworkId hi = std::min<NetworkId>(set_first + set_count, node_end);
-
-  const std::uint64_t total = key_end - key_begin;
-  const std::uint64_t per = ceil_div(total, set_count);
-  for (NetworkId lane = lo; lane < hi; ++lane) {
-    const std::uint64_t i = lane - set_first;
-    const std::uint64_t b = std::min(key_end, key_begin + i * per);
+  const LaneSet s = lib.lanes_of(job);
+  const std::uint64_t per = ceil_div(key_end - key_begin, s.count);
+  for (NetworkId lane = lanes.lo; lane < lanes.hi; ++lane) {
+    const std::uint64_t b = std::min(key_end, key_begin + (lane - s.first) * per);
     const std::uint64_t e = std::min(key_end, b + per);
     ctx.charge(2);
-    ctx.send_event(ctx.evw_new(lane, lib.w_start_), {job_id, b, e, master});
+    ctx.send_event(ctx.evw_new(lane, lib.w_start_), {job, b, e},
+                   ctx.evw_update_event(ctx.cevnt(), lib.r_lane_done_));
   }
+}
+
+void RelayThread::r_poll(Ctx& ctx) {
+  poll = true;
+  fan_out(ctx, ctx.machine().service<Library>().p_poll_);
+}
+
+void RelayThread::r_flush(Ctx& ctx) {
+  Library& lib = ctx.machine().service<Library>();
+  fan_out(ctx, lib.jobs_.at(static_cast<JobId>(ctx.op(0))).spec.flush);
+}
+
+/// Send `label` {job} to each of this relay's lanes, replying to r_lane_done.
+void RelayThread::fan_out(Ctx& ctx, EventLabel label) {
+  Library& lib = ctx.machine().service<Library>();
+  const LaneSpan lanes = enter(ctx);
+  for (NetworkId lane = lanes.lo; lane < lanes.hi; ++lane) {
+    ctx.charge(1);
+    ctx.send_event(ctx.evw_new(lane, label), {job},
+                   ctx.evw_update_event(ctx.cevnt(), lib.r_lane_done_));
+  }
+}
+
+/// One lane's reply: {emitted, received} for a poll, none for map-done and
+/// flush. The last one sends the relay's single reply to the master.
+void RelayThread::r_lane_done(Ctx& ctx) {
+  if (poll) {
+    ctx.charge(2);  // two scratchpad adds
+    emitted += ctx.op(0);
+    received += ctx.op(1);
+  }
+  if (--pending > 0) return;
+  if (poll)
+    ctx.send_event(reply, {emitted, received});
+  else
+    ctx.send_event(reply, {});
   ctx.yield_terminate();
 }
 
+/// ops = {job, begin, end [, grant server (PBMW)]}, CCONT = map-done target.
 void WorkerThread::w_start(Ctx& ctx) {
   job = static_cast<JobId>(ctx.op(0));
   next = ctx.op(1);
   end = ctx.op(2);
-  master = ctx.op(3);
+  if (ctx.nops() > 3) master = ctx.op(3);
+  done = ctx.ccont();
   pump(ctx);
 }
 
@@ -631,7 +698,7 @@ void WorkerThread::maybe_finish(Ctx& ctx) {
     // partially filled emit buffers before reporting map-done (poll-time
     // flushing alone would still be correct, just slower to drain).
     lib.flush_lane(ctx, job);
-    ctx.send_event(evw::update_event(master, lib.m_lane_map_done_), {job});
+    ctx.send_event(done, {});
     ctx.yield_terminate();
   }
 }

@@ -22,15 +22,20 @@
 //   kv_reduce: new thread per tuple, ops = {key, v0 [, v1, v2], job}. Must
 //              finish by calling Library::reduce_return(ctx, job), which also
 //              terminates the thread.
-//   flush    : optional; after the reduce drain the master runs one flush
-//              event per lane (new thread, ops = {job}); it must reply to
-//              CCONT with no operands when its lane's state is flushed.
+//   flush    : optional; after the reduce drain one flush event runs per
+//              lane, sent by the lane's node relay (new thread, ops = {job});
+//              it must reply to CCONT with no operands when its lane's state
+//              is flushed.
 //
 // Termination protocol (the paper: "KVMSR tracks termination of the map and
-// reduce phases"): workers retire map tasks via kv_map_return; once every
-// lane reports map-done, the master runs gather rounds polling per-lane
+// reduce phases"): workers retire map tasks via kv_map_return; once the map
+// phase is done, the master runs gather rounds summing per-lane
 // emitted/received counters until the sums agree, then flushes and signals
-// the launch continuation with {total_emitted}.
+// the launch continuation with {total_emitted}. Every all-lane exchange
+// (kBlock launch and map-done, each poll round, the flush) goes through a
+// control tree: one relay per node spanned by the job's lane set, on the
+// node's first lane in the set, fans out to those lanes and folds their
+// replies into one, so the master sends and folds one message per node.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +61,7 @@ enum class MapBinding {
   kBlock,   ///< equal contiguous key ranges per lane (default)
   kPBMW,    ///< partial block + master-worker work requests
   kDirect,  ///< one task per key, placed by JobSpec::map_home (few, large,
-            ///< location-sensitive tasks — e.g. BFS per-accelerator masters)
+            ///< location-sensitive tasks — e.g. BFS per-node masters)
 };
 
 /// Map-side combining operator applied inside the per-destination emit
@@ -264,13 +269,15 @@ class Library {
 
   // Runtime event labels.
   EventLabel m_start_ = 0;
-  EventLabel m_lane_map_done_ = 0;
-  EventLabel m_key_returned_ = 0;
+  EventLabel m_map_done_ = 0;
   EventLabel m_pbmw_request_ = 0;
   EventLabel m_poll_reply_ = 0;
   EventLabel m_poll_again_ = 0;
   EventLabel m_flush_done_ = 0;
-  EventLabel relay_start_ = 0;
+  EventLabel r_launch_ = 0;
+  EventLabel r_poll_ = 0;
+  EventLabel r_flush_ = 0;
+  EventLabel r_lane_done_ = 0;
   EventLabel w_start_ = 0;
   EventLabel w_map_returned_ = 0;
   EventLabel w_grant_ = 0;

@@ -40,11 +40,10 @@ struct HistReduce : ThreadState {
   }
 };
 
-class KvmsrHistogram : public ::testing::TestWithParam<std::tuple<std::uint32_t, MapBinding>> {
-};
-
-TEST_P(KvmsrHistogram, ComputesExactHistogramAtAnyScale) {
-  const auto [nodes, binding] = GetParam();
+// Runs the histogram job over 5,000 keys with a combining-cache flush phase
+// and checks every bucket. Returns the events executed on lane 0, the
+// master's lane.
+std::uint64_t run_histogram(std::uint32_t nodes, MapBinding binding) {
   Machine m(MachineConfig::scaled(nodes));
   auto& lib = Library::install(m);
   auto& cc = CombiningCache::install(m);
@@ -76,12 +75,31 @@ TEST_P(KvmsrHistogram, ComputesExactHistogramAtAnyScale) {
     for (std::uint64_t k = b; k < n; k += app.buckets) expect += k * k;
     EXPECT_EQ(m.memory().host_load<Word>(app.hist_base + b * 8), expect) << "bucket " << b;
   }
+  return m.lane_stats().at(0).events_executed;
+}
+
+class KvmsrHistogram : public ::testing::TestWithParam<std::tuple<std::uint32_t, MapBinding>> {
+};
+
+TEST_P(KvmsrHistogram, ComputesExactHistogramAtAnyScale) {
+  const auto [nodes, binding] = GetParam();
+  run_histogram(nodes, binding);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ScalesAndBindings, KvmsrHistogram,
     ::testing::Combine(::testing::Values(1u, 2u, 8u), ::testing::Values(MapBinding::kBlock,
                                                                         MapBinding::kPBMW)));
+
+// The kBlock launch, map-done, every poll round and the flush go through one
+// relay per node, so the master's lane handles O(nodes) control messages per
+// exchange, not O(lanes): 4x the lanes must not bring 4x its events.
+TEST(KvmsrControlTree, MasterLaneEventsGrowWithNodesNotLanes) {
+  const std::uint64_t at16 = run_histogram(16, MapBinding::kBlock);
+  const std::uint64_t at64 = run_histogram(64, MapBinding::kBlock);
+  EXPECT_LE(2 * at64, 3 * at16) << "lane 0 events: " << at16 << " at 16 nodes, " << at64
+                                << " at 64";
+}
 
 // ---------------------------------------------------------------------------
 // do_all: map-only job touching a global flag array.
@@ -141,8 +159,8 @@ TEST(KvmsrDirect, TasksRunAtTheirBoundLane) {
   JobSpec spec;
   spec.kv_map = m.program().event("WhereMap::kv_map", &WhereMap::kv_map);
   spec.map_binding = MapBinding::kDirect;
-  // One task per accelerator, on that accelerator's first lane (the BFS
-  // local-master pattern).
+  // One task per accelerator, on that accelerator's first lane (a
+  // local-master pattern; BFS binds one per node the same way).
   const std::uint32_t lpa = m.config().lanes_per_accel;
   spec.map_home = [lpa](Word key) { return static_cast<NetworkId>(key * lpa); };
   app.job = lib.add_job(spec);
@@ -203,11 +221,12 @@ TEST(KvmsrBlock, EmptyKeyRangeCompletesImmediately) {
 
 // ---------------------------------------------------------------------------
 // Lane-set restriction: a job bound to a sub-span of lanes never executes
-// map or reduce tasks outside it.
+// map, reduce or flush tasks outside it, and flushes each lane inside once.
 struct SetApp {
   JobId job = 0;
   NetworkId lo = 0, hi = 0;
   bool violated = false;
+  std::vector<std::uint32_t> flushes;  // by lane
 };
 
 struct SetMap : ThreadState {
@@ -229,23 +248,50 @@ struct SetReduce : ThreadState {
   }
 };
 
+struct SetFlush : ThreadState {
+  void flush(Ctx& ctx) {
+    ctx.machine().user<SetApp>().flushes.at(ctx.nwid())++;
+    ctx.send_reply({});
+    ctx.yield_terminate();
+  }
+};
+
 TEST(KvmsrLaneSet, JobStaysInsideItsLaneSet) {
-  Machine m(MachineConfig::scaled(4));
-  auto& lib = Library::install(m);
-  auto& app = m.emplace_user<SetApp>();
-  const std::uint32_t lpn = m.config().lanes_per_node();
-  app.lo = lpn;          // node 1
-  app.hi = lpn + 2 * lpn;  // nodes 1..2
+  const std::uint32_t lpn = MachineConfig::scaled(4).lanes_per_node();
+  // Nodes 1..2 exactly, and lanes [19, 77), which starts and ends mid-node:
+  // the relays of both end nodes serve a sub-range of their node.
+  for (const LaneSet set : {LaneSet{lpn, 2 * lpn}, LaneSet{19, 58}}) {
+    for (const MapBinding binding : {MapBinding::kBlock, MapBinding::kPBMW}) {
+      for (const std::uint32_t coalesce : {1u, 16u}) {
+        SCOPED_TRACE("set {" + std::to_string(set.first) + ", " + std::to_string(set.count) +
+                     "} binding " + std::to_string(int(binding)) + " coalesce " +
+                     std::to_string(coalesce));
+        Machine m(MachineConfig::scaled(4));
+        auto& lib = Library::install(m);
+        auto& app = m.emplace_user<SetApp>();
+        app.lo = set.first;
+        app.hi = set.first + set.count;
+        app.flushes.assign(m.config().total_lanes(), 0);
 
-  JobSpec spec;
-  spec.kv_map = m.program().event("SetMap::kv_map", &SetMap::kv_map);
-  spec.kv_reduce = m.program().event("SetReduce::kv_reduce", &SetReduce::kv_reduce);
-  spec.lanes = {app.lo, 2 * lpn};
-  app.job = lib.add_job(spec);
+        JobSpec spec;
+        spec.kv_map = m.program().event("SetMap::kv_map", &SetMap::kv_map);
+        spec.kv_reduce = m.program().event("SetReduce::kv_reduce", &SetReduce::kv_reduce);
+        spec.flush = m.program().event("SetFlush::flush", &SetFlush::flush);
+        spec.map_binding = binding;
+        spec.coalesce_tuples = coalesce;
+        spec.lanes = set;
+        app.job = lib.add_job(spec);
 
-  const JobState& st = lib.run_to_completion(app.job, 0, 500);
-  EXPECT_EQ(st.total_emitted, 500u);
-  EXPECT_FALSE(app.violated);
+        const JobState& st = lib.run_to_completion(app.job, 0, 500);
+        EXPECT_EQ(st.total_emitted, 500u);
+        EXPECT_FALSE(app.violated);
+        for (NetworkId lane = 0; lane < m.config().total_lanes(); ++lane) {
+          const bool inside = lane >= app.lo && lane < app.hi;
+          EXPECT_EQ(app.flushes[lane], inside ? 1u : 0u) << "lane " << lane;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

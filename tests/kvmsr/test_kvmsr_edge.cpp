@@ -178,6 +178,44 @@ TEST(KvmsrCollide, AllKeysCollideOnOneReducer) {
   EXPECT_EQ(app.reduce_lanes.size(), 1u);  // one key → one owning lane
 }
 
+// A reduce that finishes long after it starts: the termination gather keeps
+// re-polling for the whole wait, and its exponential backoff must stay capped
+// at poll_backoff. An uncapped backoff (128 * 2^57 = 2^64) wrapped to zero
+// after 57 re-polls, and every later re-poll fired back to back, saturating
+// the master lane.
+struct SlowApp {
+  EventLabel finish = 0;
+};
+
+struct SlowReduce : ThreadState {
+  static constexpr Tick kWait = 1'000'000;
+  JobId job = 0;
+
+  void kv_reduce(Ctx& ctx) {
+    job = Library::reduce_job(ctx);
+    ctx.send_event_delayed(ctx.evw_update_event(ctx.cevnt(), ctx.machine().user<SlowApp>().finish),
+                           {}, IGNRCONT, kWait);
+  }
+  void finish(Ctx& ctx) { ctx.machine().service<Library>().reduce_return(ctx, job); }
+};
+
+TEST(KvmsrGather, LongReduceRepollsAtCappedBackoff) {
+  Machine m(MachineConfig::scaled(1));
+  auto& lib = Library::install(m);
+  m.emplace_user<SlowApp>().finish = m.program().event("SlowReduce::finish", &SlowReduce::finish);
+  JobSpec spec;
+  spec.kv_map = m.program().event("CollideMap::kv_map", &CollideMap::kv_map);
+  spec.kv_reduce = m.program().event("SlowReduce::kv_reduce", &SlowReduce::kv_reduce);
+  const JobId job = lib.add_job(spec);
+
+  const JobState& st = lib.run_to_completion(job, 0, 1);
+  const Tick duration = st.done_tick - st.start_tick;
+  EXPECT_GE(duration, SlowReduce::kWait);
+  EXPECT_LE(st.poll_rounds, duration / spec.poll_backoff + 16);
+  const Tick master_busy = m.lane_stats().at(lib.lanes_of(job).first).busy_cycles;
+  EXPECT_LT(master_busy * 10, duration) << "master lane busy " << master_busy << " cycles";
+}
+
 TEST_F(KvmsrEdge, LaunchWhileRunningThrows) {
   make(1, {}, 100);
   lib_->launch_from_host(app_->job, 0, 100);
