@@ -97,9 +97,9 @@ int main() {
   struct CoalesceRun {
     Tick duration = 0;
     MachineStats stats;
-    std::string trace_path;
+    std::string trace_path{};
     Tick trace_slice = 0;
-    std::vector<double> imbalance;  // per-slice peak/mean lane busy (udtrace)
+    std::vector<double> imbalance{};  // per-slice peak/mean lane busy (udtrace)
   };
   auto run_coalesced = [&](std::uint32_t coalesce) {
     MachineConfig cfg = MachineConfig::scaled_netbound(big);

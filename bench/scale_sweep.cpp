@@ -15,9 +15,9 @@
 //      eager/lazy ratio, which must be >= 10x under UD_BENCH_ENFORCE.
 //
 //   2. Throughput at scale. Each size runs a shard sweep (1/2/4/8 host
-//      shards, plus UD_STEAL and UD_STEAL+UD_PIN rows) recording wall time,
-//      events/s, and events/s per shard; every row's simulation fingerprint
-//      (final tick, events, messages, charged cycles, rank checksum) must be
+//      shards, plus an 8-shard UD_PIN row) recording wall time, events/s,
+//      and events/s per shard; every row's simulation fingerprint (final
+//      tick, events, messages, charged cycles, rank checksum) must be
 //      bit-identical to the serial row — always fatal, not just under
 //      enforce.
 //
@@ -68,9 +68,9 @@ struct Fingerprint {
 
 struct ShardRow {
   std::uint32_t shards = 0;
-  bool steal = false, pin = false;
+  bool pin = false;
   double wall_s = 0;
-  std::uint64_t events = 0, windows = 0, rebalances = 0;
+  std::uint64_t events = 0, windows = 0;
   Fingerprint fp;
 };
 
@@ -88,8 +88,7 @@ struct SizePoint {
 int main() {
   // The sweep drives every knob through MachineConfig so an ambient CI
   // environment (UD_SHARDS=4 etc.) cannot skew the matrix.
-  for (const char* v : {"UD_SHARDS", "UD_CHECK", "UD_TRACE", "UD_STEAL", "UD_PIN",
-                        "UD_STEAL_PERIOD", "UD_COALESCE"})
+  for (const char* v : {"UD_SHARDS", "UD_CHECK", "UD_TRACE", "UD_PIN", "UD_COALESCE"})
     ::unsetenv(v);
 
   const std::uint32_t max_nodes =
@@ -159,27 +158,20 @@ int main() {
               demo_nodes, (unsigned long long)demo_lanes, eager_bytes / 1048576.0,
               lazy_bytes / 1048576.0, eager_ratio);
 
-  // --- Phase 3: PageRank throughput across the shard/steal/pin matrix -----
+  // --- Phase 3: PageRank throughput across the shard/pin matrix -----------
   for (SizePoint& pt : points) {
     const std::uint32_t n = pt.nodes;
     const unsigned iterations = n >= 8192 ? 1 : 2;
 
     struct Cfg {
       std::uint32_t shards;
-      bool steal, pin;
+      bool pin;
     };
-    std::vector<Cfg> cfgs{{1, false, false}, {2, false, false}, {4, false, false},
-                          {8, false, false}, {8, true, false},  {8, true, true}};
+    std::vector<Cfg> cfgs{{1, false}, {2, false}, {4, false}, {8, false}, {8, true}};
     for (const Cfg& c : cfgs) {
       MachineConfig cfg = MachineConfig::scaled(n);
       cfg.shards = c.shards;
-      cfg.steal = c.steal;
       cfg.pin = c.pin;
-      // Aggressive enough that every size rebalances dozens of times, but a
-      // migration drains and repushes the whole calendar queue, so at the
-      // 262k-lane point a period of 4 would spend most of the wall time
-      // migrating.
-      cfg.steal_period = 64;
       Machine m(cfg);
       DeviceGraph dg = upload_split_graph(m, sg);
       pr::Options opt;
@@ -191,12 +183,10 @@ int main() {
 
       ShardRow row;
       row.shards = c.shards;
-      row.steal = c.steal;
       row.pin = c.pin;
       row.wall_s = wall;
       row.events = m.stats().events_executed;
       row.windows = m.engine_stats().windows;
-      row.rebalances = m.engine_stats().rebalances;
       row.fp = {r.done_tick, m.stats().events_executed, m.stats().messages_sent,
                 m.stats().charged_cycles, r.edge_updates};
       pt.rows.push_back(row);
@@ -206,15 +196,14 @@ int main() {
         fingerprints_identical = false;
         std::fprintf(stderr,
                      "scale_sweep: FAIL: fingerprint diverged at nodes=%u shards=%u "
-                     "steal=%d pin=%d (done %llu vs %llu)\n",
-                     n, c.shards, c.steal, c.pin, (unsigned long long)row.fp.done,
+                     "pin=%d (done %llu vs %llu)\n",
+                     n, c.shards, c.pin, (unsigned long long)row.fp.done,
                      (unsigned long long)pt.rows.front().fp.done);
       }
-      std::printf("  nodes=%-5u shards=%u%s%s  wall %.3fs  %8.0f ev/s (%8.0f /shard)  "
-                  "windows=%llu rebalances=%llu done=%llu\n",
-                  n, c.shards, c.steal ? " +steal" : "", c.pin ? " +pin" : "", wall,
-                  row.events / wall, row.events / wall / c.shards,
-                  (unsigned long long)row.windows, (unsigned long long)row.rebalances,
+      std::printf("  nodes=%-5u shards=%u%s  wall %.3fs  %8.0f ev/s (%8.0f /shard)  "
+                  "windows=%llu done=%llu\n",
+                  n, c.shards, c.pin ? " +pin" : "", wall, row.events / wall,
+                  row.events / wall / c.shards, (unsigned long long)row.windows,
                   (unsigned long long)row.fp.done);
     }
     std::printf("  nodes=%-5u cores touched by run: %llu/%llu\n", n,
@@ -240,7 +229,6 @@ int main() {
       for (const ShardRow& r : pt.rows) {
         json.begin_object();
         json.u64("shards", r.shards);
-        json.boolean("steal", r.steal);
         json.boolean("pin", r.pin);
         json.num("wall_s", r.wall_s);
         json.u64("events", r.events);
@@ -248,7 +236,6 @@ int main() {
         json.num("events_per_sec_per_shard",
                  r.wall_s > 0 ? r.events / r.wall_s / r.shards : 0.0);
         json.u64("windows", r.windows);
-        json.u64("rebalances", r.rebalances);
         json.u64("done_tick", r.fp.done);
         json.u64("charged_cycles", r.fp.charged);
         json.end();

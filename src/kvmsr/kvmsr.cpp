@@ -44,8 +44,8 @@ std::uint32_t tuple_cap(std::uint32_t coalesce, std::uint32_t nvals) {
   return std::min<std::uint32_t>(coalesce, kMaxBulkWords / (1 + nvals));
 }
 
-Word combine_values(const JobSpec& spec, Word a, Word b) {
-  switch (spec.combiner) {
+Word combine_values(Combiner c, Word a, Word b) {
+  switch (c) {
     case Combiner::kSumU64: return a + b;
     case Combiner::kSumF64: {
       double x, y;
@@ -56,9 +56,6 @@ Word combine_values(const JobSpec& spec, Word a, Word b) {
       std::memcpy(&w, &r, sizeof w);
       return w;
     }
-    case Combiner::kMinU64: return std::min(a, b);
-    case Combiner::kMaxU64: return std::max(a, b);
-    case Combiner::kUser: return spec.combine_fn(a, b);
     case Combiner::kNone: break;
   }
   return b;
@@ -326,7 +323,7 @@ void Library::coalesce_emit(Ctx& ctx, JobId job, Job& j, NetworkId dst, Word key
   }
   EmitBuf& b = lb.bufs[slot];
   // emit/emit2 width mix on one destination: ship the old-width packet first.
-  if (b.ntuples > 0 && b.nvals != nvals) flush_buffer(ctx, job, j, b);
+  if (b.ntuples > 0 && b.nvals != nvals) flush_buffer(ctx, job, b);
   b.nvals = nvals;
 
   // Map-side combining: merge into an equal key already waiting in the
@@ -335,7 +332,7 @@ void Library::coalesce_emit(Ctx& ctx, JobId job, Job& j, NetworkId dst, Word key
   if (j.spec.combiner != Combiner::kNone && nvals == 1) {
     for (std::uint32_t t = 0; t < b.ntuples; ++t) {
       if (b.words[2 * t] == key) {
-        b.words[2 * t + 1] = combine_values(j.spec, b.words[2 * t + 1], vals[0]);
+        b.words[2 * t + 1] = combine_values(j.spec.combiner, b.words[2 * t + 1], vals[0]);
         ctx.charge(1);  // probe hit: one scratchpad read-modify-write
         ctx.shuffle_stats().tuples_combined++;
         return;
@@ -349,10 +346,10 @@ void Library::coalesce_emit(Ctx& ctx, JobId job, Job& j, NetworkId dst, Word key
   j.emitted_by_lane.at(ctx.nwid())++;
   ctx.sync_release(emitted_slot(job));
   ctx.sync_release(buf_slot(job, dst));
-  if (b.ntuples >= tuple_cap(j.coalesce, nvals)) flush_buffer(ctx, job, j, b);
+  if (b.ntuples >= tuple_cap(j.coalesce, nvals)) flush_buffer(ctx, job, b);
 }
 
-void Library::flush_buffer(Ctx& ctx, JobId job, Job& j, EmitBuf& b) {
+void Library::flush_buffer(Ctx& ctx, JobId job, EmitBuf& b) {
   if (b.ntuples == 0) return;
   // The acquire stamps the packet with a clock dominating every emitter that
   // appended to this buffer (see buf_slot) — the checker sees one HB edge
@@ -372,7 +369,7 @@ void Library::flush_buffer(Ctx& ctx, JobId job, Job& j, EmitBuf& b) {
 void Library::flush_lane(Ctx& ctx, JobId job) {
   Job& j = jobs_.at(job);
   if (j.coalesce <= 1) return;
-  for (EmitBuf& b : j.bufs_by_lane.at(ctx.nwid()).bufs) flush_buffer(ctx, job, j, b);
+  for (EmitBuf& b : j.bufs_by_lane.at(ctx.nwid()).bufs) flush_buffer(ctx, job, b);
 }
 
 void Library::map_return(Ctx& ctx, Word stored_cont) {

@@ -67,7 +67,7 @@ enum class MapBinding {
 /// Map-side combining operator applied inside the per-destination emit
 /// buffer (JobSpec::combiner). Values are merged as raw 64-bit words; kSumF64
 /// reinterprets them as IEEE doubles.
-enum class Combiner : std::uint8_t { kNone, kSumU64, kSumF64, kMinU64, kMaxU64, kUser };
+enum class Combiner : std::uint8_t { kNone, kSumU64, kSumF64 };
 
 struct JobSpec {
   EventLabel kv_map = 0;
@@ -104,8 +104,6 @@ struct JobSpec {
   /// as apps' CombiningCache: the cache merges within one map task, the
   /// buffer merges across map tasks that share a source lane.
   Combiner combiner = Combiner::kNone;
-  /// Value-merge function for Combiner::kUser: merged = fn(old, incoming).
-  std::function<Word(Word, Word)> combine_fn;
   /// Opaque job tag, readable from user events via Library::spec(job).tag.
   /// The stream layer stamps each delta-ingest job with its batch id so the
   /// reduce handlers append parsed edges into the right staging batch.
@@ -254,7 +252,7 @@ class Library {
   NetworkId reduce_lane(Job& j, Word key) const;
   void coalesce_emit(Ctx& ctx, JobId job, Job& j, NetworkId dst, Word key,
                      const Word* vals, std::uint32_t nvals);
-  void flush_buffer(Ctx& ctx, JobId job, Job& j, EmitBuf& b);
+  void flush_buffer(Ctx& ctx, JobId job, EmitBuf& b);
   /// Flush every buffer of the calling lane for `job` (no-op when the job
   /// does not coalesce). Called at map-task retirement (WorkerThread) and at
   /// the start of every termination-gather poll (PollThread) — the latter is

@@ -398,10 +398,10 @@ struct SqIprMap : kvmsr::MapTask {
 // root with every other level at infinity, which makes it a level-synchronous
 // BFS. Each round relaxes `dist` monotonically downward (improve-test in the
 // reduce), so final levels are independent of message arrival order — and
-// of shard count, work stealing, and unrelated concurrent jobs. Frontier
-// membership is lane-local scratchpad state modeled host-side (the apps/bfs
-// discipline); map tasks read level candidates from the per-round `levels`
-// snapshot, never live dist.
+// of shard count and unrelated concurrent jobs. Frontier membership is
+// lane-local scratchpad state modeled host-side (the apps/bfs discipline);
+// map tasks read level candidates from the per-round `levels` snapshot,
+// never live dist.
 // ---------------------------------------------------------------------------
 struct SqIbfsMap : kvmsr::MapTask {
   kvmsr::JobId job = 0;
@@ -454,6 +454,14 @@ struct SqIbfsMap : kvmsr::MapTask {
   }
 };
 
+// udcheck sync cell for the lane-owned `dist` mirror entry of vertex w. A
+// repair frontier mixes levels, so one round can improve dist[w] twice; the
+// improve-test on the mirror orders the two acked DRAM writes, and this cell
+// shows the checker that edge. Bit 30 keeps these cells apart from KVMSR's:
+// its emit-buffer cells set bit 31, and its counter cells (2*job and
+// 2*job + 1) stay below bit 30 for job ids under 2^29.
+constexpr std::uint64_t dist_slot(Word w) { return (1ull << 30) | (w & ((1ull << 30) - 1)); }
+
 struct SqIbfsReduce : ThreadState {
   kvmsr::JobId job = 0;
 
@@ -465,6 +473,7 @@ struct SqIbfsReduce : ThreadState {
     const Word w = kvmsr::Library::reduce_key(ctx);
     const Word level = kvmsr::Library::reduce_val(ctx);
     ctx.charge(2);  // improve-test against the lane-owned mirror entry
+    ctx.sync_acquire(dist_slot(w));
     if (level >= dist[w]) {
       eng.lib_->reduce_return(ctx, job);
       return;
@@ -477,6 +486,7 @@ struct SqIbfsReduce : ThreadState {
     // unacked in-flight write would be an unordered access against a later
     // query reusing the region).
     ctx.send_dram_write(q.dist_base + w * 8, {level}, eng.lb_.ibfs_written);
+    ctx.sync_release(dist_slot(w));
   }
 
   void ibfs_written(Ctx& ctx) {

@@ -72,16 +72,12 @@ struct MachineConfig {
   /// pages are allocated on the pinned thread's NUMA node.
   bool pin = false;
 
-  /// Rebalance the node->shard partition at window boundaries when the
-  /// per-node work counters show the current partition is skewed (UD_STEAL
-  /// env overrides). The remap happens inside the lock-step barrier protocol
-  /// and migrates whole nodes, so results stay bit-identical (see DESIGN.md
-  /// "Memory layout & scale").
+  /// Removed: window-boundary work stealing never paid on a measured
+  /// workload, so node n runs on shard n % shards for the machine's whole
+  /// life. The field remains so existing configurations that set it false
+  /// still compile; the Machine constructor throws std::invalid_argument
+  /// when it is true.
   bool steal = false;
-
-  /// Check for imbalance every this many lock-step windows when `steal` is
-  /// on (UD_STEAL_PERIOD env overrides; strict parse, 0 keeps this default).
-  std::uint32_t steal_period = 16;
 
   /// Conservative lookahead of the sharded engine: no event can cause
   /// another event on a different node sooner than this (1 hop minimum, and

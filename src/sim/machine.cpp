@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -25,13 +24,14 @@ namespace updown {
 namespace {
 constexpr Tick kNoEvent = std::numeric_limits<Tick>::max();
 
-/// Rebalance only on real skew: max shard load above 1.2x the mean.
-constexpr std::uint64_t kStealSkewNum = 6, kStealSkewDen = 5;
-
 /// Validated pass-through so the LaneTable member (sized total_lanes()) is
 /// never constructed from a bogus configuration.
 MachineConfig validated(MachineConfig cfg) {
   if (!cfg.valid()) throw std::invalid_argument("Machine: invalid configuration");
+  if (cfg.steal)
+    throw std::invalid_argument(
+        "Machine: MachineConfig::steal is no longer supported (work stealing was "
+        "removed; node n always runs on shard n % shards)");
   return cfg;
 }
 
@@ -99,17 +99,9 @@ Machine::Machine(MachineConfig cfg)
   barrier_.set_parties(nshards_);
   local_min_.assign(nshards_, kNoEvent);
   dram_seq_.assign(cfg_.nodes, 0);
-  // Scale-aware sharding knobs. UD_STEAL_PERIOD is parsed unconditionally
-  // (strict: garbage must throw here, not be silently ignored when stealing
-  // happens to be off).
   pin_ = env_flag("UD_PIN", cfg_.pin);
-  steal_period_ = static_cast<std::uint32_t>(
-      env_u64("UD_STEAL_PERIOD", cfg_.steal_period, 1u << 20));
-  if (steal_period_ == 0) steal_period_ = 1;
-  steal_ = env_flag("UD_STEAL", cfg_.steal) && nshards_ > 1;
   owner_.resize(cfg_.nodes);
   for (std::uint32_t n = 0; n < cfg_.nodes; ++n) owner_[n] = n % nshards_;
-  if (steal_) node_work_.assign(cfg_.nodes, 0);
   shards_.reserve(nshards_);
   for (std::uint32_t s = 0; s < nshards_; ++s) {
     shards_.push_back(std::make_unique<EngineShard>());
@@ -314,10 +306,6 @@ void Machine::exec_message(EngineShard& sh, const QEntry& e) {
   lst.events_executed++;
   sh.stats.events_executed++;
   sh.stats.charged_cycles += cost;
-  // Work-stealing signal: charged cycles, accumulated per node (single
-  // writer: this shard owns dst's node). Read/zeroed by shard 0 between the
-  // steal barriers.
-  if (steal_) node_work_[node_of(dst)] += cost;
   // Executed on the destination's owning shard: lane/node timelines and the
   // arrival series are destination-keyed.
   if (tracer_) tracer_->on_execute(dst, node_of(dst), arrive, start, cost);
@@ -473,11 +461,7 @@ void Machine::exec_dram(EngineShard& sh, const QEntry& e) {
   if (ready > sh.now) sh.now = ready;
 }
 
-bool Machine::step() {
-  if (nshards_ > 1)
-    throw std::logic_error("Machine::step: single-stepping requires shards == 1");
-  EngineShard& sh = shard0();
-  if (sh.queue.empty()) return false;
+void Machine::exec_next(EngineShard& sh) {
   const QEntry e = sh.queue.pop();
   if (e.t > sh.now) sh.now = e.t;
   if (e.kind == kMsg) {
@@ -490,8 +474,6 @@ bool Machine::step() {
     exec_dram(sh, e);
     sh.dram_pool.release(e.index);
   }
-  now_ = sh.now;
-  return true;
 }
 
 void Machine::run() { run_until({}); }
@@ -517,9 +499,13 @@ bool Machine::run_until(const std::function<bool()>& stop) {
 }
 
 bool Machine::run_serial(const std::function<bool()>& stop) {
+  EngineShard& sh = shard0();
   if (stop && stop()) return true;
-  while (step())
+  while (!sh.queue.empty()) {
+    exec_next(sh);
+    now_ = sh.now;
     if (stop && stop()) return true;
+  }
   return false;
 }
 
@@ -595,79 +581,8 @@ void Machine::merge_inbox(EngineShard& sh, std::uint32_t my) {
   }
 }
 
-void Machine::plan_rebalance() {
-  rebalance_now_ = false;
-  std::vector<std::uint64_t> load(nshards_, 0);
-  std::uint64_t total = 0;
-  for (std::uint32_t n = 0; n < cfg_.nodes; ++n) {
-    load[owner_[n]] += node_work_[n];
-    total += node_work_[n];
-  }
-  if (total == 0) return;
-  const std::uint64_t peak = *std::max_element(load.begin(), load.end());
-  // peak/(total/shards) <= 1.2, in integers.
-  if (peak * nshards_ * kStealSkewDen <= total * kStealSkewNum) {
-    std::fill(node_work_.begin(), node_work_.end(), 0);
-    return;
-  }
-  // Greedy LPT: heaviest nodes first (ties by node id — stable_sort over the
-  // identity permutation), each onto the currently least-loaded shard. All
-  // inputs are simulated quantities, so for a fixed shard count the remap
-  // sequence is identical on every run.
-  std::vector<std::uint32_t> order(cfg_.nodes);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) { return node_work_[a] > node_work_[b]; });
-  std::vector<std::uint64_t> newload(nshards_, 0);
-  for (std::uint32_t n : order) {
-    std::uint32_t best = 0;
-    for (std::uint32_t s = 1; s < nshards_; ++s)
-      if (newload[s] < newload[best]) best = s;
-    owner_[n] = best;
-    newload[best] += node_work_[n];
-  }
-  std::fill(node_work_.begin(), node_work_.end(), 0);
-  rebalance_now_ = true;
-  ++rebalances_;
-}
-
-void Machine::migrate_queue(EngineShard& sh, std::uint32_t my) {
-  std::vector<QEntry> keep;
-  keep.reserve(sh.queue.size());
-  while (!sh.queue.empty()) {
-    const QEntry e = sh.queue.pop();
-    const std::uint32_t node = e.kind == kMsg
-                                   ? node_of(evw::nwid(sh.msg_pool[e.index].evw))
-                                   : sh.dram_pool[e.index].dst_node;
-    const std::uint32_t dest = owner_[node];
-    if (dest == my) {
-      keep.push_back(e);
-      continue;
-    }
-    if (e.kind == kMsg) {
-      Message m = sh.msg_pool[e.index];
-      std::vector<Word> bulk;
-      if (m.bulk != kNoBulk) {
-        const Word* w = sh.bulk_pool[m.bulk].w.data();
-        bulk.assign(w, w + m.bulk_words);
-      }
-      release_bulk(sh, e.index);
-      sh.msg_pool.release(e.index);
-      m.bulk = kNoBulk;  // re-pooled by the new owner at merge time
-      sh.outbox[dest].msgs.push_back({e.t, e.src, e.seq, m, std::move(bulk)});
-    } else {
-      sh.outbox[dest].drams.push_back({e.t, e.src, e.seq, sh.dram_pool[e.index]});
-      sh.dram_pool.release(e.index);
-    }
-  }
-  // Re-insert survivors. Entries below the calendar cursor clamp into the
-  // current bucket, where the lazy sort restores exact (t, src, seq) order.
-  for (const QEntry& e : keep) sh.queue.push(e);
-}
-
 void Machine::run_shard(std::uint32_t my, Tick lookahead) {
   EngineShard& sh = *shards_[my];
-  std::uint64_t round = 0;
   // Every shard walks the same round structure and hits every barrier the
   // same number of times; both exit tests (quiescence, abort) are decisions
   // all shards reach identically, so nobody is left stranded at a barrier.
@@ -696,33 +611,6 @@ void Machine::run_shard(std::uint32_t my, Tick lookahead) {
       if (!sh.eptr) sh.eptr = std::current_exception();
     }
 
-    // Work stealing: every steal_period_ rounds, remap the node->shard
-    // partition if the per-node work counters show skew. Three extra
-    // barriers, entered by every shard on the same rounds (the round counters
-    // advance in lock-step): S1 orders all inbox merges before shard 0 reads
-    // the counters; S2 publishes the new owner map; S3 orders the migration
-    // mail before the second merge. Everything that moves is simulated state
-    // keyed by (t, src, seq), so the merged schedule — and thus every golden
-    // counter — is unchanged (see DESIGN.md "Memory layout & scale").
-    if (steal_ && ++round % steal_period_ == 0) {
-      barrier_.arrive_and_wait();  // S1: work counters and merges stable
-      if (my == 0) plan_rebalance();
-      barrier_.arrive_and_wait();  // S2: owner_ / rebalance_now_ visible
-      if (rebalance_now_) {
-        try {
-          migrate_queue(sh, my);
-        } catch (...) {
-          if (!sh.eptr) sh.eptr = std::current_exception();
-        }
-        barrier_.arrive_and_wait();  // S3: all migration mail appended
-        try {
-          merge_inbox(sh, my);
-        } catch (...) {
-          if (!sh.eptr) sh.eptr = std::current_exception();
-        }
-      }
-    }
-
     // A shard that failed (this round's merge, or last round's exec) raises
     // the abort flag here, strictly before barrier A. Every store to abort_
     // is pre-A and every load post-A, so all shards take the same branch; a
@@ -747,18 +635,7 @@ void Machine::run_shard(std::uint32_t my, Tick lookahead) {
     // cross-shard sends can't (their latency is at least the lookahead).
     const Tick wend = window + lookahead;
     try {
-      while (!sh.queue.empty() && sh.queue.peek_tick() < wend) {
-        const QEntry e = sh.queue.pop();
-        if (e.t > sh.now) sh.now = e.t;
-        if (e.kind == kMsg) {
-          exec_message(sh, e);
-          release_bulk(sh, e.index);
-          sh.msg_pool.release(e.index);
-        } else {
-          exec_dram(sh, e);
-          sh.dram_pool.release(e.index);
-        }
-      }
+      while (!sh.queue.empty() && sh.queue.peek_tick() < wend) exec_next(sh);
     } catch (...) {
       // Record only; the abort flag is published at the top of the next
       // round, before barrier A (see above).
@@ -796,7 +673,6 @@ EngineStats Machine::engine_stats() const {
   }
   es.shards = nshards_;
   es.windows = windows_;
-  es.rebalances = rebalances_;
   return es;
 }
 

@@ -147,9 +147,8 @@ class Machine {
   /// MachineConfig::shards, clamped to the node count). Checked runs shard
   /// too: udcheck defers its analysis to a window-boundary replay.
   std::uint32_t shards() const { return nshards_; }
-  /// Owning shard of `node`. Starts as the round-robin partition
-  /// (node % shards); work stealing (UD_STEAL) remaps it at window
-  /// boundaries, with all shards observing the same map each window.
+  /// Owning shard of `node`: the round-robin partition (node % shards),
+  /// fixed for the machine's whole life.
   std::uint32_t shard_of(std::uint32_t node) const {
     return nshards_ == 1 ? 0 : owner_[node];
   }
@@ -193,9 +192,6 @@ class Machine {
   /// finalizations: a stopped run skips them, and the final draining run
   /// performs them for the whole simulation.
   bool run_until(const std::function<bool()>& stop);
-  /// Execute a single queued item; returns false when the queue is empty.
-  /// Serial engine only (throws std::logic_error when shards > 1).
-  bool step();
   bool idle() const;
   /// Host-side gauges of the event engine (queue/pool/shard behavior).
   EngineStats engine_stats() const;
@@ -299,6 +295,8 @@ class Machine {
                      Message&& m, Tick depart, const Word* bulk = nullptr);
   void route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
                   DramRequest&& r, Tick depart);
+  /// Pop `sh`'s next queue entry, execute it, and release its payload.
+  void exec_next(EngineShard& sh);
   void exec_message(EngineShard& sh, const QEntry& e);
   void exec_dram(EngineShard& sh, const QEntry& e);
   /// Run `m`'s handler synchronously on the current lane, bypassing the
@@ -329,13 +327,6 @@ class Machine {
   void run_shard(std::uint32_t my, Tick lookahead);
   /// Merge every mailbox addressed to shard `my` into its queue.
   void merge_inbox(EngineShard& sh, std::uint32_t my);
-  /// Shard 0, inside the steal barriers: decide whether the node->shard
-  /// partition is skewed and, if so, compute a new owner map (greedy LPT over
-  /// per-node work). Sets rebalance_now_ for all shards to read.
-  void plan_rebalance();
-  /// After a remap: drain this shard's queue, keep entries for nodes it still
-  /// owns, and mail the rest to their new owners.
-  void migrate_queue(EngineShard& sh, std::uint32_t my);
   /// Fold all shards' stats deltas into stats_ and zero the deltas.
   void flush_stats();
 
@@ -363,15 +354,7 @@ class Machine {
   const std::function<bool()>* stop_pred_ = nullptr;  ///< valid during run_sharded
   std::uint64_t windows_ = 0;  ///< lock-step windows executed (shard 0 counts)
   bool pin_ = false;           ///< pin shard threads to CPUs (UD_PIN)
-  bool steal_ = false;         ///< window-boundary work stealing (UD_STEAL)
-  std::uint32_t steal_period_ = 16;       ///< windows between imbalance checks
-  std::vector<std::uint32_t> owner_;      ///< node -> owning shard
-  /// Charged cycles per node since the last imbalance check. Written only by
-  /// the node's owning shard during the exec phase; read and zeroed by shard 0
-  /// between the steal barriers (happens-before via the barrier protocol).
-  std::vector<std::uint64_t> node_work_;
-  bool rebalance_now_ = false;  ///< shard 0 writes between S1/S2; all read after S2
-  std::uint64_t rebalances_ = 0;
+  std::vector<std::uint32_t> owner_;  ///< node -> owning shard (node % shards)
   Tick now_ = 0;
   MachineStats stats_;
   std::unique_ptr<Checker> checker_;  ///< null unless checking is enabled

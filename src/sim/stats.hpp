@@ -221,7 +221,6 @@ struct EngineStats {
   std::uint32_t shards = 1;            ///< host threads the run sharded over
   std::uint64_t windows = 0;           ///< lock-step lookahead windows executed
   std::uint64_t mailbox_messages = 0;  ///< events handed between shards
-  std::uint64_t rebalances = 0;        ///< node->shard remaps (UD_STEAL)
 };
 
 /// Aggregate view over per-lane activity.

@@ -21,9 +21,9 @@
 // Determinism: compaction is a pure function of the staged edge set
 // (DeltaGraph), incremental PageRank is a map-only pull kernel (no shuffle
 // FP ordering), and incremental BFS relaxes monotonically — so results and
-// completion ticks are bit-identical across UD_SHARDS / UD_CHECK / UD_STEAL
-// and across delta-before/after orderings of unrelated partition-confined
-// jobs (asserted in tests/stream/).
+// completion ticks are bit-identical across UD_SHARDS / UD_CHECK and across
+// delta-before/after orderings of unrelated partition-confined jobs
+// (asserted in tests/stream/).
 //
 // Epoch garbage: patching a touched vertex allocates a fresh neighbor-list
 // slice and drops the old one — the simulator has no free(), so superseded

@@ -5,34 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
+#include "env_guard.hpp"
 #include "udweave/context.hpp"
 
 namespace updown {
 namespace {
-
-/// Pin an environment variable for one test (see tests/sim/test_determinism.cpp):
-/// the cross-shard race test must run at UD_SHARDS=4 regardless of ambience.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    if (value) ::setenv(name, value, 1);
-    else ::unsetenv(name);
-  }
-  ~EnvGuard() {
-    if (had_) ::setenv(name_.c_str(), old_.c_str(), 1);
-    else ::unsetenv(name_.c_str());
-  }
-
- private:
-  std::string name_, old_;
-  bool had_ = false;
-};
 
 MachineConfig checked_config() {
   MachineConfig cfg = MachineConfig::scaled(1);

@@ -25,6 +25,7 @@
 #include "apps/tc.hpp"
 #include "baseline/baseline.hpp"
 #include "common/rng.hpp"
+#include "env_guard.hpp"
 #include "graph/generators.hpp"
 #include "serve/query_engine.hpp"
 #include "stream/stream.hpp"
@@ -310,56 +311,16 @@ void fuzz_bucket_sort(Xoshiro256& rng) {
   }
 }
 
-/// Scoped environment pin (restore on destruction), for the checked-sharded
-/// sweep below: UD_CHECK / UD_SHARDS must hold regardless of ambience.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_) ::setenv(name_.c_str(), old_.c_str(), 1);
-    else ::unsetenv(name_.c_str());
-  }
-
- private:
-  std::string name_, old_;
-  bool had_ = false;
-};
-
-/// Scoped UD_COALESCE pin: the shuffle-coalescing factor is itself a fuzzed
-/// dimension (apps read it at job creation), restored after each case so the
-/// ambient environment never leaks between cases.
-class CoalesceGuard {
- public:
-  explicit CoalesceGuard(std::uint32_t factor) {
-    const char* old = std::getenv("UD_COALESCE");
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    ::setenv("UD_COALESCE", std::to_string(factor).c_str(), 1);
-  }
-  ~CoalesceGuard() {
-    if (had_) ::setenv("UD_COALESCE", old_.c_str(), 1);
-    else ::unsetenv("UD_COALESCE");
-  }
-
- private:
-  std::string old_;
-  bool had_ = false;
-};
-
 /// Run the one case identified by `case_seed`: the seed picks the app and
 /// every input dimension. Keeping the whole derivation inside one function
 /// is what makes the single-seed replay exact.
 void run_case(std::uint64_t case_seed) {
   SCOPED_TRACE(repro(case_seed));
   Xoshiro256 rng(case_seed);
-  // Half the cases run the classic shuffle, half a coalesced one.
+  // Half the cases run the classic shuffle, half a coalesced one. The
+  // factor is pinned per case, so the ambient environment never leaks in.
   static constexpr std::uint32_t kCoalesce[] = {1, 1, 1, 4, 16, 64};
-  CoalesceGuard coalesce(kCoalesce[rng.below(6)]);
+  EnvGuard coalesce("UD_COALESCE", std::to_string(kCoalesce[rng.below(6)]).c_str());
   switch (rng.below(6)) {
     case 0: fuzz_pagerank(rng); break;
     case 1: fuzz_bfs(rng); break;
@@ -414,6 +375,20 @@ TEST(DifferentialFuzz, CheckedShardedSweep) {
                    repro(case_seed).c_str());
       return;
     }
+  }
+}
+
+TEST(DifferentialFuzz, CheckedIncrementalBfsRepairIsRaceFree) {
+  // Case 12 of UD_FUZZ_MASTER=20261017: a kIncBfs repair frontier mixes
+  // levels, so one round improves some dist[w] twice and both reduces send
+  // an acked write to the same word. The lane-owned mirror's improve-test
+  // orders the two writes; the reduce declares that ordering to the checker
+  // as a sync cell, without which this case reported a write-write race.
+  EnvGuard gc("UD_CHECK", "1");
+  for (const char* shards : {"1", "4"}) {
+    EnvGuard gs("UD_SHARDS", shards);
+    run_case(17150174870685195705ULL);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

@@ -6,39 +6,17 @@
 // outputs match to tight tolerance instead of bitwise.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "apps/bfs.hpp"
 #include "apps/gnn.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/tc.hpp"
+#include "env_guard.hpp"
 #include "graph/generators.hpp"
 
 namespace updown {
 namespace {
-
-/// Pin an environment variable for the scope of a test (see
-/// test_determinism.cpp): the suite runs under ambient UD_SHARDS/UD_COALESCE
-/// in CI, and these tests need both sides of the toggle.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    if (value) ::setenv(name, value, 1);
-    else ::unsetenv(name);
-  }
-  ~EnvGuard() {
-    if (had_) ::setenv(name_.c_str(), old_.c_str(), 1);
-    else ::unsetenv(name_.c_str());
-  }
-
- private:
-  std::string name_, old_;
-  bool had_ = false;
-};
 
 struct PrRun {
   pr::Result result;

@@ -2,10 +2,10 @@
 // counters, and the combining cache in isolation.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 
+#include "env_guard.hpp"
 #include "kvmsr/combining_cache.hpp"
 #include "kvmsr/kvmsr.hpp"
 
@@ -292,26 +292,6 @@ TEST(CombiningCacheUnit, EmptyFlushRepliesImmediately) {
 // anything above the bulk-message capacity (kMaxBulkWords) is rejected
 // instead of silently truncated.
 // ---------------------------------------------------------------------------
-
-/// Pin an environment variable for the scope of a test (and restore it after).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    if (value) ::setenv(name, value, 1);
-    else ::unsetenv(name);
-  }
-  ~EnvGuard() {
-    if (had_) ::setenv(name_.c_str(), old_.c_str(), 1);
-    else ::unsetenv(name_.c_str());
-  }
-
- private:
-  std::string name_, old_;
-  bool had_ = false;
-};
 
 class KvmsrCoalesceEnv : public ::testing::Test {
  protected:

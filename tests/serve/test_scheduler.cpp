@@ -5,34 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "baseline/baseline.hpp"
+#include "env_guard.hpp"
 #include "graph/generators.hpp"
 #include "serve/query_engine.hpp"
 
 namespace updown::serve {
 namespace {
-
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    if (value) ::setenv(name, value, 1);
-    else ::unsetenv(name);
-  }
-  ~EnvGuard() {
-    if (had_) ::setenv(name_.c_str(), old_.c_str(), 1);
-    else ::unsetenv(name_.c_str());
-  }
-
- private:
-  std::string name_, old_;
-  bool had_ = false;
-};
 
 /// Run a single query on a fresh machine to completion via the engine's
 /// run_until predicate (no scheduler) and return its result.
@@ -273,7 +254,6 @@ SoloVsShared run_partitioned(std::uint32_t shards, bool check, bool launch_both,
                              bool split = false) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
-  EnvGuard g3("UD_STEAL", "0");
   Machine m(MachineConfig::scaled(4));
   auto& eng = QueryEngine::install(m);
   Tenant a = make_tenant(m, QueryKind::kPageRank, rmat(8, {}, 41), 0, 2, "A.pr",

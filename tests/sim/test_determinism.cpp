@@ -10,39 +10,17 @@
 // drain/quiescence path each KVMSR round crosses.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "apps/bfs.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/tc.hpp"
+#include "env_guard.hpp"
 #include "graph/generators.hpp"
 #include "serve/query_engine.hpp"
 
 namespace updown {
 namespace {
-
-/// Pin an environment variable for the scope of a test (and restore it
-/// after), so the shard matrix is immune to an ambient UD_SHARDS / UD_CHECK —
-/// CI runs the whole suite under UD_SHARDS=4.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    if (value) ::setenv(name, value, 1);
-    else ::unsetenv(name);
-  }
-  ~EnvGuard() {
-    if (had_) ::setenv(name_.c_str(), old_.c_str(), 1);
-    else ::unsetenv(name_.c_str());
-  }
-
- private:
-  std::string name_, old_;
-  bool had_ = false;
-};
 
 struct RunFingerprint {
   Tick done = 0;
@@ -74,15 +52,11 @@ RunFingerprint fingerprint(Machine& m, Tick done, std::uint64_t result) {
 }
 
 RunFingerprint run_pr(std::uint32_t nodes, std::uint32_t shards = 1, bool check = false,
-                      std::uint32_t coalesce = 1, bool steal = false, bool pin = false) {
+                      std::uint32_t coalesce = 1, bool pin = false) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
   EnvGuard g3("UD_COALESCE", std::to_string(coalesce).c_str());
-  EnvGuard g4("UD_STEAL", steal ? "1" : "0");
-  EnvGuard g5("UD_PIN", pin ? "1" : "0");
-  // An aggressive rebalance cadence so short runs actually cross the steal
-  // barriers and migrate queues, not just check the counters.
-  EnvGuard g6("UD_STEAL_PERIOD", steal ? "2" : nullptr);
+  EnvGuard g4("UD_PIN", pin ? "1" : "0");
   Machine m(MachineConfig::scaled(nodes));
   Graph g = rmat(9, {}, 77);
   SplitGraph sg = split_vertices(g, 32);
@@ -92,11 +66,6 @@ RunFingerprint run_pr(std::uint32_t nodes, std::uint32_t shards = 1, bool check 
     // Checked runs no longer force shards=1: the engine really runs sharded
     // (windows advance) and udcheck replays at window boundaries on shard 0.
     EXPECT_GT(m.engine_stats().windows, 0u);
-    // Stealing must actually happen for the steal rows to test anything: at
-    // period 2 this workload rebalances dozens of times per run.
-    if (steal) {
-      EXPECT_GT(m.engine_stats().rebalances, 0u);
-    }
   }
   if (check) {
     EXPECT_TRUE(m.stats().check.enabled);
@@ -106,13 +75,11 @@ RunFingerprint run_pr(std::uint32_t nodes, std::uint32_t shards = 1, bool check 
 }
 
 RunFingerprint run_bfs(std::uint32_t nodes, std::uint32_t shards = 1, bool check = false,
-                       std::uint32_t coalesce = 1, bool steal = false, bool pin = false) {
+                       std::uint32_t coalesce = 1, bool pin = false) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
   EnvGuard g3("UD_COALESCE", std::to_string(coalesce).c_str());
-  EnvGuard g4("UD_STEAL", steal ? "1" : "0");
-  EnvGuard g5("UD_PIN", pin ? "1" : "0");
-  EnvGuard g6("UD_STEAL_PERIOD", steal ? "2" : nullptr);
+  EnvGuard g4("UD_PIN", pin ? "1" : "0");
   Machine m(MachineConfig::scaled(nodes));
   Graph g = rmat(9, {.symmetrize = true}, 13);
   DeviceGraph dg = upload_graph(m, g);
@@ -120,9 +87,6 @@ RunFingerprint run_bfs(std::uint32_t nodes, std::uint32_t shards = 1, bool check
   // Each BFS round is one KVMSR invocation: rounds cross the drain path, so
   // a multi-round run exercises quiescence detection under sharding.
   EXPECT_GE(r.rounds, 2u);
-  if (shards > 1 && steal) {
-    EXPECT_GT(m.engine_stats().rebalances, 0u);
-  }
   if (check) {
     EXPECT_TRUE(m.stats().check.enabled);
     EXPECT_EQ(m.stats().check.errors(), 0u);
@@ -218,16 +182,6 @@ TEST(DeterminismMatrix, CoalescedPageRankIdenticalUnderCheck) {
         << "shards=" << shards;
 }
 
-TEST(DeterminismMatrix, PageRankIdenticalUnderCheckAndStealing) {
-  // The full stack at once: deferred replay logs migrate with their nodes
-  // when UD_STEAL remaps the partition, and the (tick, ent, seq) merge key
-  // keeps the replay order — and therefore the check verdict — identical.
-  const RunFingerprint serial = run_pr(8, 1);
-  for (std::uint32_t shards : {2u, 4u})
-    EXPECT_EQ(run_pr(8, shards, /*check=*/true, 1, /*steal=*/true), serial)
-        << "shards=" << shards;
-}
-
 TEST(DeterminismMatrix, CoalescedBfsIdenticalAcrossShardCounts) {
   const RunFingerprint serial = run_bfs(8, 1, false, 16);
   for (std::uint32_t shards : {2u, 4u, 8u})
@@ -240,52 +194,21 @@ TEST(DeterminismMatrix, CoalescedTriangleCountIdenticalAcrossShardCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// The same matrix with the scale knobs on. UD_STEAL remaps the node->shard
-// partition at window boundaries and migrates queued events across shards;
-// UD_PIN pins each shard thread to a host CPU. Both must be pure host-side
-// optimizations: every fingerprint stays bit-identical to the serial run
-// (run_pr/run_bfs force UD_STEAL_PERIOD=2 so these short runs rebalance
-// dozens of times, asserted via engine_stats().rebalances > 0).
+// The same matrix with UD_PIN on: pinning each shard thread to a host CPU is
+// a pure host-side placement, so every fingerprint stays bit-identical to
+// the serial run.
 // ---------------------------------------------------------------------------
-
-TEST(DeterminismMatrix, PageRankIdenticalUnderStealing) {
-  const RunFingerprint serial = run_pr(8, 1);
-  for (std::uint32_t shards : {2u, 4u, 8u})
-    EXPECT_EQ(run_pr(8, shards, false, 1, /*steal=*/true), serial)
-        << "shards=" << shards;
-}
 
 TEST(DeterminismMatrix, PageRankIdenticalUnderPinning) {
   const RunFingerprint serial = run_pr(8, 1);
   for (std::uint32_t shards : {2u, 4u, 8u})
-    EXPECT_EQ(run_pr(8, shards, false, 1, false, /*pin=*/true), serial)
-        << "shards=" << shards;
+    EXPECT_EQ(run_pr(8, shards, false, 1, /*pin=*/true), serial) << "shards=" << shards;
 }
 
-TEST(DeterminismMatrix, PageRankIdenticalUnderStealingAndPinning) {
-  const RunFingerprint serial = run_pr(8, 1);
-  for (std::uint32_t shards : {2u, 4u, 8u})
-    EXPECT_EQ(run_pr(8, shards, false, 1, /*steal=*/true, /*pin=*/true), serial)
-        << "shards=" << shards;
-}
-
-TEST(DeterminismMatrix, BfsIdenticalUnderStealingAndPinning) {
+TEST(DeterminismMatrix, BfsIdenticalUnderPinning) {
   const RunFingerprint serial = run_bfs(8, 1);
-  for (std::uint32_t shards : {2u, 4u, 8u}) {
-    EXPECT_EQ(run_bfs(8, shards, false, 1, /*steal=*/true), serial)
-        << "shards=" << shards;
-    EXPECT_EQ(run_bfs(8, shards, false, 1, /*steal=*/true, /*pin=*/true), serial)
-        << "shards=" << shards;
-  }
-}
-
-TEST(DeterminismMatrix, CoalescedPageRankIdenticalUnderStealing) {
-  // Bulk (coalesced-packet) payloads ride the migration path by value; they
-  // must re-pool on the destination shard without perturbing anything.
-  const RunFingerprint serial = run_pr(8, 1, false, 16);
   for (std::uint32_t shards : {2u, 4u, 8u})
-    EXPECT_EQ(run_pr(8, shards, false, 16, /*steal=*/true), serial)
-        << "shards=" << shards;
+    EXPECT_EQ(run_bfs(8, shards, false, 1, /*pin=*/true), serial) << "shards=" << shards;
 }
 
 // ---------------------------------------------------------------------------
@@ -293,16 +216,14 @@ TEST(DeterminismMatrix, CoalescedPageRankIdenticalUnderStealing) {
 // partitioned BFS) resident at once, launched together and driven to global
 // drain. The whole-machine fingerprint AND the per-job quantities folded into
 // `result` (each tenant's completion tick, shuffle volume, and BFS rounds)
-// must be bit-identical across shard counts, with and without UD_CHECK, and
-// with stealing on — multi-tenancy adds no nondeterminism.
+// must be bit-identical across shard counts, with and without UD_CHECK —
+// multi-tenancy adds no nondeterminism.
 // ---------------------------------------------------------------------------
 
-RunFingerprint run_concurrent(std::uint32_t shards, bool check = false, bool steal = false) {
+RunFingerprint run_concurrent(std::uint32_t shards, bool check = false) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
   EnvGuard g3("UD_COALESCE", "1");
-  EnvGuard g4("UD_STEAL", steal ? "1" : "0");
-  EnvGuard g5("UD_STEAL_PERIOD", steal ? "2" : nullptr);
   Machine m(MachineConfig::scaled(4));
   auto& eng = serve::QueryEngine::install(m);
   const auto lanes_per_node =
@@ -363,16 +284,6 @@ TEST(DeterminismMatrix, ConcurrentJobsIdenticalUnderCheck) {
   const RunFingerprint serial = run_concurrent(1);
   for (std::uint32_t shards : {1u, 2u, 4u})
     EXPECT_EQ(run_concurrent(shards, /*check=*/true), serial) << "shards=" << shards;
-}
-
-TEST(DeterminismMatrix, ConcurrentJobsIdenticalUnderStealing) {
-  const RunFingerprint serial = run_concurrent(1);
-  for (std::uint32_t shards : {2u, 4u}) {
-    EXPECT_EQ(run_concurrent(shards, false, /*steal=*/true), serial)
-        << "shards=" << shards;
-    EXPECT_EQ(run_concurrent(shards, /*check=*/true, /*steal=*/true), serial)
-        << "shards=" << shards;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
+#include "env_guard.hpp"
 #include "udweave/context.hpp"
 
 namespace updown {
@@ -282,26 +282,6 @@ TEST(Machine, StatsTrackThreadsAndMessages) {
 // misconfigured CI matrices. Now they fail loudly at machine construction.
 // ---------------------------------------------------------------------------
 
-/// Pin an environment variable for the scope of a test (and restore it after).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    if (value) ::setenv(name, value, 1);
-    else ::unsetenv(name);
-  }
-  ~EnvGuard() {
-    if (had_) ::setenv(name_.c_str(), old_.c_str(), 1);
-    else ::unsetenv(name_.c_str());
-  }
-
- private:
-  std::string name_, old_;
-  bool had_ = false;
-};
-
 TEST(MachineEnv, ShardsTrailingGarbageThrows) {
   EnvGuard g("UD_SHARDS", "4x");
   EXPECT_THROW(Machine{MachineConfig::scaled(4)}, std::invalid_argument);
@@ -338,40 +318,18 @@ TEST(MachineEnv, ShardsValidValueAppliesAndClampsToNodes) {
   }
 }
 
-// UD_STEAL_PERIOD gets the same strict treatment — and it is parsed
-// unconditionally, so a garbage value fails even with stealing off rather
-// than lying dormant until someone flips UD_STEAL on.
-
-TEST(MachineEnv, StealPeriodTrailingGarbageThrows) {
-  EnvGuard s("UD_STEAL", "0");
-  EnvGuard g("UD_STEAL_PERIOD", "16x");
-  EXPECT_THROW(Machine{MachineConfig::scaled(4)}, std::invalid_argument);
-}
-
-TEST(MachineEnv, StealPeriodNegativeThrows) {
-  EnvGuard g("UD_STEAL_PERIOD", "-1");
-  EXPECT_THROW(Machine{MachineConfig::scaled(4)}, std::invalid_argument);
-}
-
-TEST(MachineEnv, StealPeriodOverflowThrows) {
-  EnvGuard g("UD_STEAL_PERIOD", "99999999999999999999999");
-  EXPECT_THROW(Machine{MachineConfig::scaled(4)}, std::invalid_argument);
-}
-
-TEST(MachineEnv, StealPeriodAboveCapThrows) {
-  EnvGuard g("UD_STEAL_PERIOD", "1048577");  // cap is 1 << 20
-  EXPECT_THROW(Machine{MachineConfig::scaled(4)}, std::invalid_argument);
-}
-
-TEST(MachineEnv, StealPeriodZeroOrUnsetKeepsConfiguredDefault) {
-  {
-    EnvGuard g("UD_STEAL_PERIOD", "0");
-    Machine m(MachineConfig::scaled(4));  // constructs fine, default period
+// MachineConfig::steal is a tombstone: setting it throws, naming the field.
+TEST(Machine, StealTombstoneThrows) {
+  MachineConfig cfg = MachineConfig::scaled(4);
+  cfg.steal = true;
+  try {
+    Machine m(cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("MachineConfig::steal"), std::string::npos) << e.what();
   }
-  {
-    EnvGuard g("UD_STEAL_PERIOD", nullptr);
-    Machine m(MachineConfig::scaled(4));
-  }
+  cfg.steal = false;
+  EXPECT_NO_THROW(Machine{cfg});
 }
 
 }  // namespace

@@ -6,42 +6,19 @@
 // from Machine::run()).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
-
+#include "env_guard.hpp"
 #include "sim/machine.hpp"
 #include "udweave/context.hpp"
 
 namespace updown {
 namespace {
 
-/// Pin UD_SHARDS for the scope of a test (CI runs the suite under
-/// UD_SHARDS=4; these tests need specific values).
-class ShardsGuard {
- public:
-  explicit ShardsGuard(const char* value) {
-    const char* old = std::getenv("UD_SHARDS");
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    if (value) ::setenv("UD_SHARDS", value, 1);
-    else ::unsetenv("UD_SHARDS");
-  }
-  ~ShardsGuard() {
-    if (had_) ::setenv("UD_SHARDS", old_.c_str(), 1);
-    else ::unsetenv("UD_SHARDS");
-  }
-
- private:
-  std::string old_;
-  bool had_ = false;
-};
-
 // ---------------------------------------------------------------------------
 // Scratchpad (spMalloc) exhaustion.
 // ---------------------------------------------------------------------------
 
 TEST(Stress, ScratchpadBumpAllocatorExhausts) {
-  ShardsGuard g("1");
+  EnvGuard g("UD_SHARDS", "1");
   Machine m(MachineConfig::scaled(1));
   Lane lane = m.lane(0);
   const std::uint64_t cap = lane.scratchpad_bytes();
@@ -72,7 +49,7 @@ struct TSpHog : ThreadState {
 };
 
 TEST(Stress, ScratchpadExhaustionSurfacesFromShardedRun) {
-  ShardsGuard g("2");
+  EnvGuard g("UD_SHARDS", "2");
   Machine m(MachineConfig::scaled(2));
   ASSERT_EQ(m.shards(), 2u);
   auto& app = m.emplace_user<SpHogApp>();
@@ -104,7 +81,7 @@ struct TPark : ThreadState {
 };
 
 TEST(Stress, LaneThreadContextsExhaust) {
-  ShardsGuard g("1");
+  EnvGuard g("UD_SHARDS", "1");
   MachineConfig cfg = MachineConfig::scaled(1);
   cfg.max_threads_per_lane = 4;
   Machine m(cfg);
@@ -123,7 +100,7 @@ TEST(Stress, LaneThreadContextsExhaust) {
 }
 
 TEST(Stress, RecycledContextsNeverExhaust) {
-  ShardsGuard g("1");
+  EnvGuard g("UD_SHARDS", "1");
   MachineConfig cfg = MachineConfig::scaled(1);
   cfg.max_threads_per_lane = 4;
   Machine m(cfg);
@@ -144,7 +121,7 @@ TEST(Stress, RecycledContextsNeverExhaust) {
 // ---------------------------------------------------------------------------
 
 TEST(Stress, DescriptorTableGrowsAndTranslates) {
-  ShardsGuard g("1");
+  EnvGuard g("UD_SHARDS", "1");
   Machine m(MachineConfig::scaled(2));
   GlobalMemory& mem = m.memory();
   const std::size_t base_count = mem.descriptor_count();
@@ -194,7 +171,7 @@ struct TProbe : ThreadState {
 };
 
 TEST(Stress, GrownDescriptorTableVisibleToShardedRun) {
-  ShardsGuard g("2");
+  EnvGuard g("UD_SHARDS", "2");
   Machine m(MachineConfig::scaled(2));
   ASSERT_EQ(m.shards(), 2u);
   // Grow the table well past the snapshot's initial copy, then have a lane

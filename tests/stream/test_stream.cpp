@@ -8,35 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "baseline/baseline.hpp"
+#include "env_guard.hpp"
 #include "graph/generators.hpp"
 #include "serve/scheduler.hpp"
 
 namespace updown::stream {
 namespace {
-
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    if (value) ::setenv(name, value, 1);
-    else ::unsetenv(name);
-  }
-  ~EnvGuard() {
-    if (had_) ::setenv(name_.c_str(), old_.c_str(), 1);
-    else ::unsetenv(name_.c_str());
-  }
-
- private:
-  std::string name_, old_;
-  bool had_ = false;
-};
 
 std::vector<Edge> edges_of(const Graph& g) {
   std::vector<Edge> es;
@@ -288,7 +269,6 @@ Fingerprint run_variant(std::uint32_t shards, bool check, bool launch_tenant,
                         Tick ingest_at) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
-  EnvGuard g3("UD_STEAL", "0");
   Machine m(MachineConfig::scaled(4));
   const auto lpn = static_cast<std::uint32_t>(m.config().total_lanes() / 4);
 

@@ -18,31 +18,11 @@
 #include <sstream>
 #include <string>
 
+#include "env_guard.hpp"
 #include "kvmsr/kvmsr.hpp"
 
 namespace updown {
 namespace {
-
-/// Pin an environment variable for the scope of a test (and restore it
-/// after); the suite may run under ambient UD_SHARDS / UD_TRACE in CI.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (old) old_ = old;
-    if (value) ::setenv(name, value, 1);
-    else ::unsetenv(name);
-  }
-  ~EnvGuard() {
-    if (had_) ::setenv(name_.c_str(), old_.c_str(), 1);
-    else ::unsetenv(name_.c_str());
-  }
-
- private:
-  std::string name_, old_;
-  bool had_ = false;
-};
 
 std::string slurp(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
