@@ -6,52 +6,24 @@
 namespace updown::bfs {
 
 // ---------------------------------------------------------------------------
-// Node master: the kv_map task of a BFS round (one per node, on the node's
-// first lane). Fans a scan subtask out to each lane of its node and retires
-// the map task when all lanes report back — the paper's local master-worker.
+// Scan: the kv_map task of a BFS round, one key per lane. Reads this lane's
+// slice of the current frontier and spawns one expand task per frontier
+// vertex (all on this lane).
 // ---------------------------------------------------------------------------
-struct BfsMaster : kvmsr::MapTask {
-  std::uint32_t pending = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& app = ctx.machine().user<App>();
-    const Word job = kvmsr::Library::map_job(ctx);
-    const std::uint32_t lanes = ctx.machine().config().lanes_per_node();
-    pending = lanes;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-      ctx.charge(1);
-      ctx.send_event(ctx.evw_new(ctx.nwid() + l, app.scan_start_), {job},
-                     ctx.evw_update_event(ctx.cevnt(), app.lb_.m_scan_done));
-    }
-  }
-
-  void m_scan_done(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    if (--pending == 0) app.lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Per-lane scan: read this lane's slice of the current frontier and spawn
-// one expand task per frontier vertex (all on this lane).
-// ---------------------------------------------------------------------------
-struct BfsScan : ThreadState {
+struct BfsScan : kvmsr::MapTask {
   Word job = 0;
-  Word done_cont = IGNRCONT;  ///< master's continuation (from s_start)
   std::uint32_t count = 0;
   std::uint32_t spawned = 0;
   std::uint32_t expands_done = 0;
 
-  void s_start(Ctx& ctx) {
+  void kv_map(Ctx& ctx) {
+    kvmsr_begin(ctx);
     auto& app = ctx.machine().user<App>();
-    job = ctx.op(0);
-    done_cont = ctx.ccont();
+    job = kvmsr::Library::map_job(ctx);
     ctx.charge(1);  // scratchpad slice-count load
     count = app.cur_count_[ctx.nwid()];
     if (count == 0) {
-      ctx.send_event(done_cont, {});
-      ctx.yield_terminate();
+      app.lib_->map_return(ctx, kvmsr_cont);
       return;
     }
     const Addr slice = app.slice_addr(app.cur_buf_, ctx.nwid());
@@ -80,10 +52,8 @@ struct BfsScan : ThreadState {
 
  private:
   void maybe_finish(Ctx& ctx) {
-    if (spawned == count && expands_done == count) {
-      ctx.send_event(done_cont, {});
-      ctx.yield_terminate();
-    }
+    if (spawned == count && expands_done == count)
+      ctx.machine().user<App>().lib_->map_return(ctx, kvmsr_cont);
   }
 };
 
@@ -286,7 +256,7 @@ struct BfsDriver : ThreadState {
     auto& app = ctx.machine().user<App>();
     // udtrace superstep span: one "bfs.round" per frontier expansion.
     ctx.trace_phase_begin("bfs.round");
-    app.lib_->launch(ctx, app.job_, 0, ctx.machine().config().nodes,
+    app.lib_->launch(ctx, app.job_, 0, ctx.machine().config().total_lanes(),
                      ctx.evw_update_event(ctx.cevnt(), app.lb_.d_round_done));
   }
 };
@@ -302,8 +272,6 @@ App::App(Machine& m, const DeviceGraph& dg, const Options& opt) : m_(m), dg_(dg)
   Program& p = m.program();
 
   lb_.d_round_done = p.event("bfs::d_round_done", &BfsDriver::d_round_done);
-  lb_.m_scan_done = p.event("bfs::m_scan_done", &BfsMaster::m_scan_done);
-  scan_start_ = p.event("bfs::s_start", &BfsScan::s_start);
   lb_.s_slice_loaded = p.event("bfs::s_slice_loaded", &BfsScan::s_slice_loaded);
   lb_.s_expand_done = p.event("bfs::s_expand_done", &BfsScan::s_expand_done);
   expand_start_ = p.event("bfs::e_start", &BfsExpand::e_start);
@@ -338,11 +306,8 @@ App::App(Machine& m, const DeviceGraph& dg, const Options& opt) : m_(m), dg_(dg)
   visited_.assign(dg.num_vertices, 0);
 
   kvmsr::JobSpec spec;
-  spec.kv_map = p.event("bfs::kv_map", &BfsMaster::kv_map);
+  spec.kv_map = p.event("bfs::kv_map", &BfsScan::kv_map);
   spec.kv_reduce = p.event("bfs::kv_reduce", &BfsReduce::kv_reduce);
-  spec.map_binding = kvmsr::MapBinding::kDirect;
-  const std::uint32_t lpn = m.config().lanes_per_node();
-  spec.map_home = [lpn](Word node) { return static_cast<NetworkId>(node * lpn); };
   spec.name = "bfs.round";
   job_ = lib_->add_job(spec);
 

@@ -7,11 +7,11 @@
 //     region per node (DRAMmalloc with block_size = size/NRnodes), split into
 //     per-lane slices. Reading the current frontier and writing the next one
 //     is node-local.
-//   - Each BFS round is one KVMSR invocation whose kv_map tasks are bound one
-//     per node (Direct binding to the node's first lane). The node master
-//     fans out scan subtasks to its node's lanes with plain UDWeave
-//     messages — the paper's local master-worker scheme.
-//   - Scan subtasks spawn one expand task per frontier vertex; expands read
+//   - Each BFS round is one kBlock KVMSR invocation with one key per lane:
+//     its kv_map task is the lane's frontier scan. KVMSR's control tree
+//     reaches every lane through node-local relays (the paper's local
+//     master-worker scheme), and those relays send the scans themselves.
+//   - Scan tasks spawn one expand task per frontier vertex; expands read
 //     the vertex record and neighbor list and emit <neighbor, dist, parent>
 //     tuples. kv_reduce tasks land on hash(vertex) lanes, test-and-set the
 //     vertex's visited flag (held by that owner lane), write dist/parent
@@ -65,7 +65,6 @@ class App {
 
  private:
   friend struct BfsDriver;
-  friend struct BfsMaster;
   friend struct BfsScan;
   friend struct BfsExpand;
   friend struct BfsExpandChunk;
@@ -98,12 +97,10 @@ class App {
 
   kvmsr::JobId job_ = 0;
   EventLabel driver_start_ = 0;
-  EventLabel scan_start_ = 0;
   EventLabel expand_start_ = 0;
   EventLabel expand_chunk_ = 0;
   struct Labels {
     EventLabel d_round_done = 0;
-    EventLabel m_scan_done = 0;
     EventLabel s_slice_loaded = 0;
     EventLabel s_expand_done = 0;
     EventLabel e_rec_loaded = 0;

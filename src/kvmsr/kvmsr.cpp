@@ -1,6 +1,7 @@
 #include "kvmsr/kvmsr.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -61,29 +62,86 @@ Word combine_values(Combiner c, Word a, Word b) {
   return b;
 }
 
-/// Nodes [first, end) that a lane set spans: one relay each in the control
-/// tree.
-struct NodeSpan {
-  std::uint32_t first, end;
+/// Largest fan-out the master or a relay takes on before the control tree
+/// inserts the machine's next tier below it.
+constexpr std::uint64_t kMaxFanout = 64;
+
+/// The control tree of a lane set, shaped by the machine. Level 0 is the
+/// master, which covers the whole set. A level-d relay (d >= 1) covers one
+/// width[d-1]-lane block of the machine, cut to the set, and its children
+/// are the width[d]-lane blocks inside it. From the top, the blocks are the
+/// NetworkModel's L2 and L1 node groups, nodes, accelerators and lanes.
+/// Nodes and lanes are always levels; each other tier is a level only where
+/// the level above would otherwise fan out to more than kMaxFanout children.
+/// The last width is 1: the leaf relays fan out to lanes.
+struct Tree {
+  std::array<std::uint64_t, 5> width{};
+  /// Lane offset of a width[i] block's relay from the block's first lane in
+  /// the set: 0 for a node (whose first lane also hosts the master, for the
+  /// set's first node), 1 for an accelerator, 2 for an L1 group, 3 for an L2
+  /// group, so the relays of one block's first node sit on different lanes.
+  std::array<std::uint32_t, 5> place{};
 };
-NodeSpan nodes_of(const Machine& m, LaneSet s) {
-  return {m.node_of(s.first), m.node_of(s.first + s.count - 1) + 1};
+
+Tree tree_of(const Machine& m, LaneSet s) {
+  const std::uint64_t lpn = m.config().lanes_per_node();
+  const std::uint64_t lpa = m.config().lanes_per_accel;
+  const std::uint64_t l1 = m.network().l1_group_nodes() * lpn;
+  const std::uint64_t l2 = m.network().l2_group_nodes() * lpn;
+  const std::uint64_t first = s.first, last = s.first + s.count - 1;
+  Tree t;
+  unsigned depth = 0;
+  std::uint64_t parent = 0;  // the master's block: the whole set
+  // Children of one `parent`-lane block at `child` lanes each.
+  const auto fanout = [&](std::uint64_t child) {
+    const std::uint64_t spanned = last / child - first / child + 1;
+    return parent == 0 ? spanned : std::min(parent / child, spanned);
+  };
+  const auto add = [&](std::uint64_t width, std::uint32_t place) {
+    t.width[depth] = width;
+    t.place[depth++] = place;
+    parent = width;
+  };
+  if (fanout(lpn) > kMaxFanout && fanout(l2) > 1) add(l2, 3);
+  if (fanout(lpn) > kMaxFanout && fanout(l1) > 1) add(l1, 2);
+  add(lpn, 0);
+  if (fanout(1) > kMaxFanout && fanout(lpa) > 1) add(lpa, 1);
+  add(1, 0);
+  return t;
 }
 
-/// Lanes [lo, hi) of `node` inside a lane set. The node's relay runs on lo.
+/// A relay's operand 0: the job id, with the relay's tree level above it.
+Word relay_op(JobId job, unsigned level) { return job | (static_cast<Word>(level) << 32); }
+
+/// Lanes [lo, hi) of a relay or the master, inside the job's lane set.
 struct LaneSpan {
   NetworkId lo, hi;
 };
-LaneSpan lanes_in_node(const Machine& m, LaneSet s, std::uint32_t node) {
-  const NetworkId node_first = m.first_lane_of_node(node);
-  return {std::max(s.first, node_first),
-          std::min<NetworkId>(s.first + s.count, node_first + m.config().lanes_per_node())};
+
+/// Send `label` {relay_op(job, level + 1), args...} to the relay of every
+/// child block of the level-`level` span `sp`, each replying to `reply` on
+/// the calling thread. Returns the number of children.
+std::uint32_t to_children(Ctx& ctx, const Tree& t, unsigned level, LaneSpan sp, JobId job,
+                          EventLabel label, EventLabel reply,
+                          std::initializer_list<Word> args) {
+  Word ops[3] = {relay_op(job, level + 1)};
+  std::copy(args.begin(), args.end(), ops + 1);
+  const std::uint64_t w = t.width[level];
+  std::uint32_t n = 0;
+  for (NetworkId b = sp.lo; b < sp.hi; ++n) {
+    const NetworkId e = static_cast<NetworkId>(std::min<std::uint64_t>(sp.hi, (b / w + 1) * w));
+    ctx.charge(1);
+    ctx.send_eventv(ctx.evw_new(b + std::min<NetworkId>(e - b - 1, t.place[level]), label), ops,
+                    1 + args.size(), ctx.evw_update_event(ctx.cevnt(), reply));
+    b = e;
+  }
+  return n;
 }
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Runtime thread classes. These are the KVMSR library's own UDWeave threads:
-// a per-launch master, per-node relays (the control tree), a per-lane worker
+// a per-launch master, the relays of the control tree, a per-lane worker
 // that pumps map tasks with a bounded in-flight window, and per-lane poll
 // agents for the termination gather.
 // ---------------------------------------------------------------------------
@@ -108,38 +166,40 @@ struct MasterThread : ThreadState {
 
  private:
   std::uint32_t to_relays(Ctx& ctx, EventLabel relay_label, EventLabel reply,
-                          std::initializer_list<Word> ops);
+                          std::initializer_list<Word> args);
   void map_phase_complete(Ctx& ctx);
   void start_poll_round(Ctx& ctx);
   void start_flush(Ctx& ctx);
   void finish(Ctx& ctx);
 };
 
-/// One node's relay in the control tree. The master exchanges one message
-/// with it per exchange; it exchanges one message with each of its node's
-/// lanes in the job's set, folds their replies and answers its CCONT once.
+/// One block's relay in the control tree (see Tree). Its parent exchanges
+/// one message with it per exchange. It passes the exchange on to its child
+/// relays or, at the leaf level, to each of its lanes in the job's set, folds
+/// their replies and answers its CCONT once.
 struct RelayThread : ThreadState {
   JobId job = 0;
+  unsigned level = 0;
   Word reply = IGNRCONT;
   std::uint32_t pending = 0;
   bool poll = false;
   std::uint64_t emitted = 0, received = 0;
 
-  void r_launch(Ctx& ctx);  ///< kBlock: start the lanes' workers, collect map-done
+  void r_launch(Ctx& ctx);  ///< kBlock: start the lanes' map work, collect map-done
   void r_poll(Ctx& ctx);    ///< termination poll: sum the lanes' counters
   void r_flush(Ctx& ctx);   ///< flush phase: run spec.flush on every lane
-  void r_lane_done(Ctx& ctx);
+  void r_child_done(Ctx& ctx);
 
  private:
-  LaneSpan enter(Ctx& ctx);
-  void fan_out(Ctx& ctx, EventLabel label);
+  LaneSpan enter(Ctx& ctx, Tree& t);
+  void fan_out(Ctx& ctx, EventLabel relay_label, EventLabel lane_label);
 };
 
 struct WorkerThread : ThreadState {
   JobId job = 0;
   std::uint64_t next = 0, end = 0;
   Word master = 0;  ///< PBMW grant server: master thread event word (any label)
-  Word done = IGNRCONT;  ///< map-done report target (the launching relay or master)
+  Word done = IGNRCONT;  ///< map-done report target (the leaf relay or, PBMW, master)
   std::uint32_t inflight = 0;
   bool waiting_grant = false;
   bool no_more = false;
@@ -184,7 +244,7 @@ Library::Library(Machine& m) : m_(m) {
   r_launch_ = p.event("kvmsr::r_launch", &RelayThread::r_launch);
   r_poll_ = p.event("kvmsr::r_poll", &RelayThread::r_poll);
   r_flush_ = p.event("kvmsr::r_flush", &RelayThread::r_flush);
-  r_lane_done_ = p.event("kvmsr::r_lane_done", &RelayThread::r_lane_done);
+  r_child_done_ = p.event("kvmsr::r_child_done", &RelayThread::r_child_done);
   w_start_ = p.event("kvmsr::w_start", &WorkerThread::w_start);
   w_map_returned_ = p.event("kvmsr::w_map_returned", &WorkerThread::w_map_returned);
   w_grant_ = p.event("kvmsr::w_grant", &WorkerThread::w_grant);
@@ -421,9 +481,9 @@ void MasterThread::m_start(Ctx& ctx) {
 
   switch (j.spec.map_binding) {
     case MapBinding::kBlock:
-      // Each node's relay starts its lanes' workers and reports once when
-      // all of them have retired their map tasks.
-      pending = to_relays(ctx, lib.r_launch_, lib.m_map_done_, {job, key_begin, key_end});
+      // The leaf relays start their lanes' map work; each relay reports once
+      // when all of its children have retired theirs.
+      pending = to_relays(ctx, lib.r_launch_, lib.m_map_done_, {key_begin, key_end});
       break;
     case MapBinding::kPBMW: {
       // Partial block + master-worker: each lane starts with one chunk and
@@ -440,39 +500,21 @@ void MasterThread::m_start(Ctx& ctx) {
       }
       break;
     }
-    case MapBinding::kDirect: {
-      // One map task per key, placed by the user's map_home binding. Used
-      // when tasks are few and location-sensitive (BFS per-node frontier
-      // masters).
-      pending = key_end - key_begin;
-      for (std::uint64_t k = key_begin; k < key_end; ++k) {
-        ctx.charge(1);
-        ctx.send_event(ctx.evw_new(j.spec.map_home(k), j.spec.kv_map), {k, job},
-                       ctx.evw_update_event(ctx.cevnt(), lib.m_map_done_));
-      }
-      if (pending == 0) map_phase_complete(ctx);
-      break;
-    }
   }
 }
 
-/// Send `relay_label` {ops} to the relay of every node the job's lane set
-/// spans, each replying to `reply` on this master. Returns the relay count.
+/// Send `relay_label` {relay_op(job, 1), args...} to the top-level relays of
+/// the control tree, each replying to `reply` on this master. Returns the
+/// relay count.
 std::uint32_t MasterThread::to_relays(Ctx& ctx, EventLabel relay_label, EventLabel reply,
-                                      std::initializer_list<Word> ops) {
-  Library& lib = ctx.machine().service<Library>();
-  const LaneSet s = lib.lanes_of(job);
-  const NodeSpan nodes = nodes_of(ctx.machine(), s);
-  for (std::uint32_t node = nodes.first; node < nodes.end; ++node) {
-    ctx.charge(1);
-    ctx.send_eventv(ctx.evw_new(lanes_in_node(ctx.machine(), s, node).lo, relay_label),
-                    ops.begin(), ops.size(), ctx.evw_update_event(ctx.cevnt(), reply));
-  }
-  return nodes.end - nodes.first;
+                                      std::initializer_list<Word> args) {
+  const LaneSet s = ctx.machine().service<Library>().lanes_of(job);
+  return to_children(ctx, tree_of(ctx.machine(), s), 0, {s.first, s.first + s.count}, job,
+                     relay_label, reply, args);
 }
 
-/// One map-done report: a relay's for its node (kBlock), a worker's for its
-/// lane (PBMW) or a map task's for its key (kDirect).
+/// One map-done report: a top-level relay's for its block (kBlock) or a
+/// worker's for its lane (PBMW).
 void MasterThread::m_map_done(Ctx& ctx) {
   if (--pending == 0) map_phase_complete(ctx);
 }
@@ -497,7 +539,7 @@ void MasterThread::start_poll_round(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
   poll_emitted = poll_received = 0;
   lib.jobs_.at(job).state.poll_rounds++;
-  pending = to_relays(ctx, lib.r_poll_, lib.m_poll_reply_, {job});
+  pending = to_relays(ctx, lib.r_poll_, lib.m_poll_reply_, {});
 }
 
 void MasterThread::m_poll_reply(Ctx& ctx) {
@@ -530,7 +572,7 @@ void MasterThread::m_poll_again(Ctx& ctx) { start_poll_round(ctx); }
 void MasterThread::start_flush(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
   if (ctx.machine().tracer()) ctx.trace_phase_begin(lib.jobs_.at(job).spec.name + ":flush");
-  pending = to_relays(ctx, lib.r_flush_, lib.m_flush_done_, {job});
+  pending = to_relays(ctx, lib.r_flush_, lib.m_flush_done_, {});
 }
 
 void MasterThread::m_flush_done(Ctx& ctx) {
@@ -568,57 +610,89 @@ void MasterThread::m_pbmw_request(Ctx& ctx) {
 // Relay + worker + poll agent
 // ---------------------------------------------------------------------------
 
-/// Common relay entry: ops = {job, ...}, CCONT = the master event that takes
-/// the folded reply. Returns the lanes this relay serves.
-LaneSpan RelayThread::enter(Ctx& ctx) {
+/// Common relay entry: ops = {relay_op(job, level), ...}, CCONT = the
+/// parent's fold event. Fills `t` with the job's tree and returns the lanes
+/// this relay serves.
+LaneSpan RelayThread::enter(Ctx& ctx, Tree& t) {
   Library& lib = ctx.machine().service<Library>();
   job = static_cast<JobId>(ctx.op(0));
+  level = static_cast<unsigned>(ctx.op(0) >> 32);
   reply = ctx.ccont();
-  const LaneSpan lanes =
-      lanes_in_node(ctx.machine(), lib.lanes_of(job), ctx.machine().node_of(ctx.nwid()));
-  pending = lanes.hi - lanes.lo;
-  return lanes;
+  const LaneSet s = lib.lanes_of(job);
+  t = tree_of(ctx.machine(), s);
+  const std::uint64_t w = t.width[level - 1];
+  const std::uint64_t base = ctx.nwid() / w * w;
+  return {static_cast<NetworkId>(std::max<std::uint64_t>(base, s.first)),
+          static_cast<NetworkId>(std::min<std::uint64_t>(base + w, s.first + s.count))};
 }
 
 void RelayThread::r_launch(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
-  const LaneSpan lanes = enter(ctx);
+  Tree t;
+  const LaneSpan lanes = enter(ctx, t);
   const std::uint64_t key_begin = ctx.op(1), key_end = ctx.op(2);
+  if (t.width[level] > 1) {
+    pending = to_children(ctx, t, level, lanes, job, lib.r_launch_, lib.r_child_done_,
+                          {key_begin, key_end});
+    return;
+  }
+  const Library::Job& j = lib.jobs_.at(job);
   const LaneSet s = lib.lanes_of(job);
   const std::uint64_t per = ceil_div(key_end - key_begin, s.count);
+  pending = lanes.hi - lanes.lo;
+  if (per == 1 && key_begin + (lanes.hi - 1 - s.first) < key_end && !j.cancel) {
+    // Every lane here holds exactly one key: send its map task directly, one
+    // cycle per send as in the poll fan-out. A worker would only forward the
+    // task and relay its return.
+    for (NetworkId lane = lanes.lo; lane < lanes.hi; ++lane) {
+      ctx.charge(1);
+      ctx.send_event(ctx.evw_new(lane, j.spec.kv_map), {key_begin + (lane - s.first), job},
+                     ctx.evw_update_event(ctx.cevnt(), lib.r_child_done_));
+    }
+    return;
+  }
   for (NetworkId lane = lanes.lo; lane < lanes.hi; ++lane) {
     const std::uint64_t b = std::min(key_end, key_begin + (lane - s.first) * per);
     const std::uint64_t e = std::min(key_end, b + per);
     ctx.charge(2);
     ctx.send_event(ctx.evw_new(lane, lib.w_start_), {job, b, e},
-                   ctx.evw_update_event(ctx.cevnt(), lib.r_lane_done_));
+                   ctx.evw_update_event(ctx.cevnt(), lib.r_child_done_));
   }
 }
 
 void RelayThread::r_poll(Ctx& ctx) {
+  Library& lib = ctx.machine().service<Library>();
   poll = true;
-  fan_out(ctx, ctx.machine().service<Library>().p_poll_);
+  fan_out(ctx, lib.r_poll_, lib.p_poll_);
 }
 
 void RelayThread::r_flush(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
-  fan_out(ctx, lib.jobs_.at(static_cast<JobId>(ctx.op(0))).spec.flush);
+  fan_out(ctx, lib.r_flush_,
+          lib.jobs_.at(static_cast<JobId>(ctx.op(0))).spec.flush);
 }
 
-/// Send `label` {job} to each of this relay's lanes, replying to r_lane_done.
-void RelayThread::fan_out(Ctx& ctx, EventLabel label) {
+/// Pass a poll or flush on: `relay_label` to the child relays or, at the leaf
+/// level, `lane_label` {job} to each lane, replying to r_child_done.
+void RelayThread::fan_out(Ctx& ctx, EventLabel relay_label, EventLabel lane_label) {
   Library& lib = ctx.machine().service<Library>();
-  const LaneSpan lanes = enter(ctx);
+  Tree t;
+  const LaneSpan lanes = enter(ctx, t);
+  if (t.width[level] > 1) {
+    pending = to_children(ctx, t, level, lanes, job, relay_label, lib.r_child_done_, {});
+    return;
+  }
+  pending = lanes.hi - lanes.lo;
   for (NetworkId lane = lanes.lo; lane < lanes.hi; ++lane) {
     ctx.charge(1);
-    ctx.send_event(ctx.evw_new(lane, label), {job},
-                   ctx.evw_update_event(ctx.cevnt(), lib.r_lane_done_));
+    ctx.send_event(ctx.evw_new(lane, lane_label), {job},
+                   ctx.evw_update_event(ctx.cevnt(), lib.r_child_done_));
   }
 }
 
-/// One lane's reply: {emitted, received} for a poll, none for map-done and
-/// flush. The last one sends the relay's single reply to the master.
-void RelayThread::r_lane_done(Ctx& ctx) {
+/// One child's reply: {emitted, received} for a poll, none for map-done and
+/// flush. The last one sends the relay's single reply to its parent.
+void RelayThread::r_child_done(Ctx& ctx) {
   if (poll) {
     ctx.charge(2);  // two scratchpad adds
     emitted += ctx.op(0);
@@ -709,7 +783,8 @@ void PollThread::p_poll(Ctx& ctx) {
   // been received, so after this flush the sums can only agree once every
   // buffer in the set was empty at its poll — and each round flushes, which
   // guarantees progress. This is also the only flush point for lanes with no
-  // WorkerThread (kDirect map binding, emits from UDWeave subtasks).
+  // WorkerThread (map tasks a leaf relay sent itself, emits from UDWeave
+  // subtasks).
   lib.flush_lane(ctx, job_id);
   ctx.charge(3);  // two scratchpad counter loads + reply setup
   ctx.sync_acquire(emitted_slot(job_id));

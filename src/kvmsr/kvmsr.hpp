@@ -23,7 +23,7 @@
 //              finish by calling Library::reduce_return(ctx, job), which also
 //              terminates the thread.
 //   flush    : optional; after the reduce drain one flush event runs per
-//              lane, sent by the lane's node relay (new thread, ops = {job});
+//              lane, sent by the lane's leaf relay (new thread, ops = {job});
 //              it must reply to CCONT with no operands when its lane's state
 //              is flushed.
 //
@@ -33,9 +33,15 @@
 // emitted/received counters until the sums agree, then flushes and signals
 // the launch continuation with {total_emitted}. Every all-lane exchange
 // (kBlock launch and map-done, each poll round, the flush) goes through a
-// control tree: one relay per node spanned by the job's lane set, on the
-// node's first lane in the set, fans out to those lanes and folds their
-// replies into one, so the master sends and folds one message per node.
+// control tree shaped by the machine: the master, then the network's L2 and
+// L1 node groups, nodes, accelerators, and the lanes. Node relays are always
+// there; a group or accelerator tier is added only where the level above
+// would otherwise fan out to more than 64 children, so jobs on up to 64
+// nodes of up to 64 lanes have one relay per node. Each relay passes the
+// exchange to its children and folds their replies into one, so the master
+// and every relay send and fold one message per child. A leaf relay whose
+// lanes each hold exactly one key sends those map tasks itself; elsewhere
+// it starts a worker per lane.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +64,8 @@ struct LaneSet {
 };
 
 enum class MapBinding {
-  kBlock,   ///< equal contiguous key ranges per lane (default)
-  kPBMW,    ///< partial block + master-worker work requests
-  kDirect,  ///< one task per key, placed by JobSpec::map_home (few, large,
-            ///< location-sensitive tasks — e.g. BFS per-node masters)
+  kBlock,  ///< equal contiguous key ranges per lane (default)
+  kPBMW,   ///< partial block + master-worker work requests
 };
 
 /// Map-side combining operator applied inside the per-destination emit
@@ -76,8 +80,6 @@ struct JobSpec {
   MapBinding map_binding = MapBinding::kBlock;
   /// Reduce-side computation binding; empty = Hash (the KVMSR default).
   std::function<NetworkId(Word key, NetworkId first, std::uint32_t count)> reduce_binding;
-  /// Map-task home lane for MapBinding::kDirect.
-  std::function<NetworkId(Word key)> map_home;
   LaneSet lanes;
   std::uint32_t max_inflight_per_lane = 64;  ///< map-task window per worker: deep
   ///< enough to hide cross-machine DRAM latency (the paper: KVMSR matches
@@ -191,8 +193,8 @@ class Library {
   /// termination gather to done (no leaked threads, udcheck-clean). Host-side
   /// only — call while the machine is paused (between run_until windows).
   /// JobState::cancelled reports whether the finished run was truncated.
-  /// Note: MapBinding::kDirect sends every map task up front, so cancellation
-  /// cannot prune its key-space — it only matters for kBlock/kPBMW.
+  /// Note: a leaf relay whose lanes each hold one key sends their map tasks
+  /// up front, so a cancel that arrives after it ran prunes none of them.
   void request_cancel(JobId job) { jobs_.at(job).cancel = true; }
   bool cancel_requested(JobId job) const { return jobs_.at(job).cancel; }
   /// Resolved lane set of `job` (a spec count of 0 expanded to the machine).
@@ -275,7 +277,7 @@ class Library {
   EventLabel r_launch_ = 0;
   EventLabel r_poll_ = 0;
   EventLabel r_flush_ = 0;
-  EventLabel r_lane_done_ = 0;
+  EventLabel r_child_done_ = 0;
   EventLabel w_start_ = 0;
   EventLabel w_map_returned_ = 0;
   EventLabel w_grant_ = 0;

@@ -22,7 +22,9 @@
 //     tens-to-hundreds of ticks) go into a ring of bucket vectors indexed by
 //     tick; far-future events (bandwidth-queued DRAM under heavy contention)
 //     overflow into a small binary heap that is drained lazily as the
-//     calendar window advances.
+//     calendar window advances. A bucket is sorted once, when the cursor
+//     reaches it; entries pushed into it while it drains go to a side
+//     min-heap, and a drained bucket hands back storage above a fixed cap.
 #pragma once
 
 #include <algorithm>
@@ -138,15 +140,15 @@ class CalendarEventQueue {
       ++stats_.far_events;
       return;
     }
-    auto& b = buckets_[vidx & mask_];
-    if (vidx == cur_vidx_ && cur_sorted_ && !b.empty()) {
-      // The bucket being drained is kept sorted descending; splice in place.
-      b.insert(std::upper_bound(b.begin(), b.end(), e, DescOrder{}), e);
-    } else {
-      b.push_back(e);
-      if (vidx == cur_vidx_) cur_sorted_ = false;
-    }
     ++near_count_;
+    if (vidx == cur_vidx_ && cur_sorted_) {
+      // The bucket under the cursor is sorted and being drained: the entry
+      // joins the side heap, and pop takes the smaller of the two minima.
+      side_.push_back(e);
+      std::push_heap(side_.begin(), side_.end(), Later{});
+      return;
+    }
+    buckets_[vidx & mask_].push_back(e);
   }
 
   /// Remove and return the minimum-(t, src, seq) entry. Precondition: !empty().
@@ -154,10 +156,21 @@ class CalendarEventQueue {
     assert(size_ > 0);
     --size_;
     auto& b = advance_to_min();
-    const QEntry e = b.back();
-    b.pop_back();
     --near_count_;
-    if (b.empty()) cur_sorted_ = false;
+    QEntry e;
+    if (side_first(b)) {
+      std::pop_heap(side_.begin(), side_.end(), Later{});
+      e = side_.back();
+      side_.pop_back();
+    } else {
+      e = b.back();
+      b.pop_back();
+    }
+    if (b.empty() && side_.empty()) {
+      cur_sorted_ = false;
+      trim(b);
+      trim(side_);
+    }
     return e;
   }
 
@@ -166,7 +179,8 @@ class CalendarEventQueue {
   /// current lookahead window.
   Tick peek_tick() {
     assert(size_ > 0);
-    return advance_to_min().back().t;
+    auto& b = advance_to_min();
+    return side_first(b) ? side_.front().t : b.back().t;
   }
 
   struct Stats {
@@ -175,15 +189,23 @@ class CalendarEventQueue {
   };
   const Stats& stats() const { return stats_; }
 
+  /// Storage a drained bucket keeps, in entries. A burst (every lane of a
+  /// large machine starting within a few buckets) grows single buckets to
+  /// thousands of entries; without a cap the ring would keep each bucket's
+  /// peak for the rest of the run.
+  static constexpr std::size_t kKeptEntries = 1024;
+
+  /// Entry slots the ring's buckets and the side heap hold allocated.
+  std::size_t capacity() const {
+    std::size_t n = side_.capacity();
+    for (const auto& b : buckets_) n += b.capacity();
+    return n;
+  }
+
  private:
-  struct DescOrder {
-    bool operator()(const QEntry& a, const QEntry& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      if (a.src != b.src) return a.src > b.src;
-      return a.seq > b.seq;
-    }
-  };
-  struct MinOrder {  // std::priority_queue is a max-heap; invert for min
+  /// a fires after b: descending order for the sorted buckets (the minimum
+  /// sits at the back) and the comparator of the min-heaps.
+  struct Later {
     bool operator()(const QEntry& a, const QEntry& b) const {
       if (a.t != b.t) return a.t > b.t;
       if (a.src != b.src) return a.src > b.src;
@@ -191,16 +213,32 @@ class CalendarEventQueue {
     }
   };
 
+  /// Is the current bucket's minimum in the side heap rather than at the
+  /// back of the sorted bucket `b`?
+  bool side_first(const std::vector<QEntry>& b) const {
+    return !side_.empty() && (b.empty() || Later{}(b.back(), side_.front()));
+  }
+
+  static void trim(std::vector<QEntry>& v) {
+    if (v.capacity() > kKeptEntries) {
+      std::vector<QEntry> kept;
+      kept.reserve(kKeptEntries);
+      v.swap(kept);
+    }
+  }
+
   /// Advance the cursor to the first non-empty bucket and return it sorted
-  /// (descending, so the minimum entry is at the back). Precondition: the
-  /// queue holds at least one entry.
+  /// (descending, so the minimum entry is at the back). Pushes into it while
+  /// it drains wait in the side heap, so the returned bucket may be empty
+  /// while the side heap is not. Precondition: the queue holds at least one
+  /// entry.
   std::vector<QEntry>& advance_to_min() {
     for (;;) {
       auto& b = buckets_[cur_vidx_ & mask_];
-      if (!b.empty()) {
-        if (!cur_sorted_) {
+      if (!b.empty() || !side_.empty()) {
+        if (!cur_sorted_) {  // the side heap is empty whenever the bucket is unsorted
           if (b.size() > 1) {
-            std::sort(b.begin(), b.end(), DescOrder{});
+            std::sort(b.begin(), b.end(), Later{});
             ++stats_.bucket_sorts;
           }
           cur_sorted_ = true;
@@ -234,10 +272,13 @@ class CalendarEventQueue {
   std::uint64_t nbuckets_;
   std::uint64_t mask_;
   std::vector<std::vector<QEntry>> buckets_;
-  std::priority_queue<QEntry, std::vector<QEntry>, MinOrder> far_;
+  /// Min-heap of entries pushed into the bucket under the cursor after it
+  /// was sorted. A mid-vector insert would cost O(bucket) per push.
+  std::vector<QEntry> side_;
+  std::priority_queue<QEntry, std::vector<QEntry>, Later> far_;
   std::uint64_t cur_vidx_ = 0;    ///< virtual bucket index the cursor is on
   bool cur_sorted_ = false;       ///< current bucket sorted descending?
-  std::size_t near_count_ = 0;    ///< entries resident in the ring
+  std::size_t near_count_ = 0;    ///< entries resident in the ring and side heap
   std::size_t size_ = 0;
   Stats stats_;
 };

@@ -14,9 +14,9 @@
 //     queue order), and sp_brk (the scratchpad bump pointer). A configured
 //     but idle lane costs these few words plus one null pointer.
 //
-//   - Cold, bulky state (thread-context table, per-class recycling caches,
-//     stats, the scratchpad backing store) lives in a LaneCore that is
-//     materialized on first touch — and, within a core, the scratchpad
+//   - Cold, bulky state (thread-context table, stats, the scratchpad
+//     backing store) lives in a LaneCore that is materialized on first
+//     touch — and, within a core, the scratchpad
 //     backing is deferred further until the first actual scratchpad access,
 //     because most KVMSR control traffic (w_start broadcasts, poll rounds)
 //     runs threads on a lane without ever touching its scratchpad.
@@ -47,14 +47,43 @@ namespace updown {
 struct LaneCore {
   std::vector<std::unique_ptr<ThreadState>> threads;
   std::vector<ThreadId> free_tids;
-  /// Deallocated states cached per thread class for recycling.
-  std::vector<std::vector<std::unique_ptr<ThreadState>>> state_cache;
   std::uint32_t live_threads = 0;
   /// Scratchpad backing store; empty until the first scratchpad access
   /// (sp_alloc alone never allocates it — the bump pointer lives in the
   /// LaneTable and checks against the configured capacity).
   std::vector<std::uint8_t> scratchpad;
   LaneStats stats;
+};
+
+/// Terminated thread states, one free list per thread class, recycled by
+/// the next thread of that class on any lane. The engine keeps one pool per
+/// shard, so a pool is only touched by the host thread that owns its lanes;
+/// a handful of states per class serves a whole shard, where per-lane caches
+/// would each keep their own.
+class StatePool {
+ public:
+  /// A state for `def`'s thread class: a recycled one, reconstructed in
+  /// place (value-identical to a fresh factory() call), or a new one.
+  std::unique_ptr<ThreadState> take(const EventDef& def) {
+    if (def.type_id < free_.size() && !free_[def.type_id].empty()) {
+      std::unique_ptr<ThreadState> st = std::move(free_[def.type_id].back());
+      free_[def.type_id].pop_back();
+      def.reinit(*st);
+      st->ud_class_id = def.type_id;
+      return st;
+    }
+    return def.factory();
+  }
+
+  void give(std::unique_ptr<ThreadState> st) {
+    if (!st) return;
+    const std::uint32_t cls = st->ud_class_id;
+    if (cls >= free_.size()) free_.resize(cls + 1);
+    free_[cls].push_back(std::move(st));
+  }
+
+ private:
+  std::vector<std::vector<std::unique_ptr<ThreadState>>> free_;  ///< by class id
 };
 
 /// Machine-wide lane storage: hot per-lane words in flat arrays, cold blocks
@@ -147,27 +176,6 @@ class Lane {
     return tid;
   }
 
-  /// Allocate a thread context for `def`'s thread class, recycling a
-  /// previously deallocated state of the same class when one is cached: the
-  /// state is reconstructed in place (value-identical to a fresh factory()
-  /// call) without the per-event heap round trip.
-  ThreadId allocate_thread(const EventDef& def) {
-    LaneCore& c = core();
-    const ThreadId tid = acquire_tid(c);
-    auto& cache = state_cache(c, def.type_id);
-    if (!cache.empty()) {
-      std::unique_ptr<ThreadState> st = std::move(cache.back());
-      cache.pop_back();
-      def.reinit(*st);
-      st->ud_class_id = def.type_id;
-      c.threads[tid] = std::move(st);
-    } else {
-      c.threads[tid] = def.factory();
-    }
-    ++c.live_threads;
-    return tid;
-  }
-
   ThreadState& thread(ThreadId tid) {
     LaneCore& c = core();
     if (tid >= c.threads.size() || !c.threads[tid])
@@ -181,7 +189,9 @@ class Lane {
     return c && tid < c->threads.size() && c->threads[tid] != nullptr;
   }
 
-  void deallocate_thread(ThreadId tid) {
+  /// Free `tid` and hand its state back (the engine recycles it through its
+  /// shard's StatePool).
+  std::unique_ptr<ThreadState> deallocate_thread(ThreadId tid) {
     LaneCore& c = core();
 #ifndef NDEBUG
     // Hot path: Release builds index unchecked (the engine only deallocates
@@ -189,11 +199,10 @@ class Lane {
     if (tid >= c.threads.size())
       throw std::out_of_range("Lane::deallocate_thread: thread id beyond context table");
 #endif
-    std::unique_ptr<ThreadState>& slot = c.threads[tid];
-    if (slot) state_cache(c, slot->ud_class_id).push_back(std::move(slot));
-    slot.reset();
+    std::unique_ptr<ThreadState> st = std::move(c.threads[tid]);
     c.free_tids.push_back(tid);
     --c.live_threads;
+    return st;
   }
 
   std::uint32_t live_threads() const {
@@ -246,12 +255,6 @@ class Lane {
       throw std::runtime_error("lane out of thread contexts");
     c.threads.emplace_back();
     return static_cast<ThreadId>(c.threads.size() - 1);
-  }
-
-  static std::vector<std::unique_ptr<ThreadState>>& state_cache(LaneCore& c,
-                                                                std::uint32_t class_id) {
-    if (class_id >= c.state_cache.size()) c.state_cache.resize(class_id + 1);
-    return c.state_cache[class_id];
   }
 
   LaneTable* t_;

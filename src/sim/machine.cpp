@@ -271,7 +271,7 @@ void Machine::exec_message(EngineShard& sh, const QEntry& e) {
   const bool new_thread = evw::is_new_thread(m.evw);
   ThreadId tid;
   if (new_thread) {
-    tid = lane.allocate_thread(def);  // Thread Create: 0 cycles (recycles state)
+    tid = lane.allocate_thread(sh.states.take(def));  // Thread Create: 0 cycles
     sh.stats.threads_created++;
     const std::uint64_t live = ++sh.live_threads;
     if (live > sh.stats.max_live_threads) sh.stats.max_live_threads = live;
@@ -310,7 +310,7 @@ void Machine::exec_message(EngineShard& sh, const QEntry& e) {
   // arrival series are destination-keyed.
   if (tracer_) tracer_->on_execute(dst, node_of(dst), arrive, start, cost);
   if (ctx.terminated()) {
-    lane.deallocate_thread(tid);
+    sh.states.give(lane.deallocate_thread(tid));
     sh.stats.threads_destroyed++;
     --sh.live_threads;
   }
@@ -352,7 +352,7 @@ std::uint64_t Machine::deliver_inline(EngineShard& sh, Message&& m, Tick start) 
   const bool new_thread = evw::is_new_thread(m.evw);
   ThreadId tid;
   if (new_thread) {
-    tid = lane.allocate_thread(def);  // Thread Create: 0 cycles (recycles state)
+    tid = lane.allocate_thread(sh.states.take(def));  // Thread Create: 0 cycles
     sh.stats.threads_created++;
     const std::uint64_t live = ++sh.live_threads;
     if (live > sh.stats.max_live_threads) sh.stats.max_live_threads = live;
@@ -394,7 +394,7 @@ std::uint64_t Machine::deliver_inline(EngineShard& sh, Message&& m, Tick start) 
   // event completes); only the executed-event count moves here.
   if (tracer_) tracer_->on_inline_execute(node_of(dst), start);
   if (ctx.terminated()) {
-    lane.deallocate_thread(tid);
+    sh.states.give(lane.deallocate_thread(tid));
     sh.stats.threads_destroyed++;
     --sh.live_threads;
   }

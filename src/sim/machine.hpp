@@ -64,11 +64,11 @@ class SpinBarrier {
 };
 
 /// Everything one host thread owns when the engine is sharded: the calendar
-/// queue and payload pools for the nodes assigned to it, a stats delta block
-/// (folded into Machine::stats_ lazily), outgoing mailboxes (one per
-/// destination shard, drained by the destination at the next window
-/// boundary), and a private snapshot of the DRAM descriptor table. The
-/// serial engine is simply shard 0 used alone.
+/// queue, payload pools and thread-state pool for the nodes assigned to it,
+/// a stats delta block (folded into Machine::stats_ lazily), outgoing
+/// mailboxes (one per destination shard, drained by the destination at the
+/// next window boundary), and a private snapshot of the DRAM descriptor
+/// table. The serial engine is simply shard 0 used alone.
 struct EngineShard {
   /// An event in flight between shards: the queue-entry key (arrival tick,
   /// sending entity, sender seq) plus the payload by value. The destination
@@ -95,6 +95,7 @@ struct EngineShard {
   SlabPool<Message> msg_pool;
   SlabPool<DramRequest> dram_pool;
   SlabPool<BulkPayload> bulk_pool;  ///< out-of-line payloads of packed messages
+  StatePool states;  ///< terminated thread states of this shard's lanes, by class
   MachineStats stats;  ///< delta since the last flush into Machine::stats_
   Tick now = 0;
   std::uint64_t live_threads = 0;
@@ -129,6 +130,8 @@ class Machine {
   NetworkId first_lane_of_node(std::uint32_t node) const {
     return node * cfg_.lanes_per_node();
   }
+  /// The network timing model; KVMSR reads its topology groups.
+  const NetworkModel& network() const { return network_; }
   /// Handle over one lane's state (hot path: Release builds index unchecked;
   /// Debug keeps the out-of-range throw the fat-object .at() used to give).
   Lane lane(NetworkId nwid) {

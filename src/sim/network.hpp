@@ -58,6 +58,12 @@ class NetworkModel {
     return 3;
   }
 
+  /// Nodes per L1 group (1 hop apart) and per L2 group (at most 2 hops
+  /// apart), both aligned powers of two: the topology tiers that KVMSR's
+  /// control tree hangs its group relays on.
+  std::uint32_t l1_group_nodes() const { return 1u << l1_shift_; }
+  std::uint32_t l2_group_nodes() const { return 1u << l2_shift_; }
+
   bool crosses_bisection(std::uint32_t node_a, std::uint32_t node_b) const {
     const std::uint32_t half = cfg_.nodes / 2;
     return half > 0 && (node_a < half) != (node_b < half);

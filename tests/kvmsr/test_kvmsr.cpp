@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "kvmsr/combining_cache.hpp"
 
 namespace updown::kvmsr {
@@ -41,10 +43,10 @@ struct HistReduce : ThreadState {
 };
 
 // Runs the histogram job over 5,000 keys with a combining-cache flush phase
-// and checks every bucket. Returns the events executed on lane 0, the
-// master's lane.
-std::uint64_t run_histogram(std::uint32_t nodes, MapBinding binding) {
-  Machine m(MachineConfig::scaled(nodes));
+// and checks every bucket. Returns every lane's stats; lane 0 is the
+// master's.
+std::vector<LaneStats> run_histogram(const MachineConfig& cfg, MapBinding binding) {
+  Machine m(cfg);
   auto& lib = Library::install(m);
   auto& cc = CombiningCache::install(m);
 
@@ -75,7 +77,7 @@ std::uint64_t run_histogram(std::uint32_t nodes, MapBinding binding) {
     for (std::uint64_t k = b; k < n; k += app.buckets) expect += k * k;
     EXPECT_EQ(m.memory().host_load<Word>(app.hist_base + b * 8), expect) << "bucket " << b;
   }
-  return m.lane_stats().at(0).events_executed;
+  return m.lane_stats();
 }
 
 class KvmsrHistogram : public ::testing::TestWithParam<std::tuple<std::uint32_t, MapBinding>> {
@@ -83,7 +85,7 @@ class KvmsrHistogram : public ::testing::TestWithParam<std::tuple<std::uint32_t,
 
 TEST_P(KvmsrHistogram, ComputesExactHistogramAtAnyScale) {
   const auto [nodes, binding] = GetParam();
-  run_histogram(nodes, binding);
+  run_histogram(MachineConfig::scaled(nodes), binding);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -91,14 +93,34 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 8u), ::testing::Values(MapBinding::kBlock,
                                                                         MapBinding::kPBMW)));
 
-// The kBlock launch, map-done, every poll round and the flush go through one
-// relay per node, so the master's lane handles O(nodes) control messages per
-// exchange, not O(lanes): 4x the lanes must not bring 4x its events.
+// The kBlock launch, map-done, every poll round and the flush go through the
+// control tree, so the master's lane handles at most 64 control messages per
+// exchange: 4x the lanes must not bring 4x its events, and at 1,024 nodes the
+// tree's L2 groups keep it near the 64-node count instead of 16x it.
 TEST(KvmsrControlTree, MasterLaneEventsGrowWithNodesNotLanes) {
-  const std::uint64_t at16 = run_histogram(16, MapBinding::kBlock);
-  const std::uint64_t at64 = run_histogram(64, MapBinding::kBlock);
+  const auto master_lane_events = [](std::uint32_t nodes) {
+    return run_histogram(MachineConfig::scaled(nodes), MapBinding::kBlock).at(0).events_executed;
+  };
+  const std::uint64_t at16 = master_lane_events(16);
+  const std::uint64_t at64 = master_lane_events(64);
+  const std::uint64_t at1024 = master_lane_events(1024);
   EXPECT_LE(2 * at64, 3 * at16) << "lane 0 events: " << at16 << " at 16 nodes, " << at64
                                 << " at 64";
+  EXPECT_LE(2 * at1024, 3 * at64) << "lane 0 events: " << at64 << " at 64 nodes, " << at1024
+                                  << " at 1024";
+}
+
+// A paper_node has 2,048 lanes per node, so an accelerator tier sits below
+// each node relay and no relay folds more than 64 replies per exchange. A
+// node relay that fanned out to its lanes directly would fold 2,048 in each
+// of the launch, every poll round and the flush.
+TEST(KvmsrControlTree, AcceleratorTierBoundsRelayLanes) {
+  const MachineConfig cfg = MachineConfig::paper_node(2);
+  const std::vector<LaneStats> lanes = run_histogram(cfg, MapBinding::kBlock);
+  const auto busiest = std::max_element(
+      lanes.begin(), lanes.end(),
+      [](const LaneStats& a, const LaneStats& b) { return a.events_executed < b.events_executed; });
+  EXPECT_LT(busiest->events_executed, cfg.lanes_per_node()) << "lane " << busiest - lanes.begin();
 }
 
 // ---------------------------------------------------------------------------
@@ -131,42 +153,6 @@ TEST(KvmsrDoAll, RunsEveryKeyExactlyOnce) {
   EXPECT_EQ(st.total_emitted, 0u);
   for (std::uint64_t k = 0; k < n; ++k)
     EXPECT_EQ(m.memory().host_load<Word>(app.flags + k * 8), k + 1) << "key " << k;
-}
-
-// ---------------------------------------------------------------------------
-// Direct binding: each key runs at the lane the map_home function names.
-struct WhereApp {
-  JobId job = 0;
-  std::vector<NetworkId> ran_at;  // indexed by key
-};
-
-struct WhereMap : ThreadState {
-  void kv_map(Ctx& ctx) {
-    auto& lib = ctx.machine().service<Library>();
-    auto& app = ctx.machine().user<WhereApp>();
-    app.ran_at.at(Library::map_key(ctx)) = ctx.nwid();
-    lib.map_return(ctx, ctx.ccont());
-  }
-};
-
-TEST(KvmsrDirect, TasksRunAtTheirBoundLane) {
-  Machine m(MachineConfig::scaled(4));
-  auto& lib = Library::install(m);
-  auto& app = m.emplace_user<WhereApp>();
-  const std::uint64_t keys = m.config().nodes * m.config().accels_per_node;
-  app.ran_at.assign(keys, ~0u);
-
-  JobSpec spec;
-  spec.kv_map = m.program().event("WhereMap::kv_map", &WhereMap::kv_map);
-  spec.map_binding = MapBinding::kDirect;
-  // One task per accelerator, on that accelerator's first lane (a
-  // local-master pattern; BFS binds one per node the same way).
-  const std::uint32_t lpa = m.config().lanes_per_accel;
-  spec.map_home = [lpa](Word key) { return static_cast<NetworkId>(key * lpa); };
-  app.job = lib.add_job(spec);
-
-  lib.run_to_completion(app.job, 0, keys);
-  for (std::uint64_t k = 0; k < keys; ++k) EXPECT_EQ(app.ran_at[k], k * lpa) << "key " << k;
 }
 
 // ---------------------------------------------------------------------------
@@ -256,42 +242,58 @@ struct SetFlush : ThreadState {
   }
 };
 
+// Runs a 500-key job with reduce and flush on `set` and checks that no task
+// ran outside it and that every lane inside was flushed once.
+void run_in_set(const MachineConfig& cfg, LaneSet set, MapBinding binding,
+                std::uint32_t coalesce) {
+  SCOPED_TRACE("set {" + std::to_string(set.first) + ", " + std::to_string(set.count) +
+               "} binding " + std::to_string(int(binding)) + " coalesce " +
+               std::to_string(coalesce));
+  Machine m(cfg);
+  auto& lib = Library::install(m);
+  auto& app = m.emplace_user<SetApp>();
+  app.lo = set.first;
+  app.hi = set.first + set.count;
+  app.flushes.assign(m.config().total_lanes(), 0);
+
+  JobSpec spec;
+  spec.kv_map = m.program().event("SetMap::kv_map", &SetMap::kv_map);
+  spec.kv_reduce = m.program().event("SetReduce::kv_reduce", &SetReduce::kv_reduce);
+  spec.flush = m.program().event("SetFlush::flush", &SetFlush::flush);
+  spec.map_binding = binding;
+  spec.coalesce_tuples = coalesce;
+  spec.lanes = set;
+  app.job = lib.add_job(spec);
+
+  const JobState& st = lib.run_to_completion(app.job, 0, 500);
+  EXPECT_EQ(st.total_emitted, 500u);
+  EXPECT_FALSE(app.violated);
+  for (NetworkId lane = 0; lane < m.config().total_lanes(); ++lane) {
+    const bool inside = lane >= app.lo && lane < app.hi;
+    EXPECT_EQ(app.flushes[lane], inside ? 1u : 0u) << "lane " << lane;
+  }
+}
+
 TEST(KvmsrLaneSet, JobStaysInsideItsLaneSet) {
   const std::uint32_t lpn = MachineConfig::scaled(4).lanes_per_node();
   // Nodes 1..2 exactly, and lanes [19, 77), which starts and ends mid-node:
   // the relays of both end nodes serve a sub-range of their node.
-  for (const LaneSet set : {LaneSet{lpn, 2 * lpn}, LaneSet{19, 58}}) {
-    for (const MapBinding binding : {MapBinding::kBlock, MapBinding::kPBMW}) {
-      for (const std::uint32_t coalesce : {1u, 16u}) {
-        SCOPED_TRACE("set {" + std::to_string(set.first) + ", " + std::to_string(set.count) +
-                     "} binding " + std::to_string(int(binding)) + " coalesce " +
-                     std::to_string(coalesce));
-        Machine m(MachineConfig::scaled(4));
-        auto& lib = Library::install(m);
-        auto& app = m.emplace_user<SetApp>();
-        app.lo = set.first;
-        app.hi = set.first + set.count;
-        app.flushes.assign(m.config().total_lanes(), 0);
+  for (const LaneSet set : {LaneSet{lpn, 2 * lpn}, LaneSet{19, 58}})
+    for (const MapBinding binding : {MapBinding::kBlock, MapBinding::kPBMW})
+      for (const std::uint32_t coalesce : {1u, 16u})
+        run_in_set(MachineConfig::scaled(4), set, binding, coalesce);
+}
 
-        JobSpec spec;
-        spec.kv_map = m.program().event("SetMap::kv_map", &SetMap::kv_map);
-        spec.kv_reduce = m.program().event("SetReduce::kv_reduce", &SetReduce::kv_reduce);
-        spec.flush = m.program().event("SetFlush::flush", &SetFlush::flush);
-        spec.map_binding = binding;
-        spec.coalesce_tuples = coalesce;
-        spec.lanes = set;
-        app.job = lib.add_job(spec);
-
-        const JobState& st = lib.run_to_completion(app.job, 0, 500);
-        EXPECT_EQ(st.total_emitted, 500u);
-        EXPECT_FALSE(app.violated);
-        for (NetworkId lane = 0; lane < m.config().total_lanes(); ++lane) {
-          const bool inside = lane >= app.lo && lane < app.hi;
-          EXPECT_EQ(app.flushes[lane], inside ? 1u : 0u) << "lane " << lane;
-        }
-      }
-    }
-  }
+// 300 nodes of a 2,048-node machine, starting and ending mid-node: the tree
+// gets both group tiers (L2 groups of 128 nodes, L1 groups of 8), cut to the
+// set at both ends. The 500 keys give the leaf relays of the set's first
+// nodes one key per lane, so they send the map tasks themselves; the others
+// start workers.
+TEST(KvmsrLaneSet, GroupTiersStayInsideTheSet) {
+  const MachineConfig cfg = MachineConfig::scaled(2048);
+  const std::uint32_t lpn = cfg.lanes_per_node();
+  for (const std::uint32_t coalesce : {1u, 16u})
+    run_in_set(cfg, LaneSet{5 * lpn + 19, 300 * lpn}, MapBinding::kBlock, coalesce);
 }
 
 // ---------------------------------------------------------------------------

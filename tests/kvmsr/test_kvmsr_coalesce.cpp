@@ -1,6 +1,7 @@
 // Shuffle coalescing correctness: every application must compute the same
 // answer with UD_COALESCE on and off, across map bindings — Block and PBMW
-// (worker-retirement flushes) and kDirect (poll-time + flush-hint flushes).
+// (worker-retirement flushes), and Block jobs with one key per lane, whose
+// relays send the map tasks without workers (poll-time + flush-hint flushes).
 // Results are exact for jobs without map-side combining (TC pair counts, BFS
 // distances); combining jobs (PageRank, GNN) reassociate f64 sums, so their
 // outputs match to tight tolerance instead of bitwise.
@@ -68,12 +69,13 @@ TEST(Coalesce, PageRankMatchesUncoalescedPbmw) {
 }
 
 TEST(Coalesce, BfsMatchesUncoalesced) {
-  // BFS maps with kDirect binding: no WorkerThread on the emitting lanes, so
-  // this exercises the flush-hint + poll-time flush paths. Distances, round
-  // count, and traversed-edge totals are order-insensitive and must be
-  // exactly equal; parents may legitimately differ (test-and-set races are
-  // resolved by arrival order, and coalescing reorders arrivals), so each
-  // parent is instead checked to be a valid tree edge.
+  // BFS maps one key per lane, and its node relays send those map tasks
+  // without a WorkerThread on the emitting lanes, so this exercises the
+  // flush-hint + poll-time flush paths. Distances, round count, and
+  // traversed-edge totals are order-insensitive and must be exactly equal;
+  // parents may legitimately differ (test-and-set races are resolved by
+  // arrival order, and coalescing reorders arrivals), so each parent is
+  // instead checked to be a valid tree edge.
   auto run = [](std::uint32_t coalesce) {
     EnvGuard g1("UD_COALESCE", std::to_string(coalesce).c_str());
     EnvGuard g2("UD_SHARDS", nullptr);

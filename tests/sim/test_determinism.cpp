@@ -346,6 +346,11 @@ TEST(Determinism, BfsGoldenCounts) {
   // the serial fan-out lands one round's map-done just late enough for one
   // more backed-off re-poll, which is most of the done_tick move. DRAM
   // traffic, rounds and traversed edges did not move.
+  // BFS rounds then became kBlock jobs with one key per lane, whose node
+  // relays send the scans themselves. No number here moved (31624 ticks,
+  // 16370 events, 125866 cycles before and after): on 4 nodes the control
+  // tree is one relay per node, and a relay's scan sends and folds replace
+  // the per-node BFS master's one for one, at the same charges.
   EXPECT_EQ(r.done_tick, 31624u);
   EXPECT_EQ(s.events_executed, 16370u);
   EXPECT_EQ(s.messages_sent, 16370u);

@@ -165,6 +165,65 @@ TEST(CalendarEventQueue, PastDueEntriesFireImmediately) {
   EXPECT_EQ(q.pop().t, 101u);
 }
 
+TEST(CalendarEventQueue, BurstIntoCurrentBucketKeepsReferenceOrder) {
+  // The burst pattern of a control-tree launch: while the bucket under the
+  // cursor drains, every pop pushes a few entries back into that same
+  // bucket (same-lane and intra-accelerator latencies), some of them past
+  // due. They wait in the side heap; the pop order must still be the
+  // reference heap's (t, src, seq) order.
+  CalendarEventQueue q(/*bucket_width_log2=*/4, /*nbuckets_log2=*/4);
+  auto cmp = [](const QEntry& a, const QEntry& b) {
+    if (a.t != b.t) return a.t > b.t;
+    if (a.src != b.src) return a.src > b.src;
+    return a.seq > b.seq;
+  };
+  std::priority_queue<QEntry, std::vector<QEntry>, decltype(cmp)> ref(cmp);
+  Xoshiro256 rng(17);
+  std::uint32_t seq = 0;
+  auto push_both = [&](Tick t) {
+    const QEntry e{t, static_cast<std::uint32_t>(rng() % 7), seq++, 0, 0};
+    q.push(e);
+    ref.push(e);
+  };
+  for (int i = 0; i < 64; ++i) push_both(1000 + rng() % 16);
+
+  std::uint64_t popped = 0, into_current = 0;
+  for (Tick now = 0; !ref.empty(); ++popped) {
+    ASSERT_EQ(q.peek_tick(), ref.top().t) << "pop " << popped;
+    const QEntry got = q.pop();
+    const QEntry want = ref.top();
+    ref.pop();
+    ASSERT_EQ(got.t, want.t) << "pop " << popped;
+    ASSERT_EQ(got.src, want.src) << "pop " << popped;
+    ASSERT_EQ(got.seq, want.seq) << "pop " << popped;
+    now = std::max(now, got.t);  // the engine's clock never runs backwards
+    if (seq < 12000) {
+      // Mostly into the bucket under the cursor; one in eight past due.
+      for (int k = 0; k < 3; ++k) {
+        const Tick t = rng() % 8 == 0 ? now - rng() % 64 : now + rng() % 4;
+        into_current += (t >> 4) <= (now >> 4);
+        push_both(t);
+      }
+    }
+  }
+  EXPECT_GE(into_current, 10000u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarEventQueue, DrainedBurstBucketGivesBackStorage) {
+  // 50,000 entries land in one bucket; once it drains, the ring keeps at
+  // most its cap for that bucket, not the burst's peak.
+  CalendarEventQueue q(/*bucket_width_log2=*/4, /*nbuckets_log2=*/4);
+  std::uint32_t seq = 0;
+  for (int i = 0; i < 50000; ++i) q.push(QEntry{96 + static_cast<Tick>(i % 16), 0, seq++, 0, 0});
+  EXPECT_GE(q.capacity(), 50000u);
+  // Pushes into the draining bucket fill the side heap too.
+  q.pop();
+  for (int i = 0; i < 20000; ++i) q.push(QEntry{110, 1, seq++, 0, 0});
+  while (!q.empty()) q.pop();
+  EXPECT_LE(q.capacity(), 2 * CalendarEventQueue::kKeptEntries);
+}
+
 TEST(SlabPool, StableAddressesAcrossGrowth) {
   SlabPool<int> pool;
   const std::uint32_t first = pool.acquire();

@@ -106,7 +106,7 @@ TEST(Stress, RecycledContextsNeverExhaust) {
   Machine m(cfg);
   Lane lane = m.lane(0);
   // allocate/deallocate cycles far beyond the table size: recycling through
-  // free_tids_ and the per-class state cache must never hit the limit.
+  // free_tids must never hit the limit.
   for (int round = 0; round < 1000; ++round) {
     ThreadId a = lane.allocate_thread(std::make_unique<ThreadState>());
     ThreadId b = lane.allocate_thread(std::make_unique<ThreadState>());
