@@ -45,7 +45,7 @@ int main() {
   const fs::path root = UD_SOURCE_DIR;
   const std::vector<Row> rows = {
       {"PR", "src/serve/pagerank.cpp", "218"},
-      {"BFS", "src/apps/bfs.cpp", "226"},
+      {"BFS", "src/serve/bfs.cpp", "226"},
       {"TC", "src/serve/triangles.cpp", "312"},
       {"Ingestion (WF2 K1)", "src/apps/ingestion.cpp", "782"},
       {"Partial Match (WF2)", "src/apps/partial_match.cpp", "-"},

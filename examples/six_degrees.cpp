@@ -2,8 +2,9 @@
 // custom computation binding.
 //
 // Demonstrates two things the paper emphasizes:
-//   1. BFS's departure from flat data parallelism — per-accelerator local
-//      frontiers with a master-worker scheme inside each accelerator;
+//   1. BFS's departure from flat data parallelism — node-local frontiers
+//      split into per-lane slices, each round one KVMSR job whose map task
+//      per lane scans that lane's slice;
 //   2. that an application can override KVMSR's default bindings (here we
 //      also run a do_all with a user-defined reduce binding to build the
 //      distance histogram).

@@ -25,16 +25,12 @@ DeviceGraph upload_graph(Machine& m, const Graph& g, const GraphPlacement& place
   if (dg.num_edges > 0)
     mem.host_write(dg.nbr_base, g.neighbors().data(), dg.num_edges * 8);
 
-  std::vector<Word> rec(DeviceGraph::kVertexWords);
+  std::vector<Word> rec(DeviceGraph::kVertexWords, 0);
   for (VertexId v = 0; v < dg.num_vertices; ++v) {
     rec[DeviceGraph::kId] = split ? split->owner[v] : v;
     rec[DeviceGraph::kDegree] = g.degree(v);
     rec[DeviceGraph::kNbrPtr] = dg.nbr_base + g.offset(v) * 8;
-    rec[DeviceGraph::kValue] = 0;
-    rec[DeviceGraph::kDist] = kInfDist;
-    rec[DeviceGraph::kParent] = kNoParent;
     rec[DeviceGraph::kOwnerDegree] = split ? split->owner_degree[v] : g.degree(v);
-    rec[DeviceGraph::kAux] = 0;
     mem.host_write(dg.vertex_addr(v), rec.data(), DeviceGraph::kVertexBytes);
   }
   if (split) {
@@ -43,6 +39,13 @@ DeviceGraph upload_graph(Machine& m, const Graph& g, const GraphPlacement& place
     mem.host_write(dg.slot_base, split->slot_offset.data(), slot_bytes);
   }
   return dg;
+}
+
+Addr alloc_vertex_pairs(Machine& m, const DeviceGraph& g) {
+  const SwizzleDescriptor& d = m.memory().descriptor_for(g.vtx_base);
+  return m.memory().dram_malloc(std::max<std::uint64_t>(1, g.num_vertices) * 16,
+                                d.first_node(), d.nr_nodes(),
+                                std::max<std::uint64_t>(16, d.block_size() / 4));
 }
 
 }  // namespace updown

@@ -7,11 +7,11 @@
 //   [0] id            original vertex id (for split graphs: the owner)
 //   [1] degree        out-degree of this (sub-)vertex
 //   [2] nbr_ptr       VA of this vertex's slice of the neighbor list
-//   [3] value         f64 bit pattern (PageRank value, etc.)
-//   [4] dist          BFS distance (init: kInfDist)
-//   [5] parent        BFS parent  (init: kNoParent)
 //   [6] owner_degree  total out-degree of the original vertex (PR transform)
-//   [7] aux           scratch field for applications
+// Words 3, 4, 5 and 7 are unused (zero): kernels keep their per-vertex
+// results in arrays of their own (alloc_vertex_pairs), so one graph serves
+// any number of queries. The record stays 8 words, so a kernel still
+// fetches it with one DRAM read.
 #pragma once
 
 #include <bit>
@@ -38,16 +38,7 @@ struct DeviceGraph {
 
   static constexpr std::uint64_t kVertexWords = 8;
   static constexpr std::uint64_t kVertexBytes = 64;
-  enum Field : std::uint64_t {
-    kId = 0,
-    kDegree = 1,
-    kNbrPtr = 2,
-    kValue = 3,
-    kDist = 4,
-    kParent = 5,
-    kOwnerDegree = 6,
-    kAux = 7
-  };
+  enum Field : std::uint64_t { kId = 0, kDegree = 1, kNbrPtr = 2, kOwnerDegree = 6 };
 
   Addr vertex_addr(VertexId v) const { return vtx_base + v * kVertexBytes; }
   Addr field_addr(VertexId v, Field f) const { return vertex_addr(v) + f * 8; }
@@ -66,6 +57,11 @@ struct GraphPlacement {
 /// with the same placement.
 DeviceGraph upload_graph(Machine& m, const Graph& g, const GraphPlacement& place = {},
                          const SplitGraph* split = nullptr);
+
+/// A per-vertex array of 2-word entries (BFS {level, parent} pairs), placed
+/// like g's vertex array at a quarter of its block size, so vertex v's pair
+/// sits on the node of v's record. Uninitialized.
+Addr alloc_vertex_pairs(Machine& m, const DeviceGraph& g);
 
 inline DeviceGraph upload_split_graph(Machine& m, const SplitGraph& sg,
                                       const GraphPlacement& place = {}) {

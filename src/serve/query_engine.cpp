@@ -70,7 +70,7 @@ struct SqDriver : ThreadState {
           finish(ctx, eng, q);
           return;
         }
-        launch_main(ctx, eng, q, eng.lb_.d_ibfs_round_done);
+        launch_main(ctx, eng, q, eng.lb_.d_bfs_round_done);
         break;
     }
   }
@@ -114,7 +114,7 @@ struct SqDriver : ThreadState {
     // Expand the affected set for the next sweep: A_{k+1} = A_k ∪ N_out(A_k).
     // Anything a changed sweep-k rank can reach at sweep k+1 gets re-ranked;
     // every other vertex's rank_hist[k+1] entry is already the full-sweep
-    // value. Host-side state (frontier[0] as two-phase scratch), ordered by
+    // value. Host-side state (`joining` as two-phase scratch), ordered by
     // the round's gather -> driver -> relaunch message chain.
     const serve::ResidentState* rs = q.spec.resident;
     const Graph& g = *rs->csr;
@@ -123,11 +123,11 @@ struct SqDriver : ThreadState {
       for (VertexId u = 0; u < nv; ++u)
         if (q.visited[u])
           for (const VertexId w : g.neighbors_of(u))
-            if (!q.visited[w]) q.frontier[0][w] = 1;
+            if (!q.visited[w]) q.joining[w] = 1;
       for (VertexId w = 0; w < nv; ++w)
-        if (q.frontier[0][w]) {
+        if (q.joining[w]) {
           q.visited[w] = 1;
-          q.frontier[0][w] = 0;
+          q.joining[w] = 0;
         }
       q.alist.clear();
       for (VertexId v = 0; v < nv; ++v)
@@ -136,7 +136,7 @@ struct SqDriver : ThreadState {
     launch_main(ctx, eng, q, eng.lb_.d_ipr_round_done);
   }
 
-  void d_ibfs_round_done(Ctx& ctx) {
+  void d_bfs_round_done(Ctx& ctx) {
     auto& eng = ctx.machine().service<QueryEngine>();
     auto& q = *eng.queries_.at(qid);
     q.emitted += ctx.op(0);
@@ -145,28 +145,22 @@ struct SqDriver : ThreadState {
       finish(ctx, eng, q);
       return;
     }
-    // Swap frontier roles: the drained current buffer is cleared and becomes
-    // the next round's write side. Host-side state, ordered by the round's
-    // gather -> driver -> relaunch message chain.
-    std::fill(q.frontier[q.cur_buf].begin(), q.frontier[q.cur_buf].end(), 0);
+    // The next round scans the slices this one appended to. Driver-owned,
+    // ordered by the round's gather -> driver -> relaunch message chain.
     q.cur_buf ^= 1;
     q.added.store(0, std::memory_order_relaxed);
-    // Snapshot the improved levels for the next round's map tasks: levels is
-    // only written here, at the round barrier, so maps never race the
-    // reduce-side dist updates within a round.
-    const VertexId nv = q.spec.graph->num_vertices;
-    for (VertexId v = 0; v < nv; ++v)
-      if (q.frontier[q.cur_buf][v]) q.levels[v] = (*q.dist)[v];
-    launch_main(ctx, eng, q, eng.lb_.d_ibfs_round_done);
+    launch_main(ctx, eng, q, eng.lb_.d_bfs_round_done);
   }
 
  private:
   void launch_main(Ctx& ctx, QueryEngine& eng, QueryEngine::Query& q, EventLabel done) {
     // kIncPageRank sweeps launch only the affected keys (via alist
-    // indirection); everything else maps over the full vertex range.
-    const std::uint64_t hi = q.spec.kind == QueryKind::kIncPageRank
-                                 ? q.alist.size()
-                                 : q.spec.graph->num_vertices;
+    // indirection), BFS rounds one key per lane (its frontier scan), and
+    // everything else maps over the full vertex range.
+    std::uint64_t hi = q.spec.graph->num_vertices;
+    if (q.spec.kind == QueryKind::kIncPageRank) hi = q.alist.size();
+    if (q.spec.kind == QueryKind::kBfs || q.spec.kind == QueryKind::kIncBfs)
+      hi = q.rlanes.count;
     eng.lib_->launch(ctx, q.job, 0, hi, ctx.evw_update_event(ctx.cevnt(), done));
   }
 
@@ -393,108 +387,6 @@ struct SqIprMap : kvmsr::MapTask {
 };
 
 // ---------------------------------------------------------------------------
-// BFS frontier repair, the one serve-side BFS kernel. kIncBfs seeds it from
-// delta-touched sources; kBfs (and kIncBfs with Seeds::kAll) seeds it at the
-// root with every other level at infinity, which makes it a level-synchronous
-// BFS. Each round relaxes `dist` monotonically downward (improve-test in the
-// reduce), so final levels are independent of message arrival order — and
-// of shard count and unrelated concurrent jobs. Frontier membership is
-// lane-local scratchpad state modeled host-side (the apps/bfs discipline);
-// map tasks read level candidates from the per-round `levels` snapshot,
-// never live dist.
-// ---------------------------------------------------------------------------
-struct SqIbfsMap : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  Word v = 0;
-  Word degree = 0;
-  Word nbr_ptr = 0;
-  Word level_out = 0;
-  Word loaded = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::map_job(ctx);
-    v = kvmsr::Library::map_key(ctx);
-    auto& q = eng.query_of_job(job);
-    ctx.charge(1);  // scratchpad frontier-flag probe
-    if (!q.frontier[q.cur_buf][v]) {
-      eng.lib_->map_return(ctx, kvmsr_cont);
-      return;
-    }
-    ctx.charge(1);  // level-snapshot fetch
-    level_out = q.levels[v] + 1;
-    ctx.send_dram_read(q.spec.graph->vertex_addr(v), 8, eng.lb_.ibfs_rec);
-  }
-
-  void ibfs_rec(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    degree = ctx.op(DeviceGraph::kDegree);
-    nbr_ptr = ctx.op(DeviceGraph::kNbrPtr);
-    ctx.charge(2);
-    if (degree == 0) {
-      eng.lib_->map_return(ctx, kvmsr_cont);
-      return;
-    }
-    for (Word i = 0; i < degree; i += 8) {
-      const unsigned n = static_cast<unsigned>(std::min<Word>(8, degree - i));
-      ctx.charge(2);
-      ctx.send_dram_read(nbr_ptr + i * 8, n, eng.lb_.ibfs_nbrs);
-    }
-  }
-
-  void ibfs_nbrs(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      eng.lib_->emit(ctx, job, ctx.op(i), level_out);
-    }
-    loaded += ctx.nops();
-    if (loaded == degree) eng.lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-// udcheck sync cell for the lane-owned `dist` mirror entry of vertex w. A
-// repair frontier mixes levels, so one round can improve dist[w] twice; the
-// improve-test on the mirror orders the two acked DRAM writes, and this cell
-// shows the checker that edge. Bit 30 keeps these cells apart from KVMSR's:
-// its emit-buffer cells set bit 31, and its counter cells (2*job and
-// 2*job + 1) stay below bit 30 for job ids under 2^29.
-constexpr std::uint64_t dist_slot(Word w) { return (1ull << 30) | (w & ((1ull << 30) - 1)); }
-
-struct SqIbfsReduce : ThreadState {
-  kvmsr::JobId job = 0;
-
-  void kv_reduce(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::reduce_job(ctx);
-    auto& q = eng.query_of_job(job);
-    std::vector<Word>& dist = *q.dist;
-    const Word w = kvmsr::Library::reduce_key(ctx);
-    const Word level = kvmsr::Library::reduce_val(ctx);
-    ctx.charge(2);  // improve-test against the lane-owned mirror entry
-    ctx.sync_acquire(dist_slot(w));
-    if (level >= dist[w]) {
-      eng.lib_->reduce_return(ctx, job);
-      return;
-    }
-    dist[w] = level;  // w's hash-owner lane serializes updates to dist[w]
-    q.frontier[q.cur_buf ^ 1][w] = 1;
-    q.added.fetch_add(1, std::memory_order_relaxed);
-    ctx.charge(1);
-    // Acked: the level must be durable before the round can complete (an
-    // unacked in-flight write would be an unordered access against a later
-    // query reusing the region).
-    ctx.send_dram_write(q.dist_base + w * 8, {level}, eng.lb_.ibfs_written);
-    ctx.sync_release(dist_slot(w));
-  }
-
-  void ibfs_written(Ctx& ctx) {
-    ctx.machine().service<QueryEngine>().lib_->reduce_return(ctx, job);
-  }
-};
-
-// ---------------------------------------------------------------------------
 // QueryEngine
 // ---------------------------------------------------------------------------
 
@@ -514,9 +406,10 @@ QueryEngine::QueryEngine(Machine& m) : m_(m) {
   lb_.d_pr_apply_done = p.event("serve::d_pr_apply_done", &SqDriver::d_pr_apply_done);
   lb_.d_pass_done = p.event("serve::d_pass_done", &SqDriver::d_pass_done);
   lb_.d_ipr_round_done = p.event("serve::d_ipr_round_done", &SqDriver::d_ipr_round_done);
-  lb_.d_ibfs_round_done = p.event("serve::d_ibfs_round_done", &SqDriver::d_ibfs_round_done);
+  lb_.d_bfs_round_done = p.event("serve::d_bfs_round_done", &SqDriver::d_bfs_round_done);
   register_pagerank(p);
   register_triangles(p);
+  register_bfs(p);
   lb_.pc_map = p.event("serve::pc_map", &SqPcMap::kv_map);
   lb_.pc_reduce = p.event("serve::pc_reduce", &SqPcReduce::kv_reduce);
   lb_.pc_rec = p.event("serve::pc_rec", &SqPcMap::pc_rec);
@@ -528,11 +421,6 @@ QueryEngine::QueryEngine(Machine& m) : m_(m) {
   lb_.ipr_deg = p.event("serve::ipr_deg", &SqIprMap::ipr_deg);
   lb_.ipr_rank = p.event("serve::ipr_rank", &SqIprMap::ipr_rank);
   lb_.ipr_written = p.event("serve::ipr_written", &SqIprMap::ipr_written);
-  lb_.ibfs_map = p.event("serve::ibfs_map", &SqIbfsMap::kv_map);
-  lb_.ibfs_reduce = p.event("serve::ibfs_reduce", &SqIbfsReduce::kv_reduce);
-  lb_.ibfs_rec = p.event("serve::ibfs_rec", &SqIbfsMap::ibfs_rec);
-  lb_.ibfs_nbrs = p.event("serve::ibfs_nbrs", &SqIbfsMap::ibfs_nbrs);
-  lb_.ibfs_written = p.event("serve::ibfs_written", &SqIbfsReduce::ibfs_written);
 }
 
 Addr QueryEngine::place(const QuerySpec& spec, std::uint64_t bytes) {
@@ -644,8 +532,8 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
       if (q.spec.iterations != rs->rank_hist.size())
         throw std::invalid_argument(
             "serve: kIncPageRank iterations must equal rank_hist depth");
-      q.visited.assign(nv, 0);     // affected flags
-      q.frontier[0].assign(nv, 0);  // expansion scratch
+      q.visited.assign(nv, 0);  // affected flags
+      q.joining.assign(nv, 0);
       if (q.spec.seeds == QuerySpec::Seeds::kAll) {
         std::fill(q.visited.begin(), q.visited.end(), 1);
         q.seeded = nv;
@@ -666,52 +554,13 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
       break;
     }
     case QueryKind::kBfs:
-    case QueryKind::kIncBfs: {
-      // One kernel: kBfs repairs its own level array from the root; kIncBfs
-      // repairs the session's resident one.
-      if (q.spec.kind == QueryKind::kBfs) {
-        q.dist_base = place(q.spec, nv * 8);
-        q.own_dist.resize(nv);
-        q.dist = &q.own_dist;
-      } else {
-        ResidentState* rs = q.spec.resident;
-        if (!rs || !rs->fwd)
-          throw std::invalid_argument("serve: kIncBfs requires a ResidentState");
-        if (rs->dist.size() != nv)
-          throw std::invalid_argument(
-              "serve: ResidentState dist mirror does not match the graph");
-        q.dist_base = rs->dist_base;
-        q.dist = &rs->dist;
-      }
-      std::vector<Word>& dist = *q.dist;
-      q.frontier[0].assign(nv, 0);
-      q.frontier[1].assign(nv, 0);
-      if (bfs_from_root) {
-        // Full traversal from scratch: every level infinite but the root's.
-        std::fill(dist.begin(), dist.end(), kInfDist);
-        dist[q.spec.root] = 0;
-        for (VertexId v = 0; v < nv; ++v)
-          m_.memory().host_store<Word>(q.dist_base + v * 8, dist[v]);
-        q.frontier[0][q.spec.root] = 1;
-        q.seeded = 1;
-      } else {
-        // Repair: only delta-touched sources that are themselves reachable
-        // can lower a neighbor's level.
-        ResidentState* rs = q.spec.resident;
-        for (const VertexId v : rs->bfs_dirty)
-          if (v < nv && dist[v] != kInfDist && !q.frontier[0][v]) {
-            q.frontier[0][v] = 1;
-            ++q.seeded;
-          }
-        rs->bfs_dirty.clear();
-      }
-      q.levels = dist;
-      js.kv_map = lb_.ibfs_map;
-      js.kv_reduce = lb_.ibfs_reduce;
+    case QueryKind::kIncBfs:
+      add_bfs(q, bfs_from_root);
+      js.kv_map = lb_.bfs_scan;
+      js.kv_reduce = lb_.bfs_reduce;
       js.name = q.spec.name + (q.spec.kind == QueryKind::kBfs ? ".round" : ".repair");
       q.job = lib_->add_job(js);
       break;
-    }
   }
   bind_job(q.job, q.id);
   queries_.push_back(std::move(qp));
@@ -767,11 +616,17 @@ QueryResult QueryEngine::collect(QueryId qid) const {
         r.rank[v] = m_.memory().host_load<double>(q.rank_base + v * 8);
       break;
     case QueryKind::kBfs:
-    case QueryKind::kIncBfs:
+    case QueryKind::kIncBfs: {
+      std::vector<Word> pairs(2 * nv);
+      m_.memory().host_read(q.bfs_base, pairs.data(), pairs.size() * 8);
       r.dist.resize(nv);
-      for (VertexId v = 0; v < nv; ++v)
-        r.dist[v] = m_.memory().host_load<Word>(q.dist_base + v * 8);
+      r.parent.resize(nv);
+      for (VertexId v = 0; v < nv; ++v) {
+        r.dist[v] = pairs[2 * v];
+        r.parent[v] = pairs[2 * v + 1];
+      }
       break;
+    }
     case QueryKind::kPathCount:
     case QueryKind::kTriangles:
       for (std::uint32_t l = 0; l < q.rlanes.count; ++l)

@@ -1,14 +1,14 @@
-// Query kernels for job serving: the one home of this repo's PageRank,
-// triangle-count, path-count and serve-side BFS kernels.
+// Query kernels for job serving: the one home of this repo's PageRank, BFS,
+// triangle-count and path-count kernels.
 //
 // A query is a self-contained KVMSR job bundle with per-query device arrays,
 // a per-query device-side driver thread, and a host-visible completion flag,
 // so any number of them can be resident at once, each on its own lane
 // partition (or interleaved over the whole machine) with its own value
 // placement (the paper's fig12 `nr_nodes`-style knob). The single-tenant
-// apps pr::App and tc::App are thin wrappers that submit one query on all
-// lanes; binding, split-vertex slots and placement are query inputs, so one
-// kernel serves every machine size and every tier.
+// apps pr::App, bfs::App and tc::App are thin wrappers that submit one query
+// on all lanes; binding, split-vertex slots and placement are query inputs,
+// so one kernel serves every machine size and every tier.
 //
 // Per-query quiescence: a query is done when its driver thread sets
 // Query::finished — the predicate handed to Machine::run_until. Nothing here
@@ -23,8 +23,10 @@
 //                the owner's rank over its slice of the owner's edges, and
 //                the apply sums each vertex's accumulator slots. Kernel in
 //                serve/pagerank.cpp.
-//   kBfs       — full BFS: the kIncBfs repair kernel, seeded at `root` on the
-//                query's own level array.
+//   kBfs       — push BFS from `root` (paper Section 4.2) on per-lane
+//                frontier slices, one kBlock job per round with one key per
+//                lane; levels and parents land in the query's own
+//                {level, parent} array. Kernel in serve/bfs.cpp.
 //   kPathCount — 2-hop path count (#{(a,b,c): a->b->c}), the PartialMatch
 //                stand-in: a two-edge pattern-matching query in one
 //                map+reduce pass (cf. apps/partial_match).
@@ -36,10 +38,10 @@
 //                round's affected set expanded host-side by the driver. Writes
 //                land in the SAME rank_hist arrays a from-scratch pull sweep
 //                would produce, so results are bit-equal to full recomputation.
-//   kIncBfs    — incremental BFS frontier repair: seeded from delta-touched
-//                sources, relaxes `dist` monotonically downward until no
-//                vertex improves. With Seeds::kAll it doubles as the full BFS
-//                that warms the resident state.
+//   kIncBfs    — the kBfs kernel on the session's resident {level, parent}
+//                array: seeded from delta-touched sources, it lowers levels
+//                until no vertex improves. With Seeds::kAll it recomputes the
+//                array from the root, which warms the resident state.
 //
 // Results are value-deterministic for a fixed machine + shard count; queries
 // whose lane partition, graph copy, and value arrays are confined to a
@@ -86,8 +88,12 @@ struct ResidentState {
   /// uniform 1/n inline), so a partial re-rank reproduces the from-scratch
   /// Jacobi values bit-for-bit.
   std::vector<Addr> rank_hist;
-  Addr dist_base = 0;      ///< BFS level array (device)
-  std::vector<Word> dist;  ///< host mirror of dist_base, updated per round
+  /// BFS {level, parent} pair per vertex (device), placed like fwd's vertex
+  /// array (alloc_vertex_pairs).
+  Addr bfs_base = 0;
+  /// Lane-owned mirror of the levels in bfs_base: dist[w] is read and
+  /// written only on w's hash-owner lane of the refresh query.
+  std::vector<Word> dist;
   /// Dirty sets accumulated at compaction, consumed by the next refresh query
   /// with Seeds::kPending: pr_dirty = vertices whose in-edges or in-neighbor
   /// outdegrees changed; bfs_dirty = finite-dist sources with new out-edges.
@@ -107,8 +113,9 @@ struct QuerySpec {
   /// Computation binding of the query's main map job (PageRank propagate,
   /// triangle pairs, ...); the paper compares Block and PBMW.
   kvmsr::MapBinding map_binding = kvmsr::MapBinding::kBlock;
-  /// Placement of the query's own value arrays (rank/dist/count cells) —
-  /// the fig12 placement knob. nr_nodes 0 = spread over the whole machine.
+  /// Placement of the query's own value arrays (rank and count cells, BFS
+  /// frontier slices) — the fig12 placement knob. nr_nodes 0 = spread over
+  /// the whole machine; a BFS frontier then stays on each lane's own node.
   GraphPlacement values;
   std::uint32_t iterations = 2;  ///< PageRank sweeps (0 = no-op query)
   double damping = 0.85;         ///< PageRank damping factor
@@ -140,6 +147,7 @@ struct QueryResult {
   bool cancelled = false;     ///< drained early via cancel()
   std::vector<double> rank;   ///< kPageRank, per original vertex
   std::vector<Word> dist;     ///< kBfs / kIncBfs levels (kInfDist = unreachable)
+  std::vector<Word> parent;   ///< kBfs / kIncBfs tree (kNoParent = unreachable)
 
   Tick duration() const { return done_tick - launch_tick; }
 };
@@ -214,8 +222,9 @@ class QueryEngine {
   friend struct SqTcMap;
   friend struct SqTcReduce;
   friend struct SqIprMap;
-  friend struct SqIbfsMap;
-  friend struct SqIbfsReduce;
+  friend struct SqBfsScan;
+  friend struct SqBfsExpand;
+  friend struct SqBfsReduce;
 
   static constexpr QueryId kNoQuery = ~QueryId{0};
 
@@ -229,29 +238,35 @@ class QueryEngine {
     Addr rank_base = 0;   ///< PR ranks (f64 per original vertex)
     Addr acc_base = 0;    ///< PR accumulators (f64 per vertex / split slot)
     Addr cells_base = 0;  ///< PC/TC per-partition-lane count cells
-    // BFS levels: the device array and its host mirror — the kBfs query's
-    // own, or the resident ones a kIncBfs query repairs. dist[w] is written
-    // only by the reduce on w's hash-owner lane.
-    Addr dist_base = 0;
+    // BFS: the {level, parent} device array and the lane-owned level mirror
+    // (the kBfs query's own, or the resident ones a kIncBfs query repairs).
+    Addr bfs_base = 0;
     std::vector<Word>* dist = nullptr;
     std::vector<Word> own_dist;  ///< kBfs: the storage behind `dist`
-    // BFS lane-local frontier state, modeled host-side like apps/bfs: cur is
-    // read by map tasks, nxt written by reduce tasks, swapped by the driver
-    // between rounds (ordered by the round's message chain).
-    std::vector<char> frontier[2];
+    // BFS frontier: two buffers of per-lane slices of slice_cap entries, a
+    // node's lanes in one node_bytes block (the first on node0). Round r
+    // scans buffer r%2 and appends to the other. slice_count and queued are
+    // lane-owned scratchpad state modeled host-side: each lane's fill
+    // counts, and queued[w] (w waits in a slice) on w's hash-owner lane.
+    Addr frontier[2] = {0, 0};
+    std::uint64_t slice_cap = 0;  ///< the most vertices one lane owns
+    std::uint64_t node_bytes = 0;
+    std::uint32_t lpn = 0, node0 = 0;
+    std::vector<std::uint32_t> slice_count[2];  ///< per lane of rlanes
+    std::vector<std::uint8_t> queued;
+    Addr slice_addr(unsigned buf, NetworkId lane) const {
+      return frontier[buf] + (lane / lpn - node0) * node_bytes + lane % lpn * slice_cap * 8;
+    }
+    unsigned cur_buf = 0;  ///< the buffer this round scans
+    std::atomic<std::uint64_t> added{0};  ///< BFS: slice appends this round
     // kIncPageRank affected flags, plus the same set as a compact ascending
     // list. The sweep job launches keys [0, alist.size()) and maps key ->
     // alist[key], so a sweep's KVMSR cost scales with the affected set, not
-    // num_vertices.
+    // num_vertices. `joining` is the driver's expansion scratch.
     std::vector<char> visited;
+    std::vector<char> joining;
     std::vector<VertexId> alist;
-    unsigned cur_buf = 0;
     std::uint64_t seeded = 0;  ///< BFS / kIncPageRank: initial frontier size
-    // BFS per-round level snapshot: levels[v] = dist[v] at the round
-    // boundary, refreshed by the driver between rounds so map tasks never
-    // race the reduce-side dist updates within a round.
-    std::vector<Word> levels;
-    std::atomic<std::uint64_t> added{0};  ///< vertices improved this round
     // Driver-owned progress (host-visible once published at a pause point).
     std::uint64_t round = 0;
     std::uint64_t emitted = 0;
@@ -272,6 +287,9 @@ class QueryEngine {
   /// Kernel label registration, defined next to each kernel.
   void register_pagerank(Program& p);   // serve/pagerank.cpp
   void register_triangles(Program& p);  // serve/triangles.cpp
+  void register_bfs(Program& p);        // serve/bfs.cpp
+  /// kBfs / kIncBfs setup: result arrays, frontier slices and seeds.
+  void add_bfs(Query& q, bool from_root);  // serve/bfs.cpp
 
   Machine& m_;
   kvmsr::Library* lib_ = nullptr;
@@ -288,7 +306,7 @@ class QueryEngine {
     EventLabel d_pr_apply_done = 0;
     EventLabel d_pass_done = 0;  ///< kPathCount / kTriangles single pass
     EventLabel d_ipr_round_done = 0;
-    EventLabel d_ibfs_round_done = 0;
+    EventLabel d_bfs_round_done = 0;
     EventLabel pr_map = 0;
     EventLabel pr_reduce = 0;
     EventLabel pr_apply = 0;
@@ -317,11 +335,16 @@ class QueryEngine {
     EventLabel ipr_deg = 0;
     EventLabel ipr_rank = 0;
     EventLabel ipr_written = 0;
-    EventLabel ibfs_map = 0;
-    EventLabel ibfs_reduce = 0;
-    EventLabel ibfs_rec = 0;
-    EventLabel ibfs_nbrs = 0;
-    EventLabel ibfs_written = 0;
+    EventLabel bfs_scan = 0;
+    EventLabel bfs_slice = 0;
+    EventLabel bfs_expanded = 0;
+    EventLabel bfs_expand = 0;
+    EventLabel bfs_chunk = 0;
+    EventLabel bfs_rec = 0;
+    EventLabel bfs_nbrs = 0;
+    EventLabel bfs_chunk_done = 0;
+    EventLabel bfs_reduce = 0;
+    EventLabel bfs_written = 0;
   } lb_;
 };
 

@@ -121,11 +121,12 @@ StreamEngine::StreamEngine(Machine& m, Graph base, StreamOptions opt)
     h = place(nv * 8);
     for (VertexId v = 0; v < nv; ++v) m_.memory().host_store<double>(h + v * 8, 0.0);
   }
-  rs_.dist_base = place(nv * 8);
+  // BFS {level, parent} pairs, unreached until warm() runs the first BFS.
+  rs_.bfs_base = alloc_vertex_pairs(m_, fwd_);
   rs_.dist.assign(nv, kInfDist);
-  if (opt_.bfs_root < nv) rs_.dist[opt_.bfs_root] = 0;
-  for (VertexId v = 0; v < nv; ++v)
-    m_.memory().host_store<Word>(rs_.dist_base + v * 8, rs_.dist[v]);
+  std::vector<Word> unreached;
+  for (VertexId v = 0; v < nv; ++v) unreached.insert(unreached.end(), {kInfDist, kNoParent});
+  m_.memory().host_write(rs_.bfs_base, unreached.data(), unreached.size() * 8);
 
   Program& p = m_.program();
   lb_.kv_map = p.event("stream::kv_map", &StIngestMap::kv_map);

@@ -6,7 +6,7 @@
 //
 // Lifecycle:
 //   1. install(m, base)  — upload forward + reverse CSR, allocate the
-//      resident rank history and BFS level array.
+//      resident rank history and BFS {level, parent} array.
 //   2. warm()            — full PageRank + BFS populate the resident state.
 //   3. per delta batch: ingest_async() launches a KVMSR parse job (device
 //      path) or stage() appends host-side; compact() merges every ingested

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/baseline.hpp"
+#include "bfs_tree.hpp"
 #include "graph/generators.hpp"
 
 namespace updown::bfs {
@@ -20,19 +21,7 @@ void expect_matches_oracle(const Graph& g, std::uint32_t nodes, VertexId root) {
   const auto oracle = baseline::bfs(g, root);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(r.dist[v], oracle.dist[v]) << "vertex " << v;
-  // Parents may differ from the oracle's (any valid BFS tree is accepted):
-  // check the tree property instead.
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (v == root) {
-      EXPECT_EQ(r.parent[v], root);
-    } else if (r.dist[v] != kInfDist) {
-      ASSERT_NE(r.parent[v], kNoParent) << "vertex " << v;
-      EXPECT_EQ(r.dist[r.parent[v]] + 1, r.dist[v]) << "vertex " << v;
-      EXPECT_TRUE(g.has_edge(r.parent[v], v)) << "vertex " << v;
-    } else {
-      EXPECT_EQ(r.parent[v], kNoParent) << "vertex " << v;
-    }
-  }
+  expect_bfs_tree(g, root, r.dist, r.parent);
   EXPECT_EQ(r.traversed_edges, oracle.traversed_edges);
   EXPECT_EQ(r.rounds, oracle.rounds);
   EXPECT_GT(r.done_tick, r.start_tick);

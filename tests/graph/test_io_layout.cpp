@@ -65,7 +65,7 @@ TEST(Layout, UploadedRecordsMatchHostGraph) {
   for (VertexId v = 0; v < g.num_vertices(); v += 7) {
     EXPECT_EQ(mem.host_load<Word>(dg.field_addr(v, DeviceGraph::kId)), v);
     EXPECT_EQ(mem.host_load<Word>(dg.field_addr(v, DeviceGraph::kDegree)), g.degree(v));
-    EXPECT_EQ(mem.host_load<Word>(dg.field_addr(v, DeviceGraph::kDist)), kInfDist);
+    EXPECT_EQ(mem.host_load<Word>(dg.field_addr(v, DeviceGraph::kOwnerDegree)), g.degree(v));
     // The neighbor pointer dereferences to the right first neighbor.
     if (g.degree(v) > 0) {
       const Addr nbr = mem.host_load<Word>(dg.field_addr(v, DeviceGraph::kNbrPtr));

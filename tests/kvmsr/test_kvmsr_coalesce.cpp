@@ -13,6 +13,7 @@
 #include "apps/gnn.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/tc.hpp"
+#include "bfs_tree.hpp"
 #include "env_guard.hpp"
 #include "graph/generators.hpp"
 
@@ -73,14 +74,14 @@ TEST(Coalesce, BfsMatchesUncoalesced) {
   // without a WorkerThread on the emitting lanes, so this exercises the
   // flush-hint + poll-time flush paths. Distances, round count, and
   // traversed-edge totals are order-insensitive and must be exactly equal;
-  // parents may legitimately differ (test-and-set races are resolved by
-  // arrival order, and coalescing reorders arrivals), so each parent is
-  // instead checked to be a valid tree edge.
-  auto run = [](std::uint32_t coalesce) {
+  // parents may legitimately differ (of the tuples that bring a vertex its
+  // level, the first to arrive sets its parent, and coalescing reorders
+  // arrivals), so the parents are instead checked to form a BFS tree.
+  const Graph g = rmat(8, {.symmetrize = true}, 33);
+  auto run = [&g](std::uint32_t coalesce) {
     EnvGuard g1("UD_COALESCE", std::to_string(coalesce).c_str());
     EnvGuard g2("UD_SHARDS", nullptr);
     Machine m(MachineConfig::scaled(4));
-    Graph g = rmat(8, {.symmetrize = true}, 33);
     DeviceGraph dg = upload_graph(m, g);
     return bfs::App::install(m, dg, {.root = 2}).run();
   };
@@ -89,10 +90,7 @@ TEST(Coalesce, BfsMatchesUncoalesced) {
   EXPECT_EQ(on.dist, off.dist);
   EXPECT_EQ(on.rounds, off.rounds);
   EXPECT_EQ(on.traversed_edges, off.traversed_edges);
-  for (std::size_t v = 0; v < on.parent.size(); ++v) {
-    if (on.parent[v] == kNoParent || on.parent[v] == v) continue;  // unreached / root
-    EXPECT_EQ(on.dist[v], on.dist[on.parent[v]] + 1) << "vertex " << v;
-  }
+  expect_bfs_tree(g, 2, on.dist, on.parent);
 }
 
 TEST(Coalesce, TriangleCountMatchesUncoalesced) {

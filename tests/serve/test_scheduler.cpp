@@ -8,6 +8,7 @@
 #include <string>
 
 #include "baseline/baseline.hpp"
+#include "bfs_tree.hpp"
 #include "env_guard.hpp"
 #include "graph/generators.hpp"
 #include "serve/query_engine.hpp"
@@ -70,7 +71,28 @@ TEST(ServeQueries, BfsMatchesOracle) {
   ASSERT_EQ(r.dist.size(), oracle.dist.size());
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(r.dist[v], oracle.dist[v]) << "vertex " << v;
+  expect_bfs_tree(g, 1, r.dist, r.parent);
   EXPECT_GE(r.rounds, 2u);
+}
+
+TEST(ServeQueries, BfsOnMidNodeLanesStaysOnThem) {
+  // Lanes [19, 77) start and end mid-node (32 lanes a node), and the hub's
+  // 700 neighbors fan out in chunks: frontier slices, reducers and chunks
+  // must all stay on the query's lanes.
+  Machine m(MachineConfig::scaled(4));
+  Graph g = star_graph(700);
+  DeviceGraph dg = upload_graph(m, g);
+  QuerySpec s;
+  s.kind = QueryKind::kBfs;
+  s.lanes = {19, 58};
+  s.name = "bfs";
+  const QueryResult r = run_single(m, dg, std::move(s));
+  EXPECT_EQ(r.dist, baseline::bfs(g, 0).dist);
+  expect_bfs_tree(g, 0, r.dist, r.parent);
+  const std::vector<LaneStats> lanes = m.lane_stats();
+  for (NetworkId l = 0; l < lanes.size(); ++l) {
+    if (l < 19 || l >= 77) EXPECT_EQ(lanes[l].events_executed, 0u) << "lane " << l;
+  }
 }
 
 TEST(ServeQueries, PathCountMatchesOracle) {
@@ -250,6 +272,15 @@ struct SoloVsShared {
   std::uint64_t emitted = 0;
 };
 
+/// g plus an edge each way between vertex 0 and every other vertex.
+Graph with_hub(const Graph& g) {
+  std::vector<Edge> es;
+  for (VertexId u = 0; u < g.num_vertices(); ++u)
+    for (const VertexId v : g.neighbors_of(u)) es.emplace_back(u, v);
+  for (VertexId v = 1; v < g.num_vertices(); ++v) es.emplace_back(0, v);
+  return Graph::from_edges(g.num_vertices(), std::move(es), /*symmetrize=*/true);
+}
+
 SoloVsShared run_partitioned(std::uint32_t shards, bool check, bool launch_both,
                              bool split = false) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
@@ -258,7 +289,9 @@ SoloVsShared run_partitioned(std::uint32_t shards, bool check, bool launch_both,
   auto& eng = QueryEngine::install(m);
   Tenant a = make_tenant(m, QueryKind::kPageRank, rmat(8, {}, 41), 0, 2, "A.pr",
                          split ? 8 : 0);
-  Tenant b = make_tenant(m, QueryKind::kBfs, rmat(8, {.symmetrize = true}, 42), 2, 2, "B.bfs");
+  // B's hub expands in chunks, which must stay on B's lanes.
+  Tenant b = make_tenant(m, QueryKind::kBfs, with_hub(rmat(9, {.symmetrize = true}, 42)), 2,
+                         2, "B.bfs");
   a.spec.graph = &a.dg;
   b.spec.graph = &b.dg;
   const QueryId qa = eng.add_query(a.spec);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "baseline/baseline.hpp"
+#include "bfs_tree.hpp"
 #include "env_guard.hpp"
 #include "graph/generators.hpp"
 #include "serve/scheduler.hpp"
@@ -159,6 +160,7 @@ TEST(StreamRefresh, HostStagedEpochsTrackFromScratchBaselines) {
   const RefreshResult w = se.warm();
   expect_rank_bits(w.pr.rank, baseline::pagerank(base, 3), "warm pagerank");
   EXPECT_EQ(w.bfs.dist, baseline::bfs(base, 0).dist);
+  expect_bfs_tree(base, 0, w.bfs.dist, w.bfs.parent, "warm bfs");
   EXPECT_EQ(w.pr.rounds, 3u);
 
   Graph cur = base;
@@ -190,6 +192,9 @@ TEST(StreamRefresh, HostStagedEpochsTrackFromScratchBaselines) {
     for (VertexId v = 0; v < n; ++v)
       ASSERT_EQ(r.bfs.dist[v], bfs_oracle.dist[v])
           << "incremental bfs epoch " << epoch << " vertex " << v;
+    // Repaired parents still form a BFS tree of the post-delta graph.
+    expect_bfs_tree(cur, 0, r.bfs.dist, r.bfs.parent,
+                    "incremental bfs epoch " + std::to_string(epoch));
   }
   EXPECT_EQ(se.graph().epochs(), 3u);
   EXPECT_TRUE(m.idle());
