@@ -227,20 +227,15 @@ int throughput_report() {
     ThroughputResult r = run_throughput_workload();
     if (r.events_per_sec > best.events_per_sec) best = r;
   }
-  // Checked-mode throughput: the same workload under UD_CHECK, serial and at
-  // 4 shards (the sharded path defers checking to a window-boundary replay on
-  // shard 0, so its cost profile is distinct from the inline serial path).
-  // Same rep count as the unchecked baseline: an asymmetric best-of biases
-  // the cost ratio upward on a noisy box (more chances to catch a fast
-  // baseline run than a fast checked run).
-  ThroughputResult checked, checked4;
+  // Checked-mode throughput: the same workload under UD_CHECK (checked runs
+  // use the serial engine at any shard count). Same rep count as the
+  // unchecked baseline: an asymmetric best-of biases the cost ratio upward on
+  // a noisy box (more chances to catch a fast baseline run than a fast
+  // checked run).
+  ThroughputResult checked;
   for (int i = 0; i < kReps; ++i) {
     ThroughputResult r = run_throughput_workload(/*check=*/true);
     if (r.events_per_sec > checked.events_per_sec) checked = r;
-  }
-  for (int i = 0; i < kReps; ++i) {
-    ThroughputResult r = run_throughput_workload(/*check=*/true, /*shards=*/4);
-    if (r.events_per_sec > checked4.events_per_sec) checked4 = r;
   }
 
   // Shard sweep: the same workload on 1/2/4/8 host threads. The event engine
@@ -272,34 +267,24 @@ int throughput_report() {
                               ? sweep[2].events_per_sec / sweep[0].events_per_sec
                               : 0.0;
 
-  // Checked runs must reproduce the unchecked schedule exactly, at any shard
-  // count: checking observes, it never perturbs.
-  bool checked_counts_ok = true;
-  for (const ThroughputResult* c : {&checked, &checked4}) {
-    if (c->events != best.events || c->messages != best.messages ||
-        c->dram_accesses != best.dram_accesses || c->final_tick != best.final_tick) {
-      checked_counts_ok = false;
-      std::fprintf(stderr,
-                   "micro_sim: FAIL: checked run diverged from unchecked: events %llu "
-                   "vs %llu, final tick %llu vs %llu\n",
-                   (unsigned long long)c->events, (unsigned long long)best.events,
-                   (unsigned long long)c->final_tick,
-                   (unsigned long long)best.final_tick);
-    }
-  }
+  // Checked runs must reproduce the unchecked schedule exactly: checking
+  // observes, it never perturbs.
+  const bool checked_counts_ok =
+      checked.events == best.events && checked.messages == best.messages &&
+      checked.dram_accesses == best.dram_accesses && checked.final_tick == best.final_tick;
+  if (!checked_counts_ok)
+    std::fprintf(stderr,
+                 "micro_sim: FAIL: checked run diverged from unchecked: events %llu "
+                 "vs %llu, final tick %llu vs %llu\n",
+                 (unsigned long long)checked.events, (unsigned long long)best.events,
+                 (unsigned long long)checked.final_tick,
+                 (unsigned long long)best.final_tick);
 
   const double vs_baseline_pct =
       (kBaselineEventsPerSec - best.events_per_sec) / kBaselineEventsPerSec * 100.0;
   const double checker_cost_pct =
       best.events_per_sec > 0
           ? (best.events_per_sec - checked.events_per_sec) / best.events_per_sec * 100.0
-          : 0.0;
-  // Cost of checking at 4 shards, against the unchecked 4-shard run (both
-  // sides use the same engine configuration, so this isolates the checker).
-  const double checker_cost_pct_4shards =
-      sweep[2].events_per_sec > 0
-          ? (sweep[2].events_per_sec - checked4.events_per_sec) /
-                sweep[2].events_per_sec * 100.0
           : 0.0;
 
   std::printf("\n=== micro_sim host throughput ===\n");
@@ -309,8 +294,6 @@ int throughput_report() {
               best.checker_enabled ? "  (UD_CHECK forced on: not a baseline)" : "");
   std::printf("events / second (UD_CHECK=1) %.0f  (checker cost %.1f%%)\n",
               checked.events_per_sec, checker_cost_pct);
-  std::printf("events / second (UD_CHECK=1, 4 shards) %.0f  (checker cost %.1f%%)\n",
-              checked4.events_per_sec, checker_cost_pct_4shards);
   std::printf("shadow peak bytes     %llu\n",
               (unsigned long long)checked.shadow_peak_bytes);
   std::printf("vs PR-1 baseline      %+.2f%% (baseline %.0f ev/s, limit %.1f%%)\n",
@@ -343,8 +326,6 @@ int throughput_report() {
                "  \"events_per_sec\": %.0f,\n"
                "  \"events_per_sec_checked\": %.0f,\n"
                "  \"checker_cost_pct\": %.2f,\n"
-               "  \"events_per_sec_checked_4shards\": %.0f,\n"
-               "  \"checker_cost_pct_4shards\": %.2f,\n"
                "  \"shadow_peak_bytes\": %llu,\n"
                "  \"baseline_events_per_sec\": %.0f,\n"
                "  \"vs_baseline_regress_pct\": %.2f,\n"
@@ -359,7 +340,7 @@ int throughput_report() {
                kReps, (unsigned long long)best.events, (unsigned long long)best.messages,
                (unsigned long long)best.dram_accesses, (unsigned long long)best.final_tick,
                best.wall_seconds, best.events_per_sec, checked.events_per_sec,
-               checker_cost_pct, checked4.events_per_sec, checker_cost_pct_4shards,
+               checker_cost_pct,
                (unsigned long long)checked.shadow_peak_bytes,
                kBaselineEventsPerSec, vs_baseline_pct,
                (unsigned long long)best.max_queue_depth,

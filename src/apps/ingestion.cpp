@@ -1,63 +1,19 @@
 #include "apps/ingestion.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <stdexcept>
 
 #include "tform/block_parse.hpp"
-#include "tform/stream_gen.hpp"
 
 namespace updown::ingest {
 
-// One kv_map task per block: fetch [block_start, block_end + one record) from
-// DRAM, find the first record boundary, run the transducer over every record
-// starting in the block, emit a tuple per record.
-struct IngestMap : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  tform::BlockWindow w;
-  std::vector<std::uint8_t> buf;
-  std::uint64_t arrived = 0, expected = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& app = ctx.machine().user<App>();
-    job = kvmsr::Library::map_job(ctx);
-    const Word block = kvmsr::Library::map_key(ctx);
-    w = tform::BlockWindow::of(block, app.opt_.block_bytes, app.data_bytes_);
-    buf.assign(w.bytes(), 0);
-    for (std::uint64_t off = w.read_begin; off < w.read_end; off += 64) {
-      const unsigned words =
-          static_cast<unsigned>(std::min<std::uint64_t>(8, (w.read_end - off) / 8));
-      ctx.charge(2);
-      ctx.send_dram_read(app.data_base_ + off, words, app.lb_.m_chunk);
-      ++expected;
-    }
-  }
-
-  void m_chunk(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    const std::uint64_t off = ctx.ccont() - app.data_base_ - w.read_begin;
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      const Word word = ctx.op(i);
-      std::memcpy(buf.data() + off + i * 8, &word, 8);
-    }
-    ctx.charge(ctx.nops());
-    if (++arrived == expected) parse(ctx);
-  }
-
- private:
-  void parse(Ctx& ctx) {
-    auto& app = ctx.machine().user<App>();
-    tform::parse_block(ctx, app.fst_, buf.data(), w, app.data_bytes_,
-                       [&](const std::vector<Word>& fields) {
-                         if (fields.size() != 3)
-                           throw std::runtime_error("ingest: malformed record");
-                         ctx.charge(1);
-                         app.lib_->emit2(ctx, job, fields[0], fields[1], fields[2]);
-                       });
-    app.lib_->map_return(ctx, kvmsr_cont);
+// The shared block-parse map task, over the App's one byte stream.
+struct IngestSource {
+  static tform::BlockJob block_job(Ctx& ctx, kvmsr::JobId) {
+    const auto& app = ctx.machine().user<App>();
+    return {app.data_base_, app.data_bytes_, app.opt_.block_bytes, app.lb_.m_chunk};
   }
 };
+using IngestMap = tform::BlockParseMap<IngestSource>;
 
 // Reduce: insert the record into the parallel graph; retire when durable.
 struct IngestReduce : ThreadState {

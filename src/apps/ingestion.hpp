@@ -17,7 +17,6 @@
 
 #include "abstractions/parallel_graph.hpp"
 #include "kvmsr/kvmsr.hpp"
-#include "tform/fst.hpp"
 
 namespace updown::ingest {
 
@@ -54,13 +53,12 @@ class App {
   pgraph::ParallelGraph& graph() { return *pg_; }
 
  private:
-  friend struct IngestMap;
+  friend struct IngestSource;
   friend struct IngestReduce;
 
   Machine& m_;
   kvmsr::Library* lib_;
   pgraph::ParallelGraph* pg_;
-  tform::Fst fst_ = tform::Fst::csv();
   Options opt_;
 
   Addr data_base_ = 0;

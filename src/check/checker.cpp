@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <tuple>
 
 #include "common/strfmt.hpp"
 #include "sim/machine.hpp"
@@ -32,13 +31,11 @@ const char* check_kind_name(CheckKind k) {
   return "unknown";
 }
 
-Checker::Checker(Machine& m, bool sp_strict, std::uint32_t nshards)
-    : m_(m), sp_strict_(sp_strict), nshards_(nshards) {
+Checker::Checker(Machine& m, bool sp_strict) : m_(m), sp_strict_(sp_strict) {
   // slot_lt_ / sp_shadow_ grow on demand (see slot_lifetime, sp_cell): like
   // the engine's lane table, the shadow state is index-addressed but
   // materializes only for lanes that actually run threads.
   lifetimes_.emplace_back();  // [0] = the host (TOP core), alive forever
-  logs_.resize(nshards_);
 }
 
 Checker::~Checker() = default;
@@ -566,23 +563,7 @@ bool Checker::discharge_cont(Word w) {
 
 // ---- Routing hooks ---------------------------------------------------------
 
-void Checker::on_host_send(Tick now, std::uint32_t ent, std::uint32_t seq) {
-  if (!deferred()) {
-    origin_ = Origin::kHost;
-    return;
-  }
-  // Host injections route from shard 0 while the engine is idle, so logging
-  // them under shard 0 keeps that log key-sorted: every event the run later
-  // executes arrives at least one network latency after `now`.
-  CheckRec r;
-  r.kind = CheckRec::kHostSend;
-  r.w[0] = now;
-  r.d = ent;
-  r.w[1] = seq;
-  logs_[0].push_back(r);
-}
-
-void Checker::bad_route_diag(Word evw_word, Tick depart) {
+void Checker::on_bad_route(Word evw_word, Tick depart) {
   ++counts_.bad_event_words;
   Stamp s = origin_stamp_;
   s.tick = depart;
@@ -597,20 +578,9 @@ void Checker::bad_route_diag(Word evw_word, Tick depart) {
                origin_ == Origin::kHost ? "the host" : where(s).c_str())});
 }
 
-bool Checker::on_bad_route(EngineShard& sh, Word evw_word, Tick depart) {
-  if (deferred()) {
-    CheckRec r;
-    r.kind = CheckRec::kBadRoute;
-    r.w[2] = evw_word;
-    r.w[0] = depart;
-    log_of(sh).push_back(r);
-    return true;
-  }
-  bad_route_diag(evw_word, depart);
-  return true;
-}
-
-void Checker::route_message_m(MsgMeta& meta, const Message& m, Tick depart) {
+void Checker::on_route_message(std::uint32_t idx, Tick depart) {
+  MsgMeta& meta = msg_meta(idx);
+  const Message& m = m_.shard0().msg_pool[idx];
   // A fresh assignment (not a full release) on purpose: a stale slot left
   // over from an aborted run may claim lifetime refs that were already
   // reconciled — those leak conservatively until the next idle report instead
@@ -632,7 +602,6 @@ void Checker::route_message_m(MsgMeta& meta, const Message& m, Tick depart) {
       meta.stamp = origin_stamp_;
       meta.stamp.epoch = l.epoch;
       meta.stamp.era = era_;
-      meta.stamp.shard = replay_shard_;
       meta.stamp.tick = depart;
       meta.snap = clock_snapshot(origin_stamp_.lt);
       meta.ext = l.last;
@@ -644,7 +613,7 @@ void Checker::route_message_m(MsgMeta& meta, const Message& m, Tick depart) {
     case Origin::kNone:
     default: {
       Lifetime& h = lifetimes_[kHostLifetime];
-      meta.stamp = Stamp{kHostLifetime, h.epoch, era_, 0, replay_shard_, depart};
+      meta.stamp = Stamp{kHostLifetime, h.epoch, era_, 0, depart};
       meta.snap = clock_snapshot(kHostLifetime);
       ++h.epoch;
       break;
@@ -686,13 +655,10 @@ void Checker::route_message_m(MsgMeta& meta, const Message& m, Tick depart) {
   acquire_msg_refs(meta);
 }
 
-void Checker::on_route_message(std::uint32_t idx, Tick depart) {
-  route_message_m(msg_meta(idx), m_.shard0().msg_pool[idx], depart);
-}
-
-void Checker::route_dram_m(DramMeta& meta, const DramRequest& r, bool addr_mapped,
-                           Tick depart) {
-  snap_unref(meta.snap);  // see route_message_m: stale-slot conservatism
+void Checker::on_route_dram(std::uint32_t idx, bool addr_mapped, Tick depart) {
+  DramMeta& meta = dram_meta(idx);
+  const DramRequest& r = m_.shard0().dram_pool[idx];
+  snap_unref(meta.snap);  // see on_route_message: stale-slot conservatism
   meta = DramMeta{};
   switch (origin_) {
     case Origin::kTask: {
@@ -700,7 +666,6 @@ void Checker::route_dram_m(DramMeta& meta, const DramRequest& r, bool addr_mappe
       meta.stamp = origin_stamp_;
       meta.stamp.epoch = l.epoch;
       meta.stamp.era = era_;
-      meta.stamp.shard = replay_shard_;
       meta.stamp.tick = depart;
       meta.snap = clock_snapshot(origin_stamp_.lt);
       meta.ext = l.last;
@@ -710,7 +675,7 @@ void Checker::route_dram_m(DramMeta& meta, const DramRequest& r, bool addr_mappe
     }
     default: {  // DRAM traffic normally originates in tasks; host is the fallback
       Lifetime& h = lifetimes_[kHostLifetime];
-      meta.stamp = Stamp{kHostLifetime, h.epoch, era_, 0, replay_shard_, depart};
+      meta.stamp = Stamp{kHostLifetime, h.epoch, era_, 0, depart};
       meta.snap = clock_snapshot(kHostLifetime);
       ++h.epoch;
       break;
@@ -726,13 +691,11 @@ void Checker::route_dram_m(DramMeta& meta, const DramRequest& r, bool addr_mappe
   meta.holds_ref = true;
 }
 
-void Checker::on_route_dram(std::uint32_t idx, bool addr_mapped, Tick depart) {
-  route_dram_m(dram_meta(idx), m_.shard0().dram_pool[idx], addr_mapped, depart);
-}
-
 // ---- Delivery / execution hooks --------------------------------------------
 
-bool Checker::pre_deliver_m(MsgMeta& meta, const Message& m, Tick start) {
+bool Checker::on_pre_deliver(std::uint32_t idx, Tick start) {
+  MsgMeta& meta = msg_meta(idx);
+  const Message& m = m_.shard0().msg_pool[idx];
   if (meta.suppress) {
     release_msg_meta(meta);
     return false;
@@ -778,13 +741,10 @@ bool Checker::pre_deliver_m(MsgMeta& meta, const Message& m, Tick start) {
   return true;
 }
 
-bool Checker::on_pre_deliver(std::uint32_t idx, Tick start) {
-  return pre_deliver_m(msg_meta(idx), m_.shard0().msg_pool[idx], start);
-}
-
-void Checker::class_mismatch_m(MsgMeta& meta, const Message& m, NetworkId lane,
-                               ThreadId tid, Tick start) {
-  const EventLabel label = evw::label(m.evw);
+void Checker::on_class_mismatch(std::uint32_t idx, NetworkId lane, ThreadId tid,
+                                Tick start) {
+  MsgMeta& meta = msg_meta(idx);
+  const EventLabel label = evw::label(m_.shard0().msg_pool[idx].evw);
   ++counts_.bad_event_words;
   diag({CheckKind::kBadEventWord, true, start, lane, tid, label, 0, 0,
         strfmt("event %s delivered to [NWID %u][TID %u], a thread of another class; "
@@ -793,13 +753,10 @@ void Checker::class_mismatch_m(MsgMeta& meta, const Message& m, NetworkId lane,
   release_msg_meta(meta);
 }
 
-void Checker::on_class_mismatch(std::uint32_t idx, NetworkId lane, ThreadId tid,
-                                Tick start) {
-  class_mismatch_m(msg_meta(idx), m_.shard0().msg_pool[idx], lane, tid, start);
-}
-
-void Checker::task_begin_m(MsgMeta& meta, const Message& m, NetworkId lane, ThreadId tid,
-                           EventLabel label, Tick start, bool new_thread) {
+void Checker::on_task_begin(std::uint32_t idx, NetworkId lane, ThreadId tid,
+                            EventLabel label, Tick start, bool new_thread) {
+  MsgMeta& meta = msg_meta(idx);
+  const Word cont = m_.shard0().msg_pool[idx].cont;
   LifetimeId lt;
   if (new_thread) {
     lt = new_lifetime(lane, tid, label, start);
@@ -811,19 +768,13 @@ void Checker::task_begin_m(MsgMeta& meta, const Message& m, NetworkId lane, Thre
   meta.snap = kNoSnap;  // the meta's pool ref transfers to join_into
   join_into(lt, snap, meta.ext, meta.host_ep, meta.stamp);
 
-  if (m.cont != IGNRCONT && (!meta.from_dram || meta.cont_pending))
-    register_cont(m.cont, lane, start);
+  if (cont != IGNRCONT && (!meta.from_dram || meta.cont_pending))
+    register_cont(cont, lane, start);
 
   origin_ = Origin::kTask;
-  origin_stamp_ = Stamp{lt, lifetimes_[lt].epoch, era_, label, replay_shard_, start};
+  origin_stamp_ = Stamp{lt, lifetimes_[lt].epoch, era_, label, start};
   snap_clear(origin_snap_);
   release_msg_meta(meta);
-}
-
-void Checker::on_task_begin(std::uint32_t idx, NetworkId lane, ThreadId tid,
-                            EventLabel label, Tick start, bool new_thread) {
-  task_begin_m(msg_meta(idx), m_.shard0().msg_pool[idx], lane, tid, label, start,
-               new_thread);
 }
 
 void Checker::on_task_end(NetworkId lane, ThreadId tid, bool terminated) {
@@ -837,53 +788,6 @@ void Checker::on_task_end(NetworkId lane, ThreadId tid, bool terminated) {
   origin_ = Origin::kNone;
 }
 
-void Checker::dram_fault_diag(const Stamp& s, unsigned nwords, bool is_write, Addr va,
-                              const FreedRegion* freed, Tick now) {
-  const char* op = is_write ? "write" : "read";
-  const NetworkId nw = s.lt == kHostLifetime ? NetworkId{0} : lifetimes_[s.lt].nwid;
-  const ThreadId td = s.lt == kHostLifetime ? ThreadId{0} : lifetimes_[s.lt].tid;
-  if (freed) {
-    ++counts_.use_after_free;
-    diag({CheckKind::kUseAfterFree, true, now, nw, td, s.label, va, freed->alloc_seq,
-          strfmt("use-after-free: DRAM %s of %u word(s) at va=0x%llx hits freed "
-                 "region alloc #%llu [0x%llx, 0x%llx) retired by free #%llu; "
-                 "requested by %s — access suppressed",
-                 op, nwords, static_cast<unsigned long long>(va),
-                 static_cast<unsigned long long>(freed->alloc_seq),
-                 static_cast<unsigned long long>(freed->base),
-                 static_cast<unsigned long long>(freed->base + freed->size),
-                 static_cast<unsigned long long>(freed->free_seq), where(s).c_str())});
-  } else {
-    ++counts_.out_of_bounds;
-    diag({CheckKind::kOutOfBounds, true, now, nw, td, s.label, va, 0,
-          strfmt("out-of-bounds DRAM %s of %u word(s) at va=0x%llx: no live "
-                 "translation descriptor covers it; requested by %s — access "
-                 "suppressed",
-                 op, nwords, static_cast<unsigned long long>(va), where(s).c_str())});
-  }
-}
-
-void Checker::dram_race_words(DramMeta& meta, Addr addr, unsigned nwords, bool is_write,
-                              Tick now) {
-  Stamp cur = meta.stamp;
-  cur.tick = now;
-  const ClockView view{&snap_vc(meta.snap), meta.ext, meta.host_ep};
-  // Resolve the shadow page once per crossing: an 8-word run touches one,
-  // at most two, pages instead of paying a hash probe per word.
-  std::uint64_t w = addr >> 3;
-  std::uint64_t curp = ~std::uint64_t{0};
-  ShadowPage* pg = nullptr;
-  for (unsigned i = 0; i < nwords; ++i, ++w) {
-    const std::uint64_t p = w >> kShadowPageShift;
-    if (p != curp) {
-      pg = &dram_page(p);
-      curp = p;
-    }
-    check_access(pg->cells[w & (kShadowPageWords - 1)], cur, view, is_write, false,
-                 addr + 8ull * i);
-  }
-}
-
 bool Checker::on_dram_exec(std::uint32_t idx, Tick now) {
   DramMeta& meta = dram_meta(idx);
   const DramRequest& r = m_.shard0().dram_pool[idx];
@@ -892,23 +796,63 @@ bool Checker::on_dram_exec(std::uint32_t idx, Tick now) {
   // 1. Lifetime sanitize: every word of the request must fall in a live
   //    region (a request may legally span two adjacent regions only if both
   //    are live). The common whole-request-in-one-region case is one lookup.
+  //    One diagnostic per request; the whole access is suppressed.
   const SwizzleDescriptor* d = mem.find_live(r.addr);
   const Addr end = r.addr + 8ull * r.nwords;
   if (!(d && end <= d->end())) {
     for (unsigned i = 0; i < r.nwords; ++i) {
       const Addr va = r.addr + 8ull * i;
       if (mem.find_live(va)) continue;
-      dram_fault_diag(meta.stamp, r.nwords, r.is_write, va, mem.find_freed(va), now);
-      return false;  // one diagnostic per request; suppress the whole access
+      const Stamp& s = meta.stamp;
+      const char* op = r.is_write ? "write" : "read";
+      const NetworkId nw = s.lt == kHostLifetime ? NetworkId{0} : lifetimes_[s.lt].nwid;
+      const ThreadId td = s.lt == kHostLifetime ? ThreadId{0} : lifetimes_[s.lt].tid;
+      if (const FreedRegion* freed = mem.find_freed(va)) {
+        ++counts_.use_after_free;
+        diag({CheckKind::kUseAfterFree, true, now, nw, td, s.label, va, freed->alloc_seq,
+              strfmt("use-after-free: DRAM %s of %u word(s) at va=0x%llx hits freed "
+                     "region alloc #%llu [0x%llx, 0x%llx) retired by free #%llu; "
+                     "requested by %s — access suppressed",
+                     op, r.nwords, static_cast<unsigned long long>(va),
+                     static_cast<unsigned long long>(freed->alloc_seq),
+                     static_cast<unsigned long long>(freed->base),
+                     static_cast<unsigned long long>(freed->base + freed->size),
+                     static_cast<unsigned long long>(freed->free_seq), where(s).c_str())});
+      } else {
+        ++counts_.out_of_bounds;
+        diag({CheckKind::kOutOfBounds, true, now, nw, td, s.label, va, 0,
+              strfmt("out-of-bounds DRAM %s of %u word(s) at va=0x%llx: no live "
+                     "translation descriptor covers it; requested by %s — access "
+                     "suppressed",
+                     op, r.nwords, static_cast<unsigned long long>(va), where(s).c_str())});
+      }
+      return false;
     }
   }
 
-  // 2. Race-check each word at the requester's send-time clock.
-  dram_race_words(meta, r.addr, r.nwords, r.is_write, now);
+  // 2. Race-check each word at the requester's send-time clock. Resolve the
+  //    shadow page once per crossing: an 8-word run touches one, at most
+  //    two, pages instead of paying a hash probe per word.
+  Stamp cur = meta.stamp;
+  cur.tick = now;
+  const ClockView view{&snap_vc(meta.snap), meta.ext, meta.host_ep};
+  std::uint64_t w = r.addr >> 3;
+  std::uint64_t curp = ~std::uint64_t{0};
+  ShadowPage* pg = nullptr;
+  for (unsigned i = 0; i < r.nwords; ++i, ++w) {
+    const std::uint64_t p = w >> kShadowPageShift;
+    if (p != curp) {
+      pg = &dram_page(p);
+      curp = p;
+    }
+    check_access(pg->cells[w & (kShadowPageWords - 1)], cur, view, r.is_write, false,
+                 r.addr + 8ull * i);
+  }
   return true;
 }
 
-void Checker::begin_dram_reply_m(DramMeta& meta) {
+void Checker::begin_dram_reply(std::uint32_t idx) {
+  const DramMeta& meta = dram_meta(idx);
   origin_ = Origin::kDramReply;
   origin_stamp_ = meta.stamp;
   snap_assign(origin_snap_, meta.snap);
@@ -917,9 +861,8 @@ void Checker::begin_dram_reply_m(DramMeta& meta) {
   origin_cont_pending_ = meta.cont_pending;
 }
 
-void Checker::begin_dram_reply(std::uint32_t idx) { begin_dram_reply_m(dram_meta(idx)); }
-
-void Checker::dram_done_m(DramMeta& meta) {
+void Checker::on_dram_done(std::uint32_t idx) {
+  DramMeta& meta = dram_meta(idx);
   if (meta.holds_ref) {
     meta.holds_ref = false;
     stamp_unref(meta.stamp.lt);
@@ -933,10 +876,8 @@ void Checker::dram_done_m(DramMeta& meta) {
   origin_host_ep_ = 0;
 }
 
-void Checker::on_dram_done(std::uint32_t idx) { dram_done_m(dram_meta(idx)); }
-
-bool Checker::sp_access_check(NetworkId lane, std::uint64_t offset, std::size_t bytes,
-                              bool is_write, Tick now) {
+bool Checker::on_sp_access(NetworkId lane, std::uint64_t offset, std::size_t bytes,
+                           bool is_write, Tick now) {
   if (offset + bytes > m_.config().scratchpad_bytes) {
     ++counts_.out_of_bounds;
     const NetworkId nw = origin_ == Origin::kTask ? lifetimes_[origin_stamp_.lt].nwid : lane;
@@ -953,7 +894,6 @@ bool Checker::sp_access_check(NetworkId lane, std::uint64_t offset, std::size_t 
     Stamp cur = origin_stamp_;
     cur.epoch = lifetimes_[cur.lt].epoch;
     cur.era = era_;
-    cur.shard = replay_shard_;
     cur.tick = now;
     const Lifetime& l = lifetimes_[cur.lt];
     const ClockView view{&snap_vc(l.clock), l.last, l.host_ep};
@@ -962,28 +902,7 @@ bool Checker::sp_access_check(NetworkId lane, std::uint64_t offset, std::size_t 
   return true;
 }
 
-bool Checker::on_sp_access(EngineShard& sh, NetworkId lane, std::uint64_t offset,
-                           std::size_t bytes, bool is_write, Tick now) {
-  if (deferred()) {
-    const bool oob = offset + bytes > m_.config().scratchpad_bytes;
-    // Non-strict mode only ever reports OOB, so only OOB accesses need a
-    // record; strict mode race-checks every access and logs them all.
-    if (oob || sp_strict_) {
-      CheckRec r;
-      r.kind = CheckRec::kSpAccess;
-      r.d = lane;
-      r.w[2] = offset;
-      r.w[1] = bytes;
-      r.b = is_write ? 1 : 0;
-      r.w[0] = now;
-      log_of(sh).push_back(r);
-    }
-    return !oob;
-  }
-  return sp_access_check(lane, offset, bytes, is_write, now);
-}
-
-void Checker::sync_release_check(NetworkId lane, std::uint64_t slot) {
+void Checker::on_sync_release(NetworkId lane, std::uint64_t slot) {
   if (origin_ != Origin::kTask) return;
   VC& cell = sync_clocks_[(static_cast<std::uint64_t>(lane) << 32) | slot];
   Lifetime& l = lifetimes_[origin_stamp_.lt];
@@ -999,7 +918,7 @@ void Checker::sync_release_check(NetworkId lane, std::uint64_t slot) {
   ++l.epoch;  // release: later accesses are not published through this cell
 }
 
-void Checker::sync_acquire_check(NetworkId lane, std::uint64_t slot) {
+void Checker::on_sync_acquire(NetworkId lane, std::uint64_t slot) {
   if (origin_ != Origin::kTask) return;
   const auto it = sync_clocks_.find((static_cast<std::uint64_t>(lane) << 32) | slot);
   if (it == sync_clocks_.end()) return;
@@ -1022,30 +941,6 @@ void Checker::sync_acquire_check(NetworkId lane, std::uint64_t slot) {
   }
 }
 
-void Checker::on_sync_release(EngineShard& sh, NetworkId lane, std::uint64_t slot) {
-  if (deferred()) {
-    CheckRec r;
-    r.kind = CheckRec::kSyncRelease;
-    r.d = lane;
-    r.w[2] = slot;
-    log_of(sh).push_back(r);
-    return;
-  }
-  sync_release_check(lane, slot);
-}
-
-void Checker::on_sync_acquire(EngineShard& sh, NetworkId lane, std::uint64_t slot) {
-  if (deferred()) {
-    CheckRec r;
-    r.kind = CheckRec::kSyncAcquire;
-    r.d = lane;
-    r.w[2] = slot;
-    log_of(sh).push_back(r);
-    return;
-  }
-  sync_acquire_check(lane, slot);
-}
-
 void Checker::push_origin() {
   snap_ref(origin_snap_);  // the saved copy holds its own pool ref
   origin_stack_.push_back(SavedOrigin{origin_, origin_stamp_, origin_snap_,
@@ -1054,7 +949,6 @@ void Checker::push_origin() {
 }
 
 void Checker::pop_origin() {
-  if (origin_stack_.empty()) return;  // defensive: replay of a truncated group
   const SavedOrigin& s = origin_stack_.back();
   origin_ = s.origin;
   origin_stamp_ = s.stamp;
@@ -1092,21 +986,14 @@ void Checker::check_access(ShadowCell& cell, const Stamp& cur, const ClockView& 
     std::uint64_t& counter = is_sp ? counts_.sp_races : counts_.data_races;
     ++counter;
     const Lifetime& l = lifetimes_[cur.lt];
-    // Under sharded execution the two sides may have executed on different
-    // engine shards; name both so cross-shard races are attributable.
-    std::string cur_sh, prev_sh;
-    if (nshards_ > 1) {
-      cur_sh = strfmt(" [shard %u]", cur.shard);
-      prev_sh = strfmt(" [shard %u]", conflict->shard);
-    }
     diag({is_sp ? CheckKind::kSpRace : CheckKind::kDataRace, true, cur.tick, l.nwid,
           l.tid, cur.label, va, 0,
-          strfmt("%s on %s %s=0x%llx: %s by %s%s is unordered with %s by %s%s",
+          strfmt("%s on %s %s=0x%llx: %s by %s is unordered with %s by %s",
                  is_sp ? "ordering hazard" : "data race",
                  is_sp ? "scratchpad" : "DRAM", is_sp ? "offset" : "va",
                  static_cast<unsigned long long>(va), is_write ? "write" : "read",
-                 where(cur).c_str(), cur_sh.c_str(), conflict_write ? "write" : "read",
-                 where(*conflict).c_str(), prev_sh.c_str())});
+                 where(cur).c_str(), conflict_write ? "write" : "read",
+                 where(*conflict).c_str())});
   }
   if (is_write) {
     set_stamp(cell.write, cur);
@@ -1114,462 +1001,6 @@ void Checker::check_access(ShadowCell& cell, const Stamp& cur, const ClockView& 
   } else {
     add_reader(cell, cur, view);
   }
-}
-
-// ---- Deferred-mode engine hooks --------------------------------------------
-
-std::vector<CheckRec>& Checker::log_of(EngineShard& sh) { return logs_[sh.id]; }
-
-void Checker::defer_route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
-                                  const Message& m, Tick depart) {
-  CheckRec r;
-  r.kind = CheckRec::kRouteMsg;
-  r.d = ent;
-  r.w[0] = depart;
-  r.w[1] = seq;
-  r.w[2] = m.evw;
-  r.w[3] = m.cont;
-  r.w[4] = static_cast<std::uint64_t>(m.src) | (static_cast<std::uint64_t>(m.nops) << 32);
-  log_of(sh).push_back(r);
-}
-
-void Checker::defer_route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
-                               const DramRequest& r, bool addr_mapped, Tick depart) {
-  CheckRec rec;
-  rec.kind = CheckRec::kRouteDram;
-  rec.d = ent;
-  rec.w[0] = depart;
-  rec.w[1] = seq;
-  rec.w[2] = r.addr;
-  rec.w[3] = r.reply_evw;
-  rec.w[4] = r.reply_cont;
-  rec.b = r.nwords;
-  rec.c = static_cast<std::uint16_t>((r.is_write ? 1 : 0) | (addr_mapped ? 2 : 0));
-  log_of(sh).push_back(rec);
-}
-
-bool Checker::defer_pre_deliver(EngineShard& sh, Tick t, std::uint32_t ent,
-                                std::uint32_t seq, const Message& m, Tick start) {
-  auto& lg = log_of(sh);
-  CheckRec r;
-  r.kind = CheckRec::kBeginMsg;
-  r.w[0] = t;
-  r.d = ent;
-  r.w[1] = seq;
-  r.w[2] = m.evw;
-  r.w[3] = m.cont;
-  r.w[4] = static_cast<std::uint64_t>(m.src) | (static_cast<std::uint64_t>(m.nops) << 32);
-  r.w[5] = start;
-  lg.push_back(r);
-
-  // Online verdict from engine-owned state only (program table + this
-  // shard's lane cores): suppressed deliveries must not execute, but the
-  // diagnostics themselves wait for the replay.
-  const EventLabel label = evw::label(m.evw);
-  bool ok = !(label == 0 || label > m_.program().size());
-  if (ok && !evw::is_new_thread(m.evw))
-    ok = Lane(m_.lanes_, evw::nwid(m.evw)).alive(evw::tid(m.evw));
-  if (!ok) {
-    CheckRec f;
-    f.kind = CheckRec::kPreDeliverFail;
-    lg.push_back(f);
-  }
-  return ok;
-}
-
-void Checker::defer_class_mismatch(EngineShard& sh, NetworkId lane, ThreadId tid,
-                                   Tick start) {
-  CheckRec r;
-  r.kind = CheckRec::kClassMismatch;
-  r.d = lane;
-  r.c = tid;
-  r.w[0] = start;
-  log_of(sh).push_back(r);
-}
-
-void Checker::defer_task_begin(EngineShard& sh, NetworkId lane, ThreadId tid,
-                               EventLabel label, Tick start, bool new_thread) {
-  CheckRec r;
-  r.kind = CheckRec::kTaskBegin;
-  r.d = lane;
-  r.c = tid;
-  r.w[1] = label;
-  r.w[0] = start;
-  r.b = new_thread ? 1 : 0;
-  log_of(sh).push_back(r);
-}
-
-void Checker::defer_task_end(EngineShard& sh, NetworkId lane, ThreadId tid,
-                             bool terminated) {
-  CheckRec r;
-  r.kind = CheckRec::kTaskEnd;
-  r.d = lane;
-  r.c = tid;
-  r.b = terminated ? 1 : 0;
-  log_of(sh).push_back(r);
-}
-
-void Checker::defer_dram_begin(EngineShard& sh, Tick t, std::uint32_t ent,
-                               std::uint32_t seq) {
-  CheckRec r;
-  r.kind = CheckRec::kBeginDram;
-  r.w[0] = t;
-  r.d = ent;
-  r.w[1] = seq;
-  log_of(sh).push_back(r);
-}
-
-bool Checker::defer_dram_exec(EngineShard& sh, const DramRequest& r, Tick now) {
-  auto& lg = log_of(sh);
-  const GlobalMemory& mem = m_.memory();
-  // Sanitize through this shard's descriptor snapshot (refresh-on-miss): the
-  // same verdict the serial checker reaches, without the unlocked global
-  // table walk that would race with other shards' allocations.
-  const SwizzleDescriptor* d = mem.find_snap(r.addr, sh.mem_snap);
-  const Addr end = r.addr + 8ull * r.nwords;
-  bool ok = d && end <= d->end();
-  Addr bad_va = 0;
-  FreedRegion freed{};
-  bool uaf = false;
-  if (!ok) {
-    ok = true;
-    for (unsigned i = 0; i < r.nwords; ++i) {
-      const Addr va = r.addr + 8ull * i;
-      if (mem.find_snap(va, sh.mem_snap)) continue;
-      ok = false;
-      bad_va = va;
-      uaf = mem.find_freed_locked(va, &freed);
-      break;
-    }
-  }
-  CheckRec e;
-  e.kind = CheckRec::kDramExec;
-  e.w[0] = now;
-  e.b = ok ? 1 : 0;
-  lg.push_back(e);
-  if (!ok) {
-    CheckRec f;
-    f.kind = CheckRec::kDramFault;
-    f.b = uaf ? 1 : 0;
-    f.w[2] = bad_va;
-    if (uaf) {
-      f.w[0] = freed.base;
-      f.w[1] = freed.size;
-      f.w[3] = freed.alloc_seq;
-      f.w[4] = freed.free_seq;
-    }
-    lg.push_back(f);
-  }
-  return ok;
-}
-
-void Checker::defer_dram_reply_begin(EngineShard& sh) {
-  CheckRec r;
-  r.kind = CheckRec::kDramReplyBegin;
-  log_of(sh).push_back(r);
-}
-
-void Checker::defer_dram_done(EngineShard& sh) {
-  CheckRec r;
-  r.kind = CheckRec::kDramDone;
-  log_of(sh).push_back(r);
-}
-
-bool Checker::defer_inline_begin(EngineShard& sh, const Message& m, Tick start) {
-  auto& lg = log_of(sh);
-  CheckRec r;
-  r.kind = CheckRec::kInlineBegin;
-  r.w[0] = start;
-  r.w[2] = m.evw;
-  r.w[3] = m.cont;
-  r.w[4] = static_cast<std::uint64_t>(m.src) | (static_cast<std::uint64_t>(m.nops) << 32);
-  lg.push_back(r);
-  if (!evw::is_new_thread(m.evw) &&
-      !Lane(m_.lanes_, evw::nwid(m.evw)).alive(evw::tid(m.evw))) {
-    CheckRec s;
-    s.kind = CheckRec::kInlineSuppress;
-    s.c = 0;  // pre-deliver failure
-    s.d = evw::nwid(m.evw);
-    s.w[1] = evw::tid(m.evw);
-    s.w[0] = start;
-    lg.push_back(s);
-    return false;
-  }
-  return true;
-}
-
-void Checker::defer_inline_class_mismatch(EngineShard& sh, NetworkId lane, ThreadId tid,
-                                          Tick start) {
-  CheckRec s;
-  s.kind = CheckRec::kInlineSuppress;
-  s.c = 1;  // class mismatch
-  s.d = lane;
-  s.w[1] = tid;
-  s.w[0] = start;
-  log_of(sh).push_back(s);
-}
-
-void Checker::defer_inline_end(EngineShard& sh) {
-  CheckRec r;
-  r.kind = CheckRec::kInlineEnd;
-  log_of(sh).push_back(r);
-}
-
-// ---- Deferred replay -------------------------------------------------------
-
-namespace {
-bool is_group_begin(const CheckRec& r) {
-  return r.kind == CheckRec::kHostSend || r.kind == CheckRec::kBeginMsg ||
-         r.kind == CheckRec::kBeginDram;
-}
-}  // namespace
-
-void Checker::replay_pending() {
-  bool any = false;
-  for (const auto& lg : logs_)
-    if (!lg.empty()) {
-      any = true;
-      break;
-    }
-  if (!any) return;
-
-  // K-way merge of the shard logs by group key (t, ent, seq) — the engine's
-  // global event order. Each shard's log is already key-sorted (a shard pops
-  // its queue in key order and appends groups as it executes), so one cursor
-  // per shard suffices; group keys are globally unique.
-  using Key = std::tuple<Tick, std::uint32_t, std::uint32_t>;
-  const auto group_key = [](const CheckRec& r) {
-    return Key(r.w[0], r.d, static_cast<std::uint32_t>(r.w[1]));
-  };
-  std::vector<std::size_t> pos(nshards_, 0);
-  for (;;) {
-    std::uint32_t best = nshards_;
-    Key best_key{};
-    for (std::uint32_t s = 0; s < nshards_; ++s) {
-      if (pos[s] >= logs_[s].size()) continue;
-      const CheckRec& r = logs_[s][pos[s]];
-      if (!is_group_begin(r)) {
-        // A truncated/garbled log segment (aborted window); skip the shard.
-        pos[s] = logs_[s].size();
-        continue;
-      }
-      const Key k = group_key(r);
-      if (best == nshards_ || k < best_key) {
-        best = s;
-        best_key = k;
-      }
-    }
-    if (best == nshards_) break;
-    std::size_t end = pos[best] + 1;
-    while (end < logs_[best].size() && !is_group_begin(logs_[best][end])) ++end;
-    replay_group(best, logs_[best], pos[best], end);
-    pos[best] = end;
-  }
-  for (auto& lg : logs_) lg.clear();
-}
-
-void Checker::replay_group(std::uint32_t shard, const std::vector<CheckRec>& log,
-                           std::size_t begin, std::size_t end) {
-  replay_shard_ = static_cast<std::uint16_t>(shard);
-
-  // Replay frames stand in for the engine's pooled payloads: the group's own
-  // message at the bottom, one frame per nested inline delivery above it.
-  struct Frame {
-    Message m;
-    MsgMeta meta;
-  };
-  std::vector<Frame> stack;
-  DramMeta dmeta;
-  Addr daddr = 0;
-  unsigned dnwords = 0;
-  bool dwrite = false;
-  Tick dnow = 0;
-
-  const auto stash_key = [](std::uint32_t ent, std::uint64_t seq) {
-    return (static_cast<std::uint64_t>(ent) << 32) | (seq & 0xFFFFFFFFull);
-  };
-  const auto fill_msg = [](Message& m, const CheckRec& r) {
-    m.evw = r.w[2];
-    m.cont = r.w[3];
-    m.src = static_cast<NetworkId>(r.w[4] & 0xFFFFFFFFull);
-    m.nops = static_cast<std::uint8_t>(r.w[4] >> 32);
-  };
-
-  origin_ = Origin::kNone;
-  snap_clear(origin_snap_);
-  origin_ext_ = InlineVC{};
-  origin_host_ep_ = 0;
-
-  const CheckRec& b = log[begin];
-  switch (b.kind) {
-    case CheckRec::kHostSend:
-      origin_ = Origin::kHost;
-      break;
-    case CheckRec::kBeginMsg: {
-      stack.emplace_back();
-      fill_msg(stack.back().m, b);
-      // The send-time clock stamp crossed the window (or the shard) through
-      // the stash, keyed by the sender's (entity, seq) identity.
-      auto it = msg_stash_.find(stash_key(b.d, b.w[1]));
-      if (it != msg_stash_.end()) {
-        stack.back().meta = std::move(it->second);
-        msg_stash_.erase(it);
-      }
-      pre_deliver_m(stack.back().meta, stack.back().m, b.w[5]);
-      break;
-    }
-    case CheckRec::kBeginDram: {
-      auto it = dram_stash_.find(stash_key(b.d, b.w[1]));
-      if (it != dram_stash_.end()) {
-        dmeta = std::move(it->second.meta);
-        daddr = it->second.addr;
-        dnwords = it->second.nwords;
-        dwrite = it->second.is_write;
-        dram_stash_.erase(it);
-      }
-      break;
-    }
-    default:
-      break;
-  }
-
-  for (std::size_t i = begin + 1; i < end; ++i) {
-    const CheckRec& r = log[i];
-    switch (r.kind) {
-      case CheckRec::kRouteMsg: {
-        Message m;
-        fill_msg(m, r);
-        MsgMeta meta;
-        route_message_m(meta, m, r.w[0]);
-        msg_stash_[stash_key(r.d, r.w[1])] = std::move(meta);
-        break;
-      }
-      case CheckRec::kRouteDram: {
-        DramRequest dr{};
-        dr.addr = r.w[2];
-        dr.nwords = r.b;
-        dr.is_write = (r.c & 1) != 0;
-        dr.reply_evw = r.w[3];
-        dr.reply_cont = r.w[4];
-        DramStash st;
-        route_dram_m(st.meta, dr, (r.c & 2) != 0, r.w[0]);
-        st.addr = dr.addr;
-        st.nwords = r.b;
-        st.is_write = dr.is_write;
-        dram_stash_[stash_key(r.d, r.w[1])] = std::move(st);
-        break;
-      }
-      case CheckRec::kBadRoute:
-        bad_route_diag(r.w[2], r.w[0]);
-        break;
-      case CheckRec::kPreDeliverFail:
-        // The engine suppressed this delivery online; pre_deliver_m above may
-        // have diverged on a racy input, so force the release (idempotent).
-        if (!stack.empty()) release_msg_meta(stack.back().meta);
-        break;
-      case CheckRec::kClassMismatch:
-        if (!stack.empty())
-          class_mismatch_m(stack.back().meta, stack.back().m, r.d,
-                           static_cast<ThreadId>(r.c), r.w[0]);
-        break;
-      case CheckRec::kTaskBegin:
-        if (!stack.empty())
-          task_begin_m(stack.back().meta, stack.back().m, r.d,
-                       static_cast<ThreadId>(r.c), static_cast<EventLabel>(r.w[1]),
-                       r.w[0], r.b != 0);
-        break;
-      case CheckRec::kTaskEnd:
-        on_task_end(r.d, static_cast<ThreadId>(r.c), r.b != 0);
-        break;
-      case CheckRec::kDramExec:
-        dnow = r.w[0];
-        if (r.b) dram_race_words(dmeta, daddr, dnwords, dwrite, dnow);
-        break;
-      case CheckRec::kDramFault:
-        if (r.b) {
-          const FreedRegion f{r.w[0], r.w[1], r.w[3], r.w[4]};
-          dram_fault_diag(dmeta.stamp, dnwords, dwrite, r.w[2], &f, dnow);
-        } else {
-          dram_fault_diag(dmeta.stamp, dnwords, dwrite, r.w[2], nullptr, dnow);
-        }
-        break;
-      case CheckRec::kDramReplyBegin:
-        begin_dram_reply_m(dmeta);
-        break;
-      case CheckRec::kDramDone:
-        dram_done_m(dmeta);
-        break;
-      case CheckRec::kSpAccess:
-        sp_access_check(r.d, r.w[2], static_cast<std::size_t>(r.w[1]), r.b != 0, r.w[0]);
-        break;
-      case CheckRec::kSyncRelease:
-        sync_release_check(r.d, r.w[2]);
-        break;
-      case CheckRec::kSyncAcquire:
-        sync_acquire_check(r.d, r.w[2]);
-        break;
-      case CheckRec::kInlineBegin: {
-        push_origin();
-        stack.emplace_back();
-        fill_msg(stack.back().m, r);
-        route_message_m(stack.back().meta, stack.back().m, r.w[0]);
-        pre_deliver_m(stack.back().meta, stack.back().m, r.w[0]);
-        break;
-      }
-      case CheckRec::kInlineSuppress:
-        if (!stack.empty()) {
-          if (r.c == 1)
-            class_mismatch_m(stack.back().meta, stack.back().m, r.d,
-                             static_cast<ThreadId>(r.w[1]), r.w[0]);
-          else
-            release_msg_meta(stack.back().meta);
-          stack.pop_back();
-          pop_origin();
-        }
-        break;
-      case CheckRec::kInlineEnd:
-        if (!stack.empty()) {
-          release_msg_meta(stack.back().meta);
-          stack.pop_back();
-          pop_origin();
-        }
-        break;
-      default:
-        break;
-    }
-  }
-
-  while (!stack.empty()) {
-    release_msg_meta(stack.back().meta);
-    stack.pop_back();
-  }
-  snap_unref(dmeta.snap);  // truncated group: the kDramDone never arrived
-  origin_ = Origin::kNone;
-  snap_clear(origin_snap_);
-  origin_ext_ = InlineVC{};
-  origin_host_ep_ = 0;
-  for (SavedOrigin& s : origin_stack_) snap_unref(s.snap);
-  origin_stack_.clear();
-  replay_shard_ = 0;
-}
-
-void Checker::reset_deferred() {
-  for (auto& lg : logs_) lg.clear();
-  // Stashed in-flight metadata may hold lifetime refcounts; dropping it
-  // without the unref only pins lifetimes conservatively until the next idle
-  // report. Snapshot pool refs are released here (nothing else reconciles
-  // them), so the slots recycle.
-  for (auto& [k, mm] : msg_stash_) snap_unref(mm.snap);
-  for (auto& [k, ds] : dram_stash_) snap_unref(ds.meta.snap);
-  msg_stash_.clear();
-  dram_stash_.clear();
-  origin_ = Origin::kNone;
-  snap_clear(origin_snap_);
-  origin_ext_ = InlineVC{};
-  origin_host_ep_ = 0;
-  for (SavedOrigin& s : origin_stack_) snap_unref(s.snap);
-  origin_stack_.clear();
-  replay_shard_ = 0;
 }
 
 // ---- MemoryObserver ---------------------------------------------------------
@@ -1584,36 +1015,14 @@ void Checker::on_free(const SwizzleDescriptor&, std::uint64_t) {
 
 void Checker::on_bad_free(Addr base, bool double_free, const std::string& detail) {
   const std::string head = detail.substr(0, detail.find('\n'));
-  if (deferred()) {
-    // dram_free may run on any shard thread; queue under the mutex and fold
-    // in at report time (the caller throws, so the run is aborting anyway).
-    std::lock_guard<std::mutex> lk(bad_free_mu_);
-    bad_free_pending_.push_back(BadFree{base, double_free, head, m_.now()});
-    return;
-  }
   ++counts_.bad_frees;
   diag({CheckKind::kBadFree, true, m_.now(), 0, 0, 0, base, 0,
         double_free ? head : head + " (never a dram_malloc result)"});
 }
 
-void Checker::drain_bad_frees() {
-  std::vector<BadFree> pending;
-  {
-    std::lock_guard<std::mutex> lk(bad_free_mu_);
-    pending.swap(bad_free_pending_);
-  }
-  for (const BadFree& bf : pending) {
-    ++counts_.bad_frees;
-    diag({CheckKind::kBadFree, true, bf.tick, 0, 0, 0, bf.base, 0,
-          bf.double_free ? bf.head : bf.head + " (never a dram_malloc result)"});
-  }
-}
-
 // ---- Reporting --------------------------------------------------------------
 
 void Checker::report() {
-  drain_bad_frees();
-
   // Leaked threads: in this DSL a handler return is an implicit yield that
   // keeps the context allocated; a thread nothing ever terminates surfaces
   // here as a quiescence leak. The creation sequence number is the thread's
@@ -1646,15 +1055,7 @@ void Checker::report() {
   }
 
   // Fresh drain-state gauges (recomputed each report, not accumulated).
-  std::uint64_t undelivered = 0;
-  if (!m_.idle()) {
-    for (const auto& shp : m_.shards_) {
-      undelivered += shp->queue.size();
-      for (const auto& box : shp->outbox)
-        undelivered += box.msgs.size() + box.drams.size();
-    }
-  }
-  counts_.undelivered_messages = undelivered;
+  counts_.undelivered_messages = m_.shard0().queue.size();
   if (counts_.undelivered_messages) {
     diag({CheckKind::kUndeliveredMessages, true, m_.now(), 0, 0, 0, 0, 0,
           strfmt("report with %llu message(s) still queued: the machine is not "
@@ -1726,8 +1127,6 @@ void Checker::report() {
       dm.host_ep = 0;
       dm.holds_ref = false;
     }
-    msg_stash_.clear();   // (ent, seq) keys are monotonic: stale entries can
-    dram_stash_.clear();  // never be matched again, they are pure leaks
     origin_snap_ = kNoSnap;
     origin_ext_ = InlineVC{};
     origin_host_ep_ = 0;

@@ -35,19 +35,17 @@
 // accesses/deliveries are suppressed so the simulation can continue and
 // report instead of corrupting host memory or crashing).
 //
-// Sharded execution (UD_SHARDS > 1) runs the checker in *deferred window
-// replay* mode: during the exec phase each engine shard appends compact
-// per-shard records of its hook stream, and at every window boundary shard 0
-// merges the completed window's records in the engine's own deterministic
-// (tick, sending entity, sender seq) order and replays them through the
-// serial analysis core. Check-clean runs stay bit-identical for any shard
-// count, and cross-shard races are reported with both shards' stamps.
+// Checked runs use the serial engine: with checking on, Machine resolves to
+// one shard whatever UD_SHARDS asks for, so every hook runs inline, on the
+// engine's one thread, in the (tick, sending entity, sender seq) order that
+// every shard count reproduces. A checked run therefore reports the same
+// diagnostics at any UD_SHARDS, and its simulated results equal the
+// unchecked run's at any shard count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,7 +58,6 @@
 namespace updown {
 
 class Machine;
-struct EngineShard;
 
 enum class CheckKind : std::uint8_t {
   kDataRace,           ///< unordered DRAM write-write / read-write pair
@@ -94,58 +91,19 @@ struct CheckDiagnostic {
   std::string message;          ///< fully formatted human-readable report
 };
 
-/// One deferred-mode hook record. The engine shards append these during the
-/// exec phase (56B each, no heap traffic); shard 0 merges and replays them at
-/// the next window boundary. Group-begin kinds carry the (t, ent, seq) queue
-/// key of the event being executed; all other kinds are nested inside the
-/// most recent group of their shard's log.
-struct CheckRec {
-  enum Kind : std::uint8_t {
-    kHostSend,        ///< group: a host injection (key = (now, host ent, seq))
-    kBeginMsg,        ///< group: a message delivery popped from the queue
-    kBeginDram,       ///< group: a DRAM request being serviced
-    kRouteMsg,        ///< nested: a message was routed (same- or cross-shard)
-    kRouteDram,       ///< nested: a DRAM request was routed
-    kBadRoute,        ///< nested: event word addressed a lane beyond the machine
-    kPreDeliverFail,  ///< nested: the engine suppressed this delivery online
-    kClassMismatch,   ///< nested: delivery hit a thread of another class
-    kTaskBegin,       ///< nested: handler entered
-    kTaskEnd,         ///< nested: handler returned
-    kDramExec,        ///< nested: request serviced (b = online sanitize verdict)
-    kDramFault,       ///< nested: sanitize fault details (follows kDramExec b=0)
-    kDramReplyBegin,  ///< nested: reply message about to be routed
-    kDramDone,        ///< nested: DRAM service complete
-    kSpAccess,        ///< nested: scratchpad access (strict mode / OOB)
-    kSyncRelease,     ///< nested: lane-local sync cell release
-    kSyncAcquire,     ///< nested: lane-local sync cell acquire
-    kInlineBegin,     ///< nested: deliver_inline opened (stack push)
-    kInlineSuppress,  ///< nested: inline delivery suppressed (closes the push)
-    kInlineEnd        ///< nested: inline delivery complete (stack pop)
-  };
-  std::uint8_t kind = 0;
-  std::uint8_t b = 0;
-  std::uint16_t c = 0;
-  std::uint32_t d = 0;
-  std::uint64_t w[6] = {0, 0, 0, 0, 0, 0};
-};
-
 class Checker final : public MemoryObserver {
  public:
-  Checker(Machine& m, bool sp_strict, std::uint32_t nshards);
+  Checker(Machine& m, bool sp_strict);
   ~Checker() override;
 
   Checker(const Checker&) = delete;
   Checker& operator=(const Checker&) = delete;
 
   bool sp_strict() const { return sp_strict_; }
-  /// Sharded engines run the checker in deferred window-replay mode: hooks
-  /// log records online and shard 0 replays them at window boundaries.
-  bool deferred() const { return nshards_ > 1; }
 
-  // ---- Routing hooks (serial engine; also driven by the replay) ------------
-  /// The host (TOP core) is about to inject a message. In deferred mode this
-  /// opens a replay group keyed by the host's queue identity.
-  void on_host_send(Tick now, std::uint32_t ent, std::uint32_t seq);
+  // ---- Routing hooks -------------------------------------------------------
+  /// The host (TOP core) is about to inject a message.
+  void on_host_send() { origin_ = Origin::kHost; }
   /// A message landed in pool slot `idx`; stamp it with the sender's clock
   /// and lint the send (target liveness, operand count, obligations).
   void on_route_message(std::uint32_t idx, Tick depart);
@@ -153,9 +111,9 @@ class Checker final : public MemoryObserver {
   /// routing could not translate the base address (checked mode routes such
   /// requests to node 0 instead of throwing).
   void on_route_dram(std::uint32_t idx, bool addr_mapped, Tick depart);
-  /// Event word addressed a lane beyond the machine; returns true when the
-  /// send was reported (or recorded, in deferred mode) and should be dropped.
-  bool on_bad_route(EngineShard& sh, Word evw, Tick depart);
+  /// Event word addressed a lane beyond the machine: reported here, and the
+  /// engine drops the send.
+  void on_bad_route(Word evw, Tick depart);
 
   // ---- Delivery / execution hooks -----------------------------------------
   /// Validate delivery of pooled message `idx`; false => suppress (the
@@ -181,10 +139,10 @@ class Checker final : public MemoryObserver {
   void on_dram_done(std::uint32_t idx);
 
   /// Scratchpad access from a running handler. Returns false when the access
-  /// is out of bounds and must be suppressed (reads return 0). Internally
-  /// branches on the engine mode (serial check vs deferred record).
-  bool on_sp_access(EngineShard& sh, NetworkId lane, std::uint64_t offset,
-                    std::size_t bytes, bool is_write, Tick now);
+  /// is out of bounds and must be suppressed (reads return 0); under
+  /// sp_strict, race-checks the word too.
+  bool on_sp_access(NetworkId lane, std::uint64_t offset, std::size_t bytes,
+                    bool is_write, Tick now);
 
   /// Lane-local synchronization cells (Ctx::sync_release / sync_acquire):
   /// an atomic scratchpad counter or flag is a real happens-before edge the
@@ -193,8 +151,8 @@ class Checker final : public MemoryObserver {
   /// sending, and a later poll task on the same lane reads the counter and
   /// reports to the master. Release merges the running task's clock into the
   /// cell; acquire merges the cell into the running task.
-  void on_sync_release(EngineShard& sh, NetworkId lane, std::uint64_t slot);
-  void on_sync_acquire(EngineShard& sh, NetworkId lane, std::uint64_t slot);
+  void on_sync_release(NetworkId lane, std::uint64_t slot);
+  void on_sync_acquire(NetworkId lane, std::uint64_t slot);
 
   /// Save / restore the scoped message origin around an inline delivery
   /// (Machine::deliver_inline): the nested task's begin/end hooks overwrite
@@ -203,47 +161,6 @@ class Checker final : public MemoryObserver {
   /// nested on_task_end. Nesting depth follows the inline call depth.
   void push_origin();
   void pop_origin();
-
-  // ---- Deferred-mode engine hooks (sharded execution) ----------------------
-  // Each appends a record to the executing shard's log and returns the online
-  // verdict the engine needs for control flow. Verdicts are computed from
-  // engine-owned state only (lane liveness, the program table, descriptor
-  // snapshots), so the engine behaves exactly like an unchecked sharded run
-  // on check-clean inputs. The analysis itself happens at replay.
-  void defer_route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
-                           const Message& m, Tick depart);
-  void defer_route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
-                        const DramRequest& r, bool addr_mapped, Tick depart);
-  /// Opens the delivery group for queue entry (t, ent, seq); returns false
-  /// when the engine must suppress the delivery (bad label / dead target).
-  bool defer_pre_deliver(EngineShard& sh, Tick t, std::uint32_t ent, std::uint32_t seq,
-                         const Message& m, Tick start);
-  void defer_class_mismatch(EngineShard& sh, NetworkId lane, ThreadId tid, Tick start);
-  void defer_task_begin(EngineShard& sh, NetworkId lane, ThreadId tid, EventLabel label,
-                        Tick start, bool new_thread);
-  void defer_task_end(EngineShard& sh, NetworkId lane, ThreadId tid, bool terminated);
-  /// Opens the DRAM service group for queue entry (t, ent, seq).
-  void defer_dram_begin(EngineShard& sh, Tick t, std::uint32_t ent, std::uint32_t seq);
-  /// Online sanitize through the shard's descriptor snapshot; false =>
-  /// suppress the physical access (the fault details ride in the log and the
-  /// diagnostic is emitted at replay).
-  bool defer_dram_exec(EngineShard& sh, const DramRequest& r, Tick now);
-  void defer_dram_reply_begin(EngineShard& sh);
-  void defer_dram_done(EngineShard& sh);
-  /// Inline delivery in deferred mode; returns false when suppressed online.
-  bool defer_inline_begin(EngineShard& sh, const Message& m, Tick start);
-  void defer_inline_class_mismatch(EngineShard& sh, NetworkId lane, ThreadId tid,
-                                   Tick start);
-  void defer_inline_end(EngineShard& sh);
-
-  /// Shard 0, at a window boundary (between inbox merge and barrier A): merge
-  /// all shards' completed-window records in (t, ent, seq) order and replay
-  /// them through the serial analysis core. Also called once at run() exit as
-  /// a drain safety net.
-  void replay_pending();
-  /// A sharded run aborted: drop half-replayed window logs and stashed
-  /// in-flight clock state so the next run starts clean.
-  void reset_deferred();
 
   // ---- MemoryObserver (allocation lifecycle) ------------------------------
   void on_alloc(const SwizzleDescriptor& d) override;
@@ -308,7 +225,7 @@ class Checker final : public MemoryObserver {
   // ---- Snapshot pool -------------------------------------------------------
   // Clocks are immutable, refcounted VCs held in a pooled slab and addressed
   // by index. A lifetime's clock, the snapshots pinned to in-flight messages
-  // and DRAM requests, and the replay's origin state all share slots, so a
+  // and DRAM requests, and the DRAM-reply origin state all share slots, so a
   // send is a refcount bump (no copy) and a join builds its result in a
   // recycled buffer — the message hot path allocates nothing in steady state.
   // kNoSnap denotes the empty clock.
@@ -354,7 +271,6 @@ class Checker final : public MemoryObserver {
     std::uint32_t epoch = 0;
     std::uint32_t era = 0;
     EventLabel label = 0;      ///< event that produced the stamp (diagnostics)
-    std::uint16_t shard = 0;   ///< engine shard that executed it (diagnostics)
     Tick tick = 0;
   };
 
@@ -486,33 +402,6 @@ class Checker final : public MemoryObserver {
   /// (`cur.lt`, `view`).
   void check_access(ShadowCell& cell, const Stamp& cur, const ClockView& view,
                     bool is_write, bool is_sp, Addr va);
-  /// Race-check a word run of a DRAM request (shared by the serial hook and
-  /// the deferred replay).
-  void dram_race_words(DramMeta& meta, Addr addr, unsigned nwords, bool is_write,
-                       Tick now);
-  /// UAF/OOB diagnostic for a sanitize fault (freed == nullptr => OOB).
-  void dram_fault_diag(const Stamp& s, unsigned nwords, bool is_write, Addr va,
-                       const FreedRegion* freed, Tick now);
-  /// Serial scratchpad access path (bounds + optional strict race check).
-  bool sp_access_check(NetworkId lane, std::uint64_t offset, std::size_t bytes,
-                       bool is_write, Tick now);
-  void sync_release_check(NetworkId lane, std::uint64_t slot);
-  void sync_acquire_check(NetworkId lane, std::uint64_t slot);
-
-  // Analysis core, metadata-addressed: the public idx hooks (serial engine)
-  // and the deferred replay both drive these. The replay materializes its
-  // Message / metadata operands from log records and the (ent, seq) stash, so
-  // it never touches the engine's payload pools.
-  void route_message_m(MsgMeta& meta, const Message& m, Tick depart);
-  void route_dram_m(DramMeta& meta, const DramRequest& r, bool addr_mapped, Tick depart);
-  bool pre_deliver_m(MsgMeta& meta, const Message& m, Tick start);
-  void class_mismatch_m(MsgMeta& meta, const Message& m, NetworkId lane, ThreadId tid,
-                        Tick start);
-  void task_begin_m(MsgMeta& meta, const Message& m, NetworkId lane, ThreadId tid,
-                    EventLabel label, Tick start, bool new_thread);
-  void begin_dram_reply_m(DramMeta& meta);
-  void dram_done_m(DramMeta& meta);
-  void bad_route_diag(Word evw, Tick depart);
 
   // Meta lifecycle. Message metadata pins both the sender's lifetime (so
   // diagnostics after delivery still name the true sender) and the expected
@@ -533,15 +422,8 @@ class Checker final : public MemoryObserver {
   MsgMeta& msg_meta(std::uint32_t idx);
   DramMeta& dram_meta(std::uint32_t idx);
 
-  // Deferred-mode internals.
-  std::vector<CheckRec>& log_of(EngineShard& sh);
-  void replay_group(std::uint32_t shard, const std::vector<CheckRec>& log,
-                    std::size_t begin, std::size_t end);
-  void drain_bad_frees();
-
   Machine& m_;
   const bool sp_strict_;
-  const std::uint32_t nshards_;
 
   std::vector<Lifetime> lifetimes_;  ///< index = LifetimeId; [0] is the host
   std::vector<LifetimeId> free_ids_; ///< retired ids awaiting reuse
@@ -549,9 +431,8 @@ class Checker final : public MemoryObserver {
   std::vector<std::vector<LifetimeId>> slot_lt_;  ///< per lane, per tid (lazy rows)
   std::uint32_t era_ = 1;  ///< bumped at every full drain (report)
 
-  // Origin of the message/request currently being routed. The analysis core
-  // is single-threaded (serial engine, or the replay on shard 0), so one
-  // scoped origin per Machine suffices.
+  // Origin of the message/request currently being routed. Checked runs are
+  // serial, so one scoped origin per Machine suffices.
   enum class Origin : std::uint8_t { kNone, kHost, kTask, kDramReply };
   Origin origin_ = Origin::kNone;
   Stamp origin_stamp_;       ///< valid for kTask (current task's lifetime)
@@ -592,31 +473,6 @@ class Checker final : public MemoryObserver {
   std::unordered_map<std::uint64_t, VC> sync_clocks_;  ///< (lane<<32)|slot
 
   std::unordered_map<Word, PendingCont> pending_conts_;
-
-  // Deferred (sharded) mode: per-shard hook logs, in-flight clock state keyed
-  // by the sender's (entity, seq) identity, and the shard currently being
-  // replayed (stamped into clocks for cross-shard race attribution).
-  std::vector<std::vector<CheckRec>> logs_;
-  std::unordered_map<std::uint64_t, MsgMeta> msg_stash_;
-  struct DramStash {
-    DramMeta meta;
-    Addr addr = 0;
-    std::uint8_t nwords = 0;
-    bool is_write = false;
-  };
-  std::unordered_map<std::uint64_t, DramStash> dram_stash_;
-  std::uint16_t replay_shard_ = 0;
-
-  /// Bad-free reports can arrive from any shard thread (a task calling
-  /// dram_free); they are queued under a mutex and folded in at report time.
-  struct BadFree {
-    Addr base;
-    bool double_free;
-    std::string head;
-    Tick tick;
-  };
-  std::mutex bad_free_mu_;
-  std::vector<BadFree> bad_free_pending_;
 
   CheckSummary counts_;
   std::vector<CheckDiagnostic> diags_;

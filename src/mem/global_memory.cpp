@@ -86,29 +86,6 @@ const FreedRegion* GlobalMemory::find_freed(Addr va) const {
   return nullptr;
 }
 
-const SwizzleDescriptor* GlobalMemory::find_snap(Addr va,
-                                                 DescriptorSnapshot& snap) const {
-  for (const auto& d : snap.descs)
-    if (d.contains(va)) return &d;
-  const std::uint64_t before = snap.version;
-  refresh(snap);
-  if (snap.version != before)
-    for (const auto& d : snap.descs)
-      if (d.contains(va)) return &d;
-  return nullptr;
-}
-
-bool GlobalMemory::find_freed_locked(Addr va, FreedRegion* out) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto it = freed_.rbegin(); it != freed_.rend(); ++it) {
-    if (it->contains(va)) {
-      *out = *it;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string GlobalMemory::describe() const {
   std::string out =
       strfmt("descriptor table (%zu live region(s)):\n", descriptors_.size());

@@ -186,14 +186,6 @@ class GlobalMemory {
   const SwizzleDescriptor* find_live(Addr va) const;
   /// The most recently freed region covering `va`, or nullptr.
   const FreedRegion* find_freed(Addr va) const;
-  /// No-throw lookup through a shard-private snapshot: the snapshot's
-  /// descriptor covering `va`, refreshing once on miss (a shard can only
-  /// learn a VA after the dram_malloc that mapped it). Safe to call from
-  /// shard threads concurrently with other shards' allocations.
-  const SwizzleDescriptor* find_snap(Addr va, DescriptorSnapshot& snap) const;
-  /// Locked variant of find_freed that copies the region out, for use from
-  /// shard threads (find_freed reads the table unlocked, host-side only).
-  bool find_freed_locked(Addr va, FreedRegion* out) const;
   const std::vector<SwizzleDescriptor>& live_descriptors() const { return descriptors_; }
   const std::vector<FreedRegion>& freed_regions() const { return freed_; }
   /// Human-readable dump of the live descriptor table (+ freed regions),

@@ -60,10 +60,10 @@ struct MachineConfig {
 
   // ---- Host-parallel execution ---------------------------------------------
   // Number of host threads the event engine shards across (UD_SHARDS env
-  // overrides; clamped to the node count). Nodes are partitioned round-robin;
+  // overrides; clamped to the node count, and to 1 when checking is on:
+  // udcheck runs on the serial engine). Nodes are partitioned round-robin;
   // shards run in lock-step windows one minimum cross-node latency wide, so
-  // results are bit-identical for any value — including checked runs, where
-  // udcheck defers its analysis to a window-boundary replay on shard 0.
+  // results are bit-identical for any value.
   std::uint32_t shards = 1;
 
   /// Pin each shard's host thread to a CPU (UD_PIN env overrides). Together

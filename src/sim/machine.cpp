@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #ifdef __linux__
@@ -77,18 +78,20 @@ Machine::Machine(MachineConfig cfg)
       cfg_.nodes));
   if (nshards_ == 0) nshards_ = 1;
 
+  // Checked runs use the serial engine: the checker's hooks run inline, in
+  // the engine's one event order, whatever shard count was asked for.
   if (env_flag("UD_CHECK", cfg_.check)) {
     checker_ = std::make_unique<Checker>(
-        *this, env_flag("UD_CHECK_SP_STRICT", cfg_.check_sp_strict), nshards_);
+        *this, env_flag("UD_CHECK_SP_STRICT", cfg_.check_sp_strict));
     memory_.set_observer(checker_.get());
-    ck_defer_ = nshards_ > 1;
-    if (ck_defer_) {
+    if (nshards_ > 1) {
       static std::atomic<bool> warned{false};
       if (!warned.exchange(true))
         std::fprintf(stderr,
-                     "[UDCHECK] note: running with %u engine shards — checking "
-                     "is deferred to window-boundary replay\n",
+                     "[UDCHECK] note: checked runs use the serial engine; the "
+                     "requested %u engine shards are ignored\n",
                      nshards_);
+      nshards_ = 1;
     }
   }
 
@@ -105,7 +108,6 @@ Machine::Machine(MachineConfig cfg)
   shards_.reserve(nshards_);
   for (std::uint32_t s = 0; s < nshards_; ++s) {
     shards_.push_back(std::make_unique<EngineShard>());
-    shards_.back()->id = s;
     shards_.back()->outbox.resize(nshards_);
   }
 
@@ -125,35 +127,35 @@ Machine::Machine(MachineConfig cfg)
 Machine::~Machine() = default;
 
 void Machine::send_from_host(Word event_word, std::initializer_list<Word> ops, Word cont) {
-  send_from_host(event_word, ops.begin(), ops.size(), cont);
+  host_send(now_, event_word, ops.begin(), ops.size(), cont);
 }
 
 void Machine::send_from_host(Word event_word, const Word* ops, std::size_t nops, Word cont) {
-  Message m;
-  m.evw = event_word;
-  m.cont = cont;
-  m.nops = static_cast<std::uint8_t>(nops);
-  for (std::size_t i = 0; i < nops; ++i) m.ops[i] = ops[i];
-  m.src = first_lane_of_node(0);  // the TOP core is attached to node 0
-  if (checker_) checker_->on_host_send(now_, host_entity(), host_seq_);
-  // The engine is idle here, so routing from shard 0 (which owns node 0's
-  // network buckets) is race-free; a cross-shard destination just parks the
-  // message in the mailbox until run() merges it.
-  route_message(shard0(), host_entity(), host_seq_++, std::move(m), now_);
+  host_send(now_, event_word, ops, nops, cont);
 }
 
 void Machine::send_from_host_at(Tick depart, Word event_word,
                                 std::initializer_list<Word> ops, Word cont) {
-  const Tick at = std::max(depart, now_);
+  host_send(std::max(depart, now_), event_word, ops.begin(), ops.size(), cont);
+}
+
+void Machine::host_send(Tick depart, Word event_word, const Word* ops, std::size_t nops,
+                        Word cont) {
+  if (nops > kMaxOperands)
+    throw std::invalid_argument("send_from_host: " + std::to_string(nops) +
+                                " operands; a message carries at most " +
+                                std::to_string(kMaxOperands));
   Message m;
   m.evw = event_word;
   m.cont = cont;
-  m.nops = static_cast<std::uint8_t>(ops.size());
-  std::size_t i = 0;
-  for (Word w : ops) m.ops[i++] = w;
-  m.src = first_lane_of_node(0);
-  if (checker_) checker_->on_host_send(at, host_entity(), host_seq_);
-  route_message(shard0(), host_entity(), host_seq_++, std::move(m), at);
+  m.nops = static_cast<std::uint8_t>(nops);
+  std::copy(ops, ops + nops, m.ops.begin());
+  m.src = first_lane_of_node(0);  // the TOP core is attached to node 0
+  if (checker_) checker_->on_host_send();
+  // The engine is idle here, so routing from shard 0 (which owns node 0's
+  // network buckets) is race-free; a cross-shard destination just parks the
+  // message in the mailbox until run() merges it.
+  route_message(shard0(), host_entity(), host_seq_++, std::move(m), depart);
 }
 
 void Machine::push(EngineShard& sh, const QEntry& e) {
@@ -168,8 +170,9 @@ void Machine::route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t se
   if (dst >= lanes_.size()) {
     // Checked mode reports the bad event word and drops the send so the
     // simulation can continue and surface the rest of the run's violations.
-    if (checker_ && checker_->on_bad_route(sh, m.evw, depart)) return;
-    throw std::out_of_range("send_event: networkID beyond machine lanes");
+    if (!checker_) throw std::out_of_range("send_event: networkID beyond machine lanes");
+    checker_->on_bad_route(m.evw, depart);
+    return;
   }
   const std::uint32_t bytes = m.payload_bytes(cfg_.msg_header_bytes);
   const Tick arrive = network_.arrival(depart, m.src, dst, bytes);
@@ -183,9 +186,6 @@ void Machine::route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t se
   if (tracer_)
     tracer_->on_message(*sh.trace, src_node, dst_node, bytes, depart, arrive,
                         network_.inject_backlog(src_node, depart));
-  // Deferred checking records the send (cross-shard ones too) in the sending
-  // shard's log; the clock stamping happens at the window-boundary replay.
-  if (ck_defer_) checker_->defer_route_message(sh, ent, seq, m, depart);
   const std::uint32_t dshard = shard_of(dst_node);
   EngineShard& dsh = *shards_[dshard];
   if (&dsh == &sh) {
@@ -197,7 +197,7 @@ void Machine::route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t se
     m.bulk = bulk_idx;
     const std::uint32_t idx = sh.msg_pool.acquire();
     sh.msg_pool[idx] = m;
-    if (checker_ && !ck_defer_) checker_->on_route_message(idx, depart);
+    if (checker_) checker_->on_route_message(idx, depart);
     push(sh, QEntry{arrive, ent, seq, idx, kMsg});
   } else {
     m.bulk = kNoBulk;  // re-pooled by the destination at merge time
@@ -214,17 +214,13 @@ void Machine::route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
   bool addr_mapped = true;
   if (checker_) {
     // Don't throw on an unmapped base: route to node 0 and let the checker
-    // classify the fault (UAF vs OOB) at service time, word by word. Sharded
-    // runs look up through the shard's descriptor snapshot (no-throw variant
-    // of the unchecked snapshot translate below).
-    const SwizzleDescriptor* d = ck_defer_ ? memory_.find_snap(r.addr, sh.mem_snap)
-                                           : memory_.find_live(r.addr);
+    // classify the fault (UAF vs OOB) at service time, word by word.
+    const SwizzleDescriptor* d = memory_.find_live(r.addr);
     if (d) r.dst_node = d->translate(r.addr).node;
     else {
       addr_mapped = false;
       r.dst_node = 0;
     }
-    if (ck_defer_) checker_->defer_route_dram(sh, ent, seq, r, addr_mapped, depart);
   } else if (nshards_ > 1) {
     r.dst_node = memory_.translate(r.addr, sh.mem_snap).node;
   } else {
@@ -240,7 +236,7 @@ void Machine::route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
   if (&dsh == &sh) {
     const std::uint32_t idx = sh.dram_pool.acquire();
     sh.dram_pool[idx] = r;
-    if (checker_ && !ck_defer_) checker_->on_route_dram(idx, addr_mapped, depart);
+    if (checker_) checker_->on_route_dram(idx, addr_mapped, depart);
     push(sh, QEntry{arrive, ent, seq, idx, kDram});
   } else {
     sh.outbox[dshard].drams.push_back({arrive, ent, seq, r});
@@ -256,15 +252,8 @@ void Machine::exec_message(EngineShard& sh, const QEntry& e) {
   const EventLabel label = evw::label(m.evw);
 
   // Checked mode validates the delivery (label, target liveness, recycled
-  // contexts) and suppresses violating messages after reporting them. The
-  // deferred variant opens this delivery's replay group and answers from
-  // engine-owned state only.
-  if (checker_) {
-    const bool ok = ck_defer_
-                        ? checker_->defer_pre_deliver(sh, e.t, e.src, e.seq, m, start)
-                        : checker_->on_pre_deliver(e.index, start);
-    if (!ok) return;
-  }
+  // contexts) and suppresses violating messages after reporting them.
+  if (checker_ && !checker_->on_pre_deliver(e.index, start)) return;
 
   const EventDef& def = program_.def(label);
 
@@ -281,8 +270,7 @@ void Machine::exec_message(EngineShard& sh, const QEntry& e) {
   ThreadState& state = lane.thread(tid);
   if (state.ud_class_id != def.type_id) {
     if (checker_) {
-      if (ck_defer_) checker_->defer_class_mismatch(sh, dst, tid, start);
-      else checker_->on_class_mismatch(e.index, dst, tid, start);
+      checker_->on_class_mismatch(e.index, dst, tid, start);
       return;
     }
     throw std::runtime_error("event '" + def.name + "' delivered to a thread of another class");
@@ -291,10 +279,7 @@ void Machine::exec_message(EngineShard& sh, const QEntry& e) {
   const Word cevnt = evw::make_existing(dst, tid, label, m.nops);
   UDSIM_LOG(LogLevel::kDebug, start, "[NWID %u][TID %u] %s (%u ops)", dst, tid,
             def.name.c_str(), m.nops);
-  if (checker_) {
-    if (ck_defer_) checker_->defer_task_begin(sh, dst, tid, label, start, new_thread);
-    else checker_->on_task_begin(e.index, dst, tid, label, start, new_thread);
-  }
+  if (checker_) checker_->on_task_begin(e.index, dst, tid, label, start, new_thread);
   Ctx ctx(*this, sh, lane, m, start, tid, cevnt, state);
   def.invoke(ctx, state);
 
@@ -314,10 +299,7 @@ void Machine::exec_message(EngineShard& sh, const QEntry& e) {
     sh.stats.threads_destroyed++;
     --sh.live_threads;
   }
-  if (checker_) {
-    if (ck_defer_) checker_->defer_task_end(sh, dst, tid, ctx.terminated());
-    else checker_->on_task_end(dst, tid, ctx.terminated());
-  }
+  if (checker_) checker_->on_task_end(dst, tid, ctx.terminated());
   if (lane_free > sh.now) sh.now = lane_free;
 }
 
@@ -333,11 +315,7 @@ std::uint64_t Machine::deliver_inline(EngineShard& sh, Message&& m, Tick start) 
   // scoped origin is saved around the nested task: after the inline handler
   // finishes, the caller's own sends must stamp with the caller's clock again.
   std::uint32_t idx = 0;
-  if (ck_defer_) {
-    // Deferred: record the inline delivery (the replay builds its own frame;
-    // no pool slot is taken) and suppress online only on a dead target.
-    if (!checker_->defer_inline_begin(sh, m, start)) return 0;
-  } else if (checker_) {
+  if (checker_) {
     idx = sh.msg_pool.acquire();
     sh.msg_pool[idx] = m;
     checker_->push_origin();
@@ -362,10 +340,6 @@ std::uint64_t Machine::deliver_inline(EngineShard& sh, Message&& m, Tick start) 
   ThreadState& state = lane.thread(tid);
   if (state.ud_class_id != def.type_id) {
     if (checker_) {
-      if (ck_defer_) {
-        checker_->defer_inline_class_mismatch(sh, dst, tid, start);
-        return 0;
-      }
       checker_->on_class_mismatch(idx, dst, tid, start);
       sh.msg_pool.release(idx);
       checker_->pop_origin();
@@ -377,10 +351,7 @@ std::uint64_t Machine::deliver_inline(EngineShard& sh, Message&& m, Tick start) 
   const Word cevnt = evw::make_existing(dst, tid, label, m.nops);
   UDSIM_LOG(LogLevel::kDebug, start, "[NWID %u][TID %u] %s (%u ops, inline)", dst, tid,
             def.name.c_str(), m.nops);
-  if (checker_) {
-    if (ck_defer_) checker_->defer_task_begin(sh, dst, tid, label, start, new_thread);
-    else checker_->on_task_begin(idx, dst, tid, label, start, new_thread);
-  }
+  if (checker_) checker_->on_task_begin(idx, dst, tid, label, start, new_thread);
   Ctx ctx(*this, sh, lane, m, start, tid, cevnt, state);
   def.invoke(ctx, state);
 
@@ -399,14 +370,9 @@ std::uint64_t Machine::deliver_inline(EngineShard& sh, Message&& m, Tick start) 
     --sh.live_threads;
   }
   if (checker_) {
-    if (ck_defer_) {
-      checker_->defer_task_end(sh, dst, tid, ctx.terminated());
-      checker_->defer_inline_end(sh);
-    } else {
-      checker_->on_task_end(dst, tid, ctx.terminated());
-      sh.msg_pool.release(idx);
-      checker_->pop_origin();
-    }
+    checker_->on_task_end(dst, tid, ctx.terminated());
+    sh.msg_pool.release(idx);
+    checker_->pop_origin();
   }
   return cost;
 }
@@ -414,7 +380,6 @@ std::uint64_t Machine::deliver_inline(EngineShard& sh, Message&& m, Tick start) 
 void Machine::exec_dram(EngineShard& sh, const QEntry& e) {
   DramRequest& r = sh.dram_pool[e.index];
   const Tick arrive = e.t;
-  if (ck_defer_) checker_->defer_dram_begin(sh, e.t, e.src, e.seq);
   const std::uint32_t data_bytes = r.nwords * 8u + cfg_.msg_header_bytes;
   const Tick ready = dram_.service(arrive, r.dst_node, data_bytes);
   DescriptorSnapshot* snap = nshards_ > 1 ? &sh.mem_snap : nullptr;
@@ -425,8 +390,7 @@ void Machine::exec_dram(EngineShard& sh, const QEntry& e) {
   // Checked mode sanitizes the address range (OOB/UAF) and race-checks each
   // word; invalid accesses are suppressed (reads deliver zeros) so the run
   // can continue to the report instead of corrupting host memory.
-  const bool ok = !checker_ || (ck_defer_ ? checker_->defer_dram_exec(sh, r, arrive)
-                                          : checker_->on_dram_exec(e.index, arrive));
+  const bool ok = !checker_ || checker_->on_dram_exec(e.index, arrive);
   if (r.is_write) {
     if (ok) memory_.write_words(r.addr, r.data.data(), r.nwords, snap);
     sh.stats.dram_writes++;
@@ -444,20 +408,14 @@ void Machine::exec_dram(EngineShard& sh, const QEntry& e) {
     resp.nops = r.is_write ? 0 : r.nwords;
     if (!r.is_write) resp.ops = r.data;
     resp.src = first_lane_of_node(r.dst_node);
-    if (checker_) {
-      if (ck_defer_) checker_->defer_dram_reply_begin(sh);
-      else checker_->begin_dram_reply(e.index);
-    }
+    if (checker_) checker_->begin_dram_reply(e.index);
     // The reply is sent by the home node's DRAM port: a sender entity of its
     // own, with its own counter, so the (tick, src, seq) order of replies is
     // shard-count-invariant just like lane sends.
     route_message(sh, dram_entity(r.dst_node), dram_seq_[r.dst_node]++,
                   std::move(resp), ready);
   }
-  if (checker_) {
-    if (ck_defer_) checker_->defer_dram_done(sh);
-    else checker_->on_dram_done(e.index);
-  }
+  if (checker_) checker_->on_dram_done(e.index);
   if (ready > sh.now) sh.now = ready;
 }
 
@@ -488,7 +446,6 @@ bool Machine::run_until(const std::function<bool()>& stop) {
   // far. A predicate-stopped run leaves both for the run that finally drains.
   if (checker_) {
     flush_stats();  // the report writes stats_.check; totals first
-    if (ck_defer_) checker_->replay_pending();  // drain safety net
     checker_->report();
   }
   // Serialize only at a clean drain (cumulative rewrite: the last run() wins,
@@ -547,12 +504,7 @@ bool Machine::run_sharded(const std::function<bool()>& stop) {
     if (sh->eptr && !first) first = sh->eptr;
     sh->eptr = nullptr;
   }
-  if (first) {
-    // Half-replayed window logs and stashed in-flight clock state belong to
-    // the aborted schedule; drop them so a later run starts clean.
-    if (checker_) checker_->reset_deferred();
-    std::rethrow_exception(first);
-  }
+  if (first) std::rethrow_exception(first);
 
   return stop_.load(std::memory_order_relaxed);
 }
@@ -595,11 +547,6 @@ void Machine::run_shard(std::uint32_t my, Tick lookahead) {
     try {
       merge_inbox(sh, my);
       memory_.refresh(sh.mem_snap);
-      // Deferred checking: shard 0 replays the previous round's hook records
-      // here — after barrier B sealed all shards' appends, before barrier A
-      // opens the next exec phase — so the analysis trails execution by
-      // exactly one window and never races with the log writers.
-      if (ck_defer_ && my == 0) checker_->replay_pending();
       // run_until stop predicate: evaluated by shard 0 only, here — between
       // barrier B of the previous round (which published every exec-phase
       // write) and barrier A of this one (no shard is executing). The

@@ -16,6 +16,8 @@
 // (tick, sending entity, sender-private seq) — no globally shared counter —
 // the merged schedule is bit-identical to the serial engine for any shard
 // count. See DESIGN.md "Host-parallel execution" for the full argument.
+// Checked runs (udcheck) always use the serial engine: its analysis state is
+// engine-global, so the constructor clamps the shard count to 1.
 #pragma once
 
 #include <atomic>
@@ -90,7 +92,6 @@ struct EngineShard {
     std::vector<MailDram> drams;
   };
 
-  std::uint32_t id = 0;  ///< this shard's index (checker log addressing)
   CalendarEventQueue queue;
   SlabPool<Message> msg_pool;
   SlabPool<DramRequest> dram_pool;
@@ -147,8 +148,8 @@ class Machine {
 
   // ---- Sharding -------------------------------------------------------------
   /// Host threads the engine runs on (resolved from UD_SHARDS /
-  /// MachineConfig::shards, clamped to the node count). Checked runs shard
-  /// too: udcheck defers its analysis to a window-boundary replay.
+  /// MachineConfig::shards, clamped to the node count). Checked runs always
+  /// resolve to 1: udcheck runs on the serial engine.
   std::uint32_t shards() const { return nshards_; }
   /// Owning shard of `node`: the round-robin partition (node % shards),
   /// fixed for the machine's whole life.
@@ -158,7 +159,8 @@ class Machine {
 
   // ---- Host (TOP core) interface --------------------------------------------
   /// Inject an event from the host; it is delivered to the target lane with
-  /// intra-node latency from node 0.
+  /// intra-node latency from node 0. At most kMaxOperands operands: more
+  /// throw std::invalid_argument.
   void send_from_host(Word event_word, std::initializer_list<Word> ops,
                       Word cont = IGNRCONT);
   void send_from_host(Word event_word, const Word* ops, std::size_t nops,
@@ -202,8 +204,9 @@ class Machine {
   Tick now() const { return now_; }
 
   /// The udcheck analysis subsystem (src/check/), or nullptr when off.
-  /// Enabled via MachineConfig::check or the UD_CHECK environment variable;
-  /// hook sites pay one null test when disabled.
+  /// Enabled via MachineConfig::check or the UD_CHECK environment variable,
+  /// which also selects the serial engine; hook sites pay one null test when
+  /// disabled.
   Checker* checker() { return checker_.get(); }
 
   /// The udtrace timeline/profiling subsystem (src/trace/), or nullptr when
@@ -298,6 +301,9 @@ class Machine {
                      Message&& m, Tick depart, const Word* bulk = nullptr);
   void route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
                   DramRequest&& r, Tick depart);
+  /// The one path of every host injection, departing at `depart`.
+  void host_send(Tick depart, Word event_word, const Word* ops, std::size_t nops,
+                 Word cont);
   /// Pop `sh`'s next queue entry, execute it, and release its payload.
   void exec_next(EngineShard& sh);
   void exec_message(EngineShard& sh, const QEntry& e);
@@ -333,7 +339,7 @@ class Machine {
   /// Fold all shards' stats deltas into stats_ and zero the deltas.
   void flush_stats();
 
-  EngineShard& shard0() { return *shards_[0]; }  ///< serial engine / checker view
+  EngineShard& shard0() { return *shards_[0]; }  ///< serial engine, host sends, checker
 
   MachineConfig cfg_;
   Program program_;
@@ -361,9 +367,6 @@ class Machine {
   Tick now_ = 0;
   MachineStats stats_;
   std::unique_ptr<Checker> checker_;  ///< null unless checking is enabled
-  /// Checked + sharded: hooks record per-shard logs, shard 0 replays them at
-  /// window boundaries (Checker::deferred()). Cached here for the hot path.
-  bool ck_defer_ = false;
   std::unique_ptr<Tracer> tracer_;    ///< null unless tracing is enabled
   std::shared_ptr<void> user_;
   void* user_ptr_ = nullptr;

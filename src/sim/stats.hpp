@@ -119,9 +119,9 @@ struct MachineStats {
   /// two engine gauges (`max_queue_depth`, `max_live_threads`) combine by
   /// max, i.e. the peak any single shard observed — exact when shards == 1,
   /// a per-shard view otherwise (the determinism goldens exclude them).
-  /// `check` is left alone — the checker (serial, or the deferred window
-  /// replay on shard 0) writes its summary into the machine total directly
-  /// at report time; shard delta blocks never carry checker counts.
+  /// `check` is left alone — the checker (which runs only on the serial
+  /// engine) writes its summary into the machine total directly at report
+  /// time; shard delta blocks never carry checker counts.
   void merge(const MachineStats& s) {
     events_executed += s.events_executed;
     charged_cycles += s.charged_cycles;

@@ -1,7 +1,6 @@
 #include "stream/stream.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -18,60 +17,19 @@ StreamOptions StreamOptions::from_env() {
 }
 
 // ---------------------------------------------------------------------------
-// Delta-batch ingestion: the apps/ingestion block-parse flow, re-homed onto
-// per-batch record buffers (the job's tag names the batch) and a reduce that
-// appends parsed edges into the batch's per-lane staging instead of a
-// parallel-graph hash insert — the staged edges feed DeltaGraph::compact().
+// Delta-batch ingestion: the shared block-parse map task over per-batch
+// record buffers (the job's tag names the batch), and a reduce that appends
+// parsed edges into the batch's per-lane staging instead of a parallel-graph
+// hash insert — the staged edges feed DeltaGraph::compact().
 // ---------------------------------------------------------------------------
-struct StIngestMap : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  tform::BlockWindow w;
-  std::vector<std::uint8_t> buf;
-  std::uint64_t arrived = 0, expected = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& se = ctx.machine().service<StreamEngine>();
-    job = kvmsr::Library::map_job(ctx);
-    const Word block = kvmsr::Library::map_key(ctx);
+struct StIngestSource {
+  static tform::BlockJob block_job(Ctx& ctx, kvmsr::JobId job) {
+    const auto& se = ctx.machine().service<StreamEngine>();
     const auto& bt = se.batches_.at(se.lib_->spec(job).tag);
-    w = tform::BlockWindow::of(block, se.opt_.block_bytes, bt.data_bytes);
-    buf.assign(w.bytes(), 0);
-    for (std::uint64_t off = w.read_begin; off < w.read_end; off += 64) {
-      const unsigned words =
-          static_cast<unsigned>(std::min<std::uint64_t>(8, (w.read_end - off) / 8));
-      ctx.charge(2);
-      ctx.send_dram_read(bt.data_base + off, words, se.lb_.m_chunk);
-      ++expected;
-    }
-  }
-
-  void m_chunk(Ctx& ctx) {
-    auto& se = ctx.machine().service<StreamEngine>();
-    const auto& bt = se.batches_.at(se.lib_->spec(job).tag);
-    const std::uint64_t off = ctx.ccont() - bt.data_base - w.read_begin;
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      const Word word = ctx.op(i);
-      std::memcpy(buf.data() + off + i * 8, &word, 8);
-    }
-    ctx.charge(ctx.nops());
-    if (++arrived == expected) parse(ctx);
-  }
-
- private:
-  void parse(Ctx& ctx) {
-    auto& se = ctx.machine().service<StreamEngine>();
-    const auto& bt = se.batches_.at(se.lib_->spec(job).tag);
-    tform::parse_block(ctx, se.fst_, buf.data(), w, bt.data_bytes,
-                       [&](const std::vector<Word>& fields) {
-                         if (fields.size() != 3)
-                           throw std::runtime_error("stream: malformed delta record");
-                         ctx.charge(1);
-                         se.lib_->emit2(ctx, job, fields[0], fields[1], fields[2]);
-                       });
-    se.lib_->map_return(ctx, kvmsr_cont);
+    return {bt.data_base, bt.data_bytes, se.opt_.block_bytes, se.lb_.m_chunk};
   }
 };
+using StIngestMap = tform::BlockParseMap<StIngestSource>;
 
 struct StIngestReduce : ThreadState {
   void kv_reduce(Ctx& ctx) {

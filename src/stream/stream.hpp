@@ -131,7 +131,7 @@ class StreamEngine {
   std::uint64_t num_batches() const { return batches_.size(); }
 
  private:
-  friend struct StIngestMap;
+  friend struct StIngestSource;
   friend struct StIngestReduce;
 
   struct Batch {
@@ -160,7 +160,6 @@ class StreamEngine {
   DeviceGraph fwd_;
   DeviceGraph rev_;
   serve::ResidentState rs_;
-  tform::Fst fst_ = tform::Fst::csv();
   std::vector<Batch> batches_;  ///< index == DeltaGraph batch id
   std::uint64_t queries_ = 0;   ///< unique query-name counter
   Tick last_epoch_tick_ = 0;

@@ -1,16 +1,22 @@
-// Shared block-parse geometry and record loop for KVMSR-over-byte-stream
-// ingestion (apps/ingestion and the streaming delta front-end). One map task
-// owns one fixed-size block; a record belongs to the block where it STARTS,
-// and a task reads one byte before its block (record-boundary test) plus up
-// to one full record past it, so boundary-spanning records parse exactly
-// once — the cross-block access the paper contrasts with cloud map-reduce.
+// Shared block-parse geometry, record loop and map task for KVMSR-over-byte-
+// stream ingestion (apps/ingestion and the streaming delta front-end). One
+// map task owns one fixed-size block; a record belongs to the block where it
+// STARTS, and a task reads one byte before its block (record-boundary test)
+// plus up to one full record past it, so boundary-spanning records parse
+// exactly once — the cross-block access the paper contrasts with cloud
+// map-reduce.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
 
+#include "kvmsr/kvmsr.hpp"
 #include "tform/fst.hpp"
 #include "tform/stream_gen.hpp"
+#include "udweave/context.hpp"
 
 namespace updown::tform {
 
@@ -58,5 +64,63 @@ void parse_block(Ctx& ctx, const Fst& fst, const std::uint8_t* buf,
   Fst::Cursor cur;
   fst.run({buf + (pos - w.read_begin), stop - pos}, cur, std::forward<Emit>(emit));
 }
+
+/// One ingestion job's byte stream: `bytes` bytes of CSV records at `base`,
+/// parsed in blocks of `block_bytes`. `chunk` is the event its front-end
+/// registered for BlockParseMap::m_chunk (the DRAM reads reply there).
+struct BlockJob {
+  Addr base = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t block_bytes = 0;
+  EventLabel chunk = 0;
+};
+
+/// The map task both ingestion front-ends register: one task per block
+/// fetches the block's window from DRAM, parses every record starting in the
+/// block, and emits one (src, dst, type) tuple per record. `Src::block_job(
+/// ctx, job)` supplies the running job's BlockJob; each front-end keeps its
+/// own reduce.
+template <class Src>
+struct BlockParseMap : kvmsr::MapTask {
+  kvmsr::JobId job = 0;
+  BlockWindow w;
+  std::vector<std::uint8_t> buf;
+  std::uint64_t arrived = 0, expected = 0;
+
+  void kv_map(Ctx& ctx) {
+    kvmsr_begin(ctx);
+    job = kvmsr::Library::map_job(ctx);
+    const BlockJob bj = Src::block_job(ctx, job);
+    w = BlockWindow::of(kvmsr::Library::map_key(ctx), bj.block_bytes, bj.bytes);
+    buf.assign(w.bytes(), 0);
+    for (std::uint64_t off = w.read_begin; off < w.read_end; off += 64) {
+      const unsigned words =
+          static_cast<unsigned>(std::min<std::uint64_t>(8, (w.read_end - off) / 8));
+      ctx.charge(2);
+      ctx.send_dram_read(bj.base + off, words, bj.chunk);
+      ++expected;
+    }
+  }
+
+  void m_chunk(Ctx& ctx) {
+    const BlockJob bj = Src::block_job(ctx, job);
+    const std::uint64_t off = ctx.ccont() - bj.base - w.read_begin;
+    for (unsigned i = 0; i < ctx.nops(); ++i) {
+      const Word word = ctx.op(i);
+      std::memcpy(buf.data() + off + i * 8, &word, 8);
+    }
+    ctx.charge(ctx.nops());
+    if (++arrived < expected) return;
+    static const Fst csv = Fst::csv();
+    auto& lib = ctx.machine().service<kvmsr::Library>();
+    parse_block(ctx, csv, buf.data(), w, bj.bytes, [&](const std::vector<Word>& fields) {
+      if (fields.size() != 3)
+        throw std::runtime_error(lib.spec(job).name + ": malformed record");
+      ctx.charge(1);
+      lib.emit2(ctx, job, fields[0], fields[1], fields[2]);
+    });
+    lib.map_return(ctx, kvmsr_cont);
+  }
+};
 
 }  // namespace updown::tform

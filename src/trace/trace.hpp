@@ -21,10 +21,9 @@
 //      bit-identical with and without UD_TRACE.
 //
 //   3. Shard-safe by ownership, deterministic by construction. Unlike
-//      udcheck (whose engine-global side tables make it defer to a
-//      window-boundary replay when sharded), the tracer needs no replay
-//      under any UD_SHARDS count: every mutable cell is
-//      written by exactly one shard — per-lane series by the lane's owner,
+//      udcheck (whose engine-global side tables keep checked runs on the
+//      serial engine), the tracer runs under any UD_SHARDS count with no
+//      merge step: every mutable cell is written by exactly one shard — per-lane series by the lane's owner,
 //      per-node series and matrix rows by the source node's owner, arrival
 //      series by the destination's owner, histograms and phase records into
 //      per-shard buffers that merge by a sender-deterministic sort key at

@@ -214,7 +214,7 @@ class Ctx {
   Word sp_read(std::uint64_t offset) {
     charge(1);
     if (Checker* ck = m_.checker()) {
-      if (!ck->on_sp_access(sh_, nwid_, offset, sizeof(Word), /*is_write=*/false, now()))
+      if (!ck->on_sp_access(nwid_, offset, sizeof(Word), /*is_write=*/false, now()))
         return 0;  // out-of-bounds access suppressed (reported by the checker)
     }
     Word v;
@@ -224,7 +224,7 @@ class Ctx {
   void sp_write(std::uint64_t offset, Word v) {
     charge(1);
     if (Checker* ck = m_.checker()) {
-      if (!ck->on_sp_access(sh_, nwid_, offset, sizeof(Word), /*is_write=*/true, now()))
+      if (!ck->on_sp_access(nwid_, offset, sizeof(Word), /*is_write=*/true, now()))
         return;
     }
     std::memcpy(lane_.scratchpad() + offset, &v, sizeof(Word));
@@ -243,10 +243,10 @@ class Ctx {
   /// ordering edge to the master's done decision. No-ops (one null test)
   /// unless udcheck is on; cycle costs are charged at the counter access.
   void sync_release(std::uint64_t slot) {
-    if (Checker* ck = m_.checker()) ck->on_sync_release(sh_, nwid_, slot);
+    if (Checker* ck = m_.checker()) ck->on_sync_release(nwid_, slot);
   }
   void sync_acquire(std::uint64_t slot) {
-    if (Checker* ck = m_.checker()) ck->on_sync_acquire(sh_, nwid_, slot);
+    if (Checker* ck = m_.checker()) ck->on_sync_acquire(nwid_, slot);
   }
   std::uint64_t sp_alloc(std::uint64_t bytes, std::uint64_t align = 8) {
     return lane_.sp_alloc(bytes, align);

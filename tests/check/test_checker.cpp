@@ -65,37 +65,36 @@ TEST(UdCheck, DetectsDramDataRace) {
   EXPECT_NE(d->message.find("seed::race_w"), std::string::npos);
 }
 
-// The same seeded race across engine shards: a 4-node machine at UD_SHARDS=4
-// puts each writer's node on its own shard, so the conflicting accesses are
-// recorded in different shard logs and only meet in the window-boundary
-// replay. The race must still be caught, and the diagnostic must attribute
-// both sides to their shards.
-TEST(UdCheck, DetectsCrossShardDramDataRace) {
+// The same seeded race with UD_SHARDS=4 on a 4-node machine, writers on the
+// first and the last node: a checked run uses the serial engine whatever
+// shard count was asked for, so the run executes no lock-step windows, and
+// the race is reported exactly once, naming both writers.
+TEST(UdCheck, ShardedRequestRunsSeriallyAndReportsRaceOnce) {
   EnvGuard g("UD_SHARDS", "4");
   MachineConfig cfg = MachineConfig::scaled(4);
   cfg.check = true;
   Machine m(cfg);
+  EXPECT_EQ(m.shards(), 1u);
   RaceApp& app = m.emplace_user<RaceApp>();
   app.writer = m.program().event("seed::race_w", &TRaceWriter::w);
   app.va = m.memory().dram_malloc_spread(256);
-  // Lane 0 lives on node 0 (shard 0); the first lane of the last node lives
-  // on shard 3 under the round-robin node->shard partition.
   const std::uint32_t far_lane = 3 * cfg.lanes_per_node();
   m.send_from_host(evw::make_new(0, app.writer), {1});
   m.send_from_host(evw::make_new(far_lane, app.writer), {2});
   m.run();
 
+  EXPECT_EQ(m.engine_stats().shards, 1u);
+  EXPECT_EQ(m.engine_stats().windows, 0u);
   const CheckSummary& c = m.stats().check;
   EXPECT_TRUE(c.enabled);
-  EXPECT_GE(c.data_races, 1u);
-  EXPECT_FALSE(c.clean());
+  EXPECT_EQ(c.data_races, 1u);
   const CheckDiagnostic* d = find_kind(m, CheckKind::kDataRace);
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->va, app.va);
-  // Both shards' stamps: the diagnostic names the executing shard of each
-  // side of the race.
-  EXPECT_NE(d->message.find("[shard 0]"), std::string::npos) << d->message;
-  EXPECT_NE(d->message.find("[shard 3]"), std::string::npos) << d->message;
+  EXPECT_NE(d->message.find("[NWID 0][TID"), std::string::npos) << d->message;
+  EXPECT_NE(d->message.find("[NWID " + std::to_string(far_lane) + "][TID"),
+            std::string::npos)
+      << d->message;
 }
 
 // ---------------------------------------------------------------------------

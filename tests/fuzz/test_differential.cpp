@@ -357,11 +357,12 @@ TEST(DifferentialFuzz, SimMatchesBaselines) {
 }
 
 TEST(DifferentialFuzz, CheckedShardedSweep) {
-  // Eight seeded cases under the race checker at UD_SHARDS=4: the deferred
-  // window-boundary replay must neither perturb any baseline-checked result
-  // nor report a false positive on these clean programs (every fuzz_*
-  // asserts errors()==0 when checking is on). Seeds are offset from the main
-  // sweep so the checked corpus is its own slice; any failure replays with
+  // Eight seeded cases under the race checker with UD_SHARDS=4 requested: a
+  // checked run ignores the shard count and uses the serial engine, and the
+  // checker must neither perturb any baseline-checked result nor report a
+  // false positive on these clean programs (every fuzz_* asserts
+  // errors()==0 when checking is on). Seeds are offset from the main sweep
+  // so the checked corpus is its own slice; any failure replays with
   //   UD_CHECK=1 UD_SHARDS=4 UD_FUZZ_SEED=<seed> ./tests/test_differential
   EnvGuard gc("UD_CHECK", "1");
   EnvGuard gs("UD_SHARDS", "4");

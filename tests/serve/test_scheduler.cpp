@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
+#include <vector>
 
 #include "baseline/baseline.hpp"
 #include "bfs_tree.hpp"
@@ -458,6 +460,89 @@ TEST(ServeScheduler, MidFlightCancellationDrainsCleanUnderCheck) {
   EXPECT_TRUE(m.idle());
   EXPECT_TRUE(m.stats().check.enabled);
   EXPECT_EQ(m.stats().check.errors(), 0u);
+}
+
+// A drain session pauses the engine with run_until at every host-attention
+// point, where the checker skips its drain report. Staggered PageRank, BFS
+// and path-count tickets plus one timed cancel must resolve the same with
+// and without checking: statuses, done ticks, results and the machine's
+// event, message and DRAM counts. Checked runs use the serial engine at any
+// requested shard count, and must come back clean.
+struct SessionRun {
+  std::vector<TicketStatus> status;
+  std::vector<Tick> done;
+  std::vector<std::vector<Word>> answer;  ///< per ticket: scalars, then arrays
+  std::uint64_t events = 0, messages = 0, dram_reads = 0, dram_writes = 0;
+  bool operator==(const SessionRun&) const = default;
+};
+
+SessionRun run_session(const char* shards, bool check) {
+  EnvGuard g1("UD_SHARDS", shards);
+  EnvGuard g2("UD_CHECK", check ? "1" : "0");
+  Machine m(MachineConfig::scaled(4));
+  auto& eng = QueryEngine::install(m);
+  Graph gd = rmat(7, {}, 5);
+  Graph gs = rmat(7, {.symmetrize = true}, 13);
+  DeviceGraph dd = upload_graph(m, gd);
+  DeviceGraph ds = upload_graph(m, gs);
+  Scheduler sched(eng, {.max_concurrent = 2, .max_queue = 8});
+  QuerySpec bfs;
+  bfs.kind = QueryKind::kBfs;
+  bfs.graph = &ds;
+  bfs.root = 1;
+  bfs.name = "bfs";
+  QuerySpec pc;
+  pc.kind = QueryKind::kPathCount;
+  pc.graph = &dd;
+  pc.name = "pc";
+  std::vector<TicketId> ts;
+  ts.push_back(sched.submit(quick_pr(dd, "pr"), QoS::kNormal, 0));
+  ts.push_back(sched.submit(bfs, QoS::kNormal, 3000));
+  ts.push_back(sched.submit(pc, QoS::kHigh, 6000));
+  const TicketId longpr = sched.submit(quick_pr(dd, "longpr", 64), QoS::kLow, 9000);
+  ts.push_back(longpr);
+  bfs.root = 2;
+  ts.push_back(sched.submit(bfs, QoS::kNormal, 12000));
+  sched.request_cancel(longpr, 60000);
+  sched.drain();
+
+  EXPECT_TRUE(m.idle());
+  if (check) {
+    EXPECT_EQ(m.shards(), 1u);
+    EXPECT_TRUE(m.stats().check.enabled);
+    EXPECT_EQ(m.stats().check.errors(), 0u);
+  }
+  SessionRun out;
+  for (const TicketId t : ts) {
+    const Ticket& tk = sched.ticket(t);
+    out.status.push_back(tk.status);
+    out.done.push_back(tk.done);
+    std::vector<Word> a;
+    if (tk.dispatched) {
+      const QueryResult r = eng.collect(tk.query);
+      a = {r.done_tick, r.rounds, r.emitted, r.count, r.cancelled ? 1u : 0u};
+      for (const double x : r.rank) a.push_back(std::bit_cast<Word>(x));
+      a.insert(a.end(), r.dist.begin(), r.dist.end());
+      a.insert(a.end(), r.parent.begin(), r.parent.end());
+    }
+    out.answer.push_back(std::move(a));
+  }
+  const MachineStats& st = m.stats();
+  out.events = st.events_executed;
+  out.messages = st.messages_sent;
+  out.dram_reads = st.dram_reads;
+  out.dram_writes = st.dram_writes;
+  return out;
+}
+
+TEST(ServeScheduler, CheckedDrainSessionMatchesUnchecked) {
+  const SessionRun plain = run_session("1", false);
+  ASSERT_EQ(plain.status.size(), 5u);
+  EXPECT_EQ(plain.status[3], TicketStatus::kCancelled);  // the timed cancel
+  for (const std::size_t i : {0u, 1u, 2u, 4u})
+    EXPECT_EQ(plain.status[i], TicketStatus::kDone) << "ticket " << i;
+  EXPECT_EQ(run_session("1", true), plain);
+  EXPECT_EQ(run_session("4", true), plain);
 }
 
 TEST(ServeScheduler, CancelBeforeArrivalAndWhileQueued) {

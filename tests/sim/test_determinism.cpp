@@ -4,10 +4,10 @@
 //
 // With the host-parallel engine this hardens into a stronger claim, asserted
 // by the matrix below: the (tick, sending entity, sender seq) total order
-// makes every fingerprint bit-identical for ANY shard count, with and
-// without the udcheck subsystem (which, when sharded, defers its analysis to
-// a deterministic window-boundary replay on shard 0), including the
-// drain/quiescence path each KVMSR round crosses.
+// makes every fingerprint bit-identical for ANY shard count, including the
+// drain/quiescence path each KVMSR round crosses. A checked run (udcheck)
+// always uses the serial engine, whatever UD_SHARDS asks for, and must match
+// the unchecked fingerprint exactly.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -62,12 +62,10 @@ RunFingerprint run_pr(std::uint32_t nodes, std::uint32_t shards = 1, bool check 
   SplitGraph sg = split_vertices(g, 32);
   DeviceGraph dg = upload_split_graph(m, sg);
   pr::Result r = pr::App::install(m, dg, sg, {.iterations = 2}).run();
-  if (shards > 1) {
-    // Checked runs no longer force shards=1: the engine really runs sharded
-    // (windows advance) and udcheck replays at window boundaries on shard 0.
-    EXPECT_GT(m.engine_stats().windows, 0u);
-  }
+  // Unchecked runs really shard (windows advance); checked runs are serial.
+  if (shards > 1 && !check) EXPECT_GT(m.engine_stats().windows, 0u);
   if (check) {
+    EXPECT_EQ(m.shards(), 1u);
     EXPECT_TRUE(m.stats().check.enabled);
     EXPECT_EQ(m.stats().check.errors(), 0u);
   }
@@ -88,6 +86,7 @@ RunFingerprint run_bfs(std::uint32_t nodes, std::uint32_t shards = 1, bool check
   // a multi-round run exercises quiescence detection under sharding.
   EXPECT_GE(r.rounds, 2u);
   if (check) {
+    EXPECT_EQ(m.shards(), 1u);
     EXPECT_TRUE(m.stats().check.enabled);
     EXPECT_EQ(m.stats().check.errors(), 0u);
   }
@@ -121,7 +120,7 @@ TEST(Determinism, TriangleCountRunsAreBitIdentical) {
 
 // ---------------------------------------------------------------------------
 // The shard matrix: every fingerprint bit-identical across shards 1/2/4/8,
-// with and without UD_CHECK=1. An 8-node machine so all four shard counts
+// with and without UD_CHECK=1 (checked runs ask for 1/2/4 and run serially). An 8-node machine so all four shard counts
 // are distinct partitions (shards are clamped to the node count).
 // ---------------------------------------------------------------------------
 
@@ -133,12 +132,10 @@ TEST(DeterminismMatrix, PageRankIdenticalAcrossShardCounts) {
 
 TEST(DeterminismMatrix, PageRankIdenticalUnderCheck) {
   const RunFingerprint serial = run_pr(8, 1);
-  // At shards=1 the checker runs inline with the serial engine; at any
-  // higher count its hooks only append to per-shard logs and the analysis
-  // replays deterministically on shard 0 at window boundaries. Either way a
-  // checked run must match the serial fingerprint exactly — checking never
-  // perturbs the simulation — and run_pr also asserts the check came back
-  // clean at every shard count.
+  // A checked run uses the serial engine at any requested shard count, and
+  // must match the unchecked fingerprint exactly — checking never perturbs
+  // the simulation. run_pr also asserts the check came back clean and the
+  // run used one shard.
   for (std::uint32_t shards : {1u, 2u, 4u})
     EXPECT_EQ(run_pr(8, shards, /*check=*/true), serial) << "shards=" << shards;
 }
@@ -258,6 +255,7 @@ RunFingerprint run_concurrent(std::uint32_t shards, bool check = false) {
   m.run();
   EXPECT_TRUE(eng.done(qa) && eng.done(qb));
   if (check) {
+    EXPECT_EQ(m.shards(), 1u);
     EXPECT_TRUE(m.stats().check.enabled);
     EXPECT_EQ(m.stats().check.errors(), 0u);
   }

@@ -276,6 +276,27 @@ TEST(Machine, StatsTrackThreadsAndMessages) {
   EXPECT_GE(m.stats().max_live_threads, 1u);
 }
 
+// A message carries at most kMaxOperands words. Every host-send overload
+// throws on a ninth operand instead of writing past Message::ops, and queues
+// nothing.
+TEST(Machine, HostSendRejectsMoreThanMaxOperands) {
+  Machine m(MachineConfig::scaled(1));
+  auto& app = m.emplace_user<FifoApp>();
+  app.tick = m.program().event("TFifo::tick", &TFifo::tick);
+  const Word evw = evw::make_new(0, app.tick);
+  const Word nine[] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_THROW(m.send_from_host(evw, nine, 9), std::invalid_argument);
+  EXPECT_THROW(m.send_from_host(evw, {1, 2, 3, 4, 5, 6, 7, 8, 9}), std::invalid_argument);
+  EXPECT_THROW(m.send_from_host_at(100, evw, {1, 2, 3, 4, 5, 6, 7, 8, 9}),
+               std::invalid_argument);
+  EXPECT_TRUE(m.idle());
+  m.send_from_host(evw, nine, kMaxOperands);
+  m.run();
+  EXPECT_EQ(m.stats().events_executed, 1u);
+  ASSERT_EQ(app.order.size(), 1u);
+  EXPECT_EQ(app.order[0], 1u);
+}
+
 // ---------------------------------------------------------------------------
 // UD_SHARDS is parsed strictly: trailing garbage or out-of-range values used
 // to be silently accepted ("4x" ran as 4 shards, "-1" wrapped), masking
