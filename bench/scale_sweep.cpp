@@ -15,7 +15,7 @@
 //      eager/lazy ratio, which must be >= 10x under UD_BENCH_ENFORCE.
 //
 //   2. Throughput at scale. Each size runs a shard sweep (1/2/4/8 host
-//      shards, plus an 8-shard UD_PIN row) recording wall time, events/s,
+//      shards) recording wall time, events/s,
 //      and events/s per shard; every row's simulation fingerprint (final
 //      tick, events, messages, charged cycles, rank checksum) must be
 //      bit-identical to the serial row — always fatal, not just under
@@ -68,7 +68,6 @@ struct Fingerprint {
 
 struct ShardRow {
   std::uint32_t shards = 0;
-  bool pin = false;
   double wall_s = 0;
   std::uint64_t events = 0, windows = 0;
   Fingerprint fp;
@@ -88,7 +87,7 @@ struct SizePoint {
 int main() {
   // The sweep drives every knob through MachineConfig so an ambient CI
   // environment (UD_SHARDS=4 etc.) cannot skew the matrix.
-  for (const char* v : {"UD_SHARDS", "UD_CHECK", "UD_TRACE", "UD_PIN", "UD_COALESCE"})
+  for (const char* v : {"UD_SHARDS", "UD_CHECK", "UD_TRACE", "UD_COALESCE"})
     ::unsetenv(v);
 
   const std::uint32_t max_nodes =
@@ -158,20 +157,14 @@ int main() {
               demo_nodes, (unsigned long long)demo_lanes, eager_bytes / 1048576.0,
               lazy_bytes / 1048576.0, eager_ratio);
 
-  // --- Phase 3: PageRank throughput across the shard/pin matrix -----------
+  // --- Phase 3: PageRank throughput across shard counts ------------------
   for (SizePoint& pt : points) {
     const std::uint32_t n = pt.nodes;
     const unsigned iterations = n >= 8192 ? 1 : 2;
 
-    struct Cfg {
-      std::uint32_t shards;
-      bool pin;
-    };
-    std::vector<Cfg> cfgs{{1, false}, {2, false}, {4, false}, {8, false}, {8, true}};
-    for (const Cfg& c : cfgs) {
+    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
       MachineConfig cfg = MachineConfig::scaled(n);
-      cfg.shards = c.shards;
-      cfg.pin = c.pin;
+      cfg.shards = shards;
       Machine m(cfg);
       DeviceGraph dg = upload_split_graph(m, sg);
       pr::Options opt;
@@ -182,8 +175,7 @@ int main() {
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
       ShardRow row;
-      row.shards = c.shards;
-      row.pin = c.pin;
+      row.shards = shards;
       row.wall_s = wall;
       row.events = m.stats().events_executed;
       row.windows = m.engine_stats().windows;
@@ -196,14 +188,14 @@ int main() {
         fingerprints_identical = false;
         std::fprintf(stderr,
                      "scale_sweep: FAIL: fingerprint diverged at nodes=%u shards=%u "
-                     "pin=%d (done %llu vs %llu)\n",
-                     n, c.shards, c.pin, (unsigned long long)row.fp.done,
+                     "(done %llu vs %llu)\n",
+                     n, shards, (unsigned long long)row.fp.done,
                      (unsigned long long)pt.rows.front().fp.done);
       }
-      std::printf("  nodes=%-5u shards=%u%s  wall %.3fs  %8.0f ev/s (%8.0f /shard)  "
+      std::printf("  nodes=%-5u shards=%u  wall %.3fs  %8.0f ev/s (%8.0f /shard)  "
                   "windows=%llu done=%llu\n",
-                  n, c.shards, c.pin ? " +pin" : "", wall, row.events / wall,
-                  row.events / wall / c.shards, (unsigned long long)row.windows,
+                  n, shards, wall, row.events / wall,
+                  row.events / wall / shards, (unsigned long long)row.windows,
                   (unsigned long long)row.fp.done);
     }
     std::printf("  nodes=%-5u cores touched by run: %llu/%llu\n", n,
@@ -229,7 +221,6 @@ int main() {
       for (const ShardRow& r : pt.rows) {
         json.begin_object();
         json.u64("shards", r.shards);
-        json.boolean("pin", r.pin);
         json.num("wall_s", r.wall_s);
         json.u64("events", r.events);
         json.num("events_per_sec", r.wall_s > 0 ? r.events / r.wall_s : 0.0);

@@ -8,7 +8,8 @@
 // must beat serial by >= 1.5x under UD_BENCH_ENFORCE (>= 4-core hosts).
 //
 // Writes BENCH_serve_latency.json. All simulated quantities are
-// deterministic for a fixed machine/shard count; wall-clock plays no part.
+// deterministic for a fixed machine, at any shard count; wall-clock plays
+// no part.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

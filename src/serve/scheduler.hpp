@@ -13,7 +13,9 @@
 //
 // where the timer ticks are real simulated events (QueryEngine::tick_label)
 // injected from the host — the engine never busy-polls and the schedule is
-// deterministic for a fixed machine + shard count.
+// deterministic for a fixed machine, at any shard count: the engine tests
+// the predicate only at lookahead-window boundaries, which the events alone
+// decide (see Machine::run_until).
 //
 // QoS: three classes; the queue dispatches in (qos, arrival, id) order, so a
 // high-QoS query leapfrogs any backlog of lower classes but never preempts a

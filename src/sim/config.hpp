@@ -62,14 +62,16 @@ struct MachineConfig {
   // Number of host threads the event engine shards across (UD_SHARDS env
   // overrides; clamped to the node count, and to 1 when checking is on:
   // udcheck runs on the serial engine). Nodes are partitioned round-robin;
-  // shards run in lock-step windows one minimum cross-node latency wide, so
-  // results are bit-identical for any value.
+  // shards run in lock-step windows one minimum cross-node latency wide (one
+  // shard runs the same windows alone), so results are bit-identical for any
+  // value.
   std::uint32_t shards = 1;
 
-  /// Pin each shard's host thread to a CPU (UD_PIN env overrides). Together
-  /// with the lane table's first-touch materialization this gives NUMA-local
-  /// lane state: a shard touches only the cores of lanes it owns, so their
-  /// pages are allocated on the pinned thread's NUMA node.
+  /// Removed: pinning each shard's host thread to a CPU never measurably
+  /// won (PageRank at 4 shards, pinned against unpinned in alternating
+  /// pairs). The field remains so existing configurations that set it false
+  /// still compile; the Machine constructor throws std::invalid_argument
+  /// when it is true.
   bool pin = false;
 
   /// Removed: window-boundary work stealing never paid on a measured
@@ -79,9 +81,10 @@ struct MachineConfig {
   /// when it is true.
   bool steal = false;
 
-  /// Conservative lookahead of the sharded engine: no event can cause
+  /// Conservative lookahead of the engine's window loop: no event can cause
   /// another event on a different node sooner than this (1 hop minimum, and
-  /// bandwidth queuing only adds delay).
+  /// bandwidth queuing only adds delay). valid() requires at least 1 tick,
+  /// or the loop would spin on the empty window [W, W).
   Tick min_cross_node_latency() const { return lat_intra_node + lat_hop; }
 
   // ---- Derived --------------------------------------------------------------
@@ -141,7 +144,8 @@ struct MachineConfig {
     // The lane-count ceiling leaves u32 headroom above the lane ids for the
     // engine's non-lane sender entities (per-node DRAM ports and the host).
     return is_pow2(nodes) && accels_per_node > 0 && lanes_per_accel > 0 &&
-           total_lanes() <= (1ull << 31) && shards >= 1;
+           total_lanes() <= (1ull << 31) && shards >= 1 &&
+           min_cross_node_latency() >= 1;
   }
 };
 

@@ -21,9 +21,9 @@
 //     because most KVMSR control traffic (w_start broadcasts, poll rounds)
 //     runs threads on a lane without ever touching its scratchpad.
 //
-// First-touch materialization doubles as NUMA placement: under the sharded
-// engine a core is allocated by the owning shard's host thread, so with
-// UD_PIN the backing pages land on that thread's NUMA node.
+// First-touch materialization: under the sharded engine a core is
+// allocated by the owning shard's host thread, so the backing pages land
+// where the OS placed that thread when it first touched them.
 //
 // `Lane` is a cheap value handle (table pointer + lane id + cached core
 // pointer) with the same method surface the old fat object had; Machine
@@ -117,7 +117,7 @@ class LaneTable {
 
   /// The lane's core, materialized now if this is the first touch. Called
   /// only from the shard that owns the lane's node (or from the host while
-  /// the engine is idle), so first-touch pages land NUMA-local under UD_PIN.
+  /// the engine is idle), so no two threads ever race on one slot.
   LaneCore& core(NetworkId id) {
     std::unique_ptr<LaneCore>& slot = cores_[id];
     if (!slot) slot = std::make_unique<LaneCore>();

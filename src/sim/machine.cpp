@@ -8,12 +8,6 @@
 #include <string>
 #include <thread>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
-#endif
-
 #include "check/checker.hpp"
 #include "common/env.hpp"
 #include "common/log.hpp"
@@ -33,26 +27,16 @@ MachineConfig validated(MachineConfig cfg) {
     throw std::invalid_argument(
         "Machine: MachineConfig::steal is no longer supported (work stealing was "
         "removed; node n always runs on shard n % shards)");
+  if (cfg.pin)
+    throw std::invalid_argument(
+        "Machine: MachineConfig::pin is no longer supported (pinning shard "
+        "threads to CPUs never measurably won)");
   return cfg;
-}
-
-/// Pin the calling thread to one CPU, round-robin over the online set
-/// (UD_PIN). Best effort: failures are ignored, non-Linux is a no-op.
-void pin_self(std::uint32_t idx) {
-#ifdef __linux__
-  const long ncpu = ::sysconf(_SC_NPROCESSORS_ONLN);
-  if (ncpu <= 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(idx % static_cast<std::uint32_t>(ncpu)), &set);
-  ::pthread_setaffinity_np(::pthread_self(), sizeof(set), &set);
-#else
-  (void)idx;
-#endif
 }
 }  // namespace
 
 void SpinBarrier::arrive_and_wait() {
+  if (n_ == 1) return;  // one party: nobody to wait for
   const std::uint32_t gen = generation_.load(std::memory_order_acquire);
   if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
     count_.store(0, std::memory_order_relaxed);
@@ -95,14 +79,9 @@ Machine::Machine(MachineConfig cfg)
     }
   }
 
-  if (nshards_ > 1 && cfg_.min_cross_node_latency() < 1)
-    throw std::invalid_argument(
-        "Machine: sharded execution needs a nonzero cross-node latency "
-        "(the conservative lookahead window)");
   barrier_.set_parties(nshards_);
   local_min_.assign(nshards_, kNoEvent);
   dram_seq_.assign(cfg_.nodes, 0);
-  pin_ = env_flag("UD_PIN", cfg_.pin);
   owner_.resize(cfg_.nodes);
   for (std::uint32_t n = 0; n < cfg_.nodes; ++n) owner_[n] = n % nshards_;
   shards_.reserve(nshards_);
@@ -437,8 +416,30 @@ void Machine::exec_next(EngineShard& sh) {
 void Machine::run() { run_until({}); }
 
 bool Machine::run_until(const std::function<bool()>& stop) {
-  const bool stopped = nshards_ == 1 ? run_serial(stop) : run_sharded(stop);
-  if (stopped) return true;
+  // One loop at every shard count: shard 0 runs on the caller's thread and
+  // shards 1.. on workers that live for this run only.
+  const Tick lookahead = cfg_.min_cross_node_latency();
+  abort_.store(false, std::memory_order_relaxed);
+  stop_.store(false, std::memory_order_relaxed);
+  stop_pred_ = stop ? &stop : nullptr;
+  std::vector<std::thread> workers;
+  workers.reserve(nshards_ - 1);
+  for (std::uint32_t s = 1; s < nshards_; ++s)
+    workers.emplace_back([this, s, lookahead] { run_shard(s, lookahead); });
+  run_shard(0, lookahead);
+  for (auto& w : workers) w.join();
+  stop_pred_ = nullptr;
+
+  for (const auto& sh : shards_)
+    if (sh->now > now_) now_ = sh->now;
+
+  std::exception_ptr first;
+  for (auto& sh : shards_) {
+    if (sh->eptr && !first) first = sh->eptr;
+    sh->eptr = nullptr;
+  }
+  if (first) std::rethrow_exception(first);
+  if (stop_.load(std::memory_order_relaxed)) return true;
 
   // Clean-drain finalization only: the checker's drain-state analysis (leaks,
   // unfired continuations) and its era barrier are only sound against a
@@ -453,60 +454,6 @@ bool Machine::run_until(const std::function<bool()>& stop) {
   // trace file intact for post-mortem.
   if (tracer_) tracer_->serialize();
   return false;
-}
-
-bool Machine::run_serial(const std::function<bool()>& stop) {
-  EngineShard& sh = shard0();
-  if (stop && stop()) return true;
-  while (!sh.queue.empty()) {
-    exec_next(sh);
-    now_ = sh.now;
-    if (stop && stop()) return true;
-  }
-  return false;
-}
-
-bool Machine::run_sharded(const std::function<bool()>& stop) {
-  const Tick lookahead = cfg_.min_cross_node_latency();
-  abort_.store(false, std::memory_order_relaxed);
-  stop_.store(false, std::memory_order_relaxed);
-  stop_pred_ = stop ? &stop : nullptr;
-#ifdef __linux__
-  // UD_PIN: shard 0 runs on the caller's thread; save its affinity so the
-  // host program isn't left confined to one CPU after the run.
-  cpu_set_t caller_mask;
-  bool restore_mask = false;
-  if (pin_)
-    restore_mask =
-        ::pthread_getaffinity_np(::pthread_self(), sizeof(caller_mask), &caller_mask) == 0;
-#endif
-  std::vector<std::thread> workers;
-  workers.reserve(nshards_ - 1);
-  for (std::uint32_t s = 1; s < nshards_; ++s)
-    workers.emplace_back([this, s, lookahead] {
-      if (pin_) pin_self(s);
-      run_shard(s, lookahead);
-    });
-  if (pin_) pin_self(0);
-  run_shard(0, lookahead);
-  for (auto& w : workers) w.join();
-#ifdef __linux__
-  if (restore_mask)
-    ::pthread_setaffinity_np(::pthread_self(), sizeof(caller_mask), &caller_mask);
-#endif
-  stop_pred_ = nullptr;
-
-  for (const auto& sh : shards_)
-    if (sh->now > now_) now_ = sh->now;
-
-  std::exception_ptr first;
-  for (auto& sh : shards_) {
-    if (sh->eptr && !first) first = sh->eptr;
-    sh->eptr = nullptr;
-  }
-  if (first) std::rethrow_exception(first);
-
-  return stop_.load(std::memory_order_relaxed);
 }
 
 void Machine::merge_inbox(EngineShard& sh, std::uint32_t my) {
@@ -551,7 +498,9 @@ void Machine::run_shard(std::uint32_t my, Tick lookahead) {
       // barrier B of the previous round (which published every exec-phase
       // write) and barrier A of this one (no shard is executing). The
       // decision is published pre-A like the abort flag, so every shard
-      // breaks at the same window boundary and no partial window runs.
+      // breaks at the same window boundary and no partial window runs. The
+      // windows, and so the pause points, are decided by the events alone:
+      // a paused run stops on the same tick at any shard count.
       if (my == 0 && stop_pred_ && (*stop_pred_)())
         stop_.store(true, std::memory_order_release);
     } catch (...) {

@@ -14,8 +14,9 @@
 // provide for free. Cross-shard sends travel through per-(src,dst) mailboxes
 // merged at window boundaries. Because every queue entry is ordered by
 // (tick, sending entity, sender-private seq) — no globally shared counter —
-// the merged schedule is bit-identical to the serial engine for any shard
-// count. See DESIGN.md "Host-parallel execution" for the full argument.
+// the merged schedule is bit-identical for any shard count. The serial
+// engine is the same window loop with one shard, run on the caller's thread.
+// See DESIGN.md "Host-parallel execution" for the full argument.
 // Checked runs (udcheck) always use the serial engine: its analysis state is
 // engine-global, so the constructor clamps the shard count to 1.
 #pragma once
@@ -49,7 +50,8 @@ struct TraceShard;
 
 /// Reusable spin barrier (generation-counting). The window protocol crosses
 /// it twice per round; rounds are short (one lookahead window of events), so
-/// spinning with a yield fallback beats futex-based synchronization.
+/// spinning with a yield fallback beats futex-based synchronization. With one
+/// party it returns at once, so a one-shard window costs no synchronization.
 class SpinBarrier {
  public:
   explicit SpinBarrier(std::uint32_t n) : n_(n) {}
@@ -174,11 +176,12 @@ class Machine {
   void send_from_host_at(Tick depart, Word event_word, std::initializer_list<Word> ops,
                          Word cont = IGNRCONT);
 
-  /// Run the simulation until the event queue drains (quiescence). With
-  /// shards > 1, spawns the worker threads for the duration of the run; an
-  /// exception thrown by any shard stops all shards at the next window
-  /// boundary and is rethrown here (lowest shard index wins when several
-  /// shards fault in the same window).
+  /// Run the simulation until the event queue drains (quiescence). Shard 0
+  /// runs on the caller's thread; with shards > 1, the other shards run on
+  /// worker threads spawned for the duration of the run. An exception thrown
+  /// by any shard stops all shards at the next window boundary and is
+  /// rethrown here (lowest shard index wins when several shards fault in the
+  /// same window).
   void run();
   /// Run until `stop()` returns true or the queue drains; returns true when
   /// the stop predicate fired (the machine is PAUSED: events remain queued
@@ -188,14 +191,16 @@ class Machine {
   /// JobState::running) so one job's completion hands control back to the
   /// host scheduler while other jobs stay in flight.
   ///
-  /// Serial engines evaluate the predicate between events; sharded engines
-  /// evaluate it on shard 0 between lock-step windows (when no shard is
-  /// executing and every exec-phase write is barrier-published), so all
-  /// shards pause at the same window boundary. Either way the predicate only
-  /// ever observes quiescent host-side state. The checker report, its
-  /// drain-era barrier, and trace serialization are *clean-drain*
-  /// finalizations: a stopped run skips them, and the final draining run
-  /// performs them for the whole simulation.
+  /// The predicate is evaluated on shard 0 between lock-step windows (when
+  /// no shard is executing and every exec-phase write is barrier-published),
+  /// so all shards pause at the same window boundary. A window is
+  /// [W, W + min_cross_node_latency()) with W the global minimum tick, a grid
+  /// the events alone decide: the pause points, and every tick after them,
+  /// are the same at any shard count. The predicate only ever observes
+  /// quiescent host-side state, and now() advances only when a run returns.
+  /// The checker report, its drain-era barrier, and trace serialization are
+  /// *clean-drain* finalizations: a stopped run skips them, and the final
+  /// draining run performs them for the whole simulation.
   bool run_until(const std::function<bool()>& stop);
   bool idle() const;
   /// Host-side gauges of the event engine (queue/pool/shard behavior).
@@ -328,18 +333,15 @@ class Machine {
     }
   }
 
-  /// run_until bodies: serial event loop / sharded window protocol. Each
-  /// returns true when the stop predicate fired, false on a full drain.
-  bool run_serial(const std::function<bool()>& stop);
-  bool run_sharded(const std::function<bool()>& stop);
-  /// One shard's half of the window protocol (body of run() when sharded).
+  /// One shard's part of the window protocol (the body of run_until, on
+  /// the caller's thread for shard 0 and on a worker for every other shard).
   void run_shard(std::uint32_t my, Tick lookahead);
   /// Merge every mailbox addressed to shard `my` into its queue.
   void merge_inbox(EngineShard& sh, std::uint32_t my);
   /// Fold all shards' stats deltas into stats_ and zero the deltas.
   void flush_stats();
 
-  EngineShard& shard0() { return *shards_[0]; }  ///< serial engine, host sends, checker
+  EngineShard& shard0() { return *shards_[0]; }  ///< host sends, checker
 
   MachineConfig cfg_;
   Program program_;
@@ -360,9 +362,8 @@ class Machine {
   /// barrier B and barrier A (no shard executing) and publishes here, pre-A,
   /// exactly like abort_ — so every shard breaks at the same window boundary.
   std::atomic<bool> stop_{false};
-  const std::function<bool()>* stop_pred_ = nullptr;  ///< valid during run_sharded
+  const std::function<bool()>* stop_pred_ = nullptr;  ///< valid during run_until
   std::uint64_t windows_ = 0;  ///< lock-step windows executed (shard 0 counts)
-  bool pin_ = false;           ///< pin shard threads to CPUs (UD_PIN)
   std::vector<std::uint32_t> owner_;  ///< node -> owning shard (node % shards)
   Tick now_ = 0;
   MachineStats stats_;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <string>
 #include <vector>
@@ -464,13 +465,18 @@ TEST(ServeScheduler, MidFlightCancellationDrainsCleanUnderCheck) {
 
 // A drain session pauses the engine with run_until at every host-attention
 // point, where the checker skips its drain report. Staggered PageRank, BFS
-// and path-count tickets plus one timed cancel must resolve the same with
-// and without checking: statuses, done ticks, results and the machine's
-// event, message and DRAM counts. Checked runs use the serial engine at any
-// requested shard count, and must come back clean.
+// and path-count tickets, one timed cancel and one marker mutation (which
+// holds the later tickets out of dispatch until its not_before tick) must
+// resolve the same at any shard count, with and without checking: statuses,
+// dispatch and done ticks, the mutation's apply tick, results and the
+// machine's event, message and DRAM counts. The engine tests the pause
+// predicate only at lookahead-window boundaries, which the events alone
+// decide, so no pause point moves with UD_SHARDS. Checked runs use the
+// serial engine at any requested shard count, and must come back clean.
 struct SessionRun {
   std::vector<TicketStatus> status;
-  std::vector<Tick> done;
+  std::vector<Tick> dispatch, done;
+  Tick applied = 0;                       ///< the mutation's apply tick
   std::vector<std::vector<Word>> answer;  ///< per ticket: scalars, then arrays
   std::uint64_t events = 0, messages = 0, dram_reads = 0, dram_writes = 0;
   bool operator==(const SessionRun&) const = default;
@@ -499,6 +505,10 @@ SessionRun run_session(const char* shards, bool check) {
   ts.push_back(sched.submit(quick_pr(dd, "pr"), QoS::kNormal, 0));
   ts.push_back(sched.submit(bfs, QoS::kNormal, 3000));
   ts.push_back(sched.submit(pc, QoS::kHigh, 6000));
+  Mutation marker;  // no device phase, no apply: it only gates and pauses
+  marker.arrival = 7500;
+  marker.not_before = 50000;
+  const MutationId mu = sched.add_mutation(std::move(marker));
   const TicketId longpr = sched.submit(quick_pr(dd, "longpr", 64), QoS::kLow, 9000);
   ts.push_back(longpr);
   bfs.root = 2;
@@ -511,11 +521,16 @@ SessionRun run_session(const char* shards, bool check) {
     EXPECT_EQ(m.shards(), 1u);
     EXPECT_TRUE(m.stats().check.enabled);
     EXPECT_EQ(m.stats().check.errors(), 0u);
+  } else {
+    EXPECT_EQ(m.shards(), std::min<std::uint32_t>(std::stoul(shards), m.config().nodes));
   }
+  EXPECT_TRUE(sched.mutation_applied(mu));
   SessionRun out;
+  out.applied = sched.mutation_applied_tick(mu);
   for (const TicketId t : ts) {
     const Ticket& tk = sched.ticket(t);
     out.status.push_back(tk.status);
+    out.dispatch.push_back(tk.dispatch);
     out.done.push_back(tk.done);
     std::vector<Word> a;
     if (tk.dispatched) {
@@ -535,12 +550,20 @@ SessionRun run_session(const char* shards, bool check) {
   return out;
 }
 
-TEST(ServeScheduler, CheckedDrainSessionMatchesUnchecked) {
+TEST(ServeScheduler, DrainSessionIdenticalAtAnyShardCountCheckedOrNot) {
   const SessionRun plain = run_session("1", false);
   ASSERT_EQ(plain.status.size(), 5u);
   EXPECT_EQ(plain.status[3], TicketStatus::kCancelled);  // the timed cancel
   for (const std::size_t i : {0u, 1u, 2u, 4u})
     EXPECT_EQ(plain.status[i], TicketStatus::kDone) << "ticket " << i;
+  // The mutation held the two later tickets until its not_before tick, which
+  // came after the three earlier tickets had finished.
+  EXPECT_GE(plain.applied, 50000u);
+  for (const std::size_t i : {0u, 1u, 2u}) EXPECT_LT(plain.done[i], plain.applied);
+  for (const std::size_t i : {3u, 4u}) EXPECT_GE(plain.dispatch[i], plain.applied);
+  // UD_SHARDS=8 clamps to the machine's 4 nodes.
+  for (const char* shards : {"2", "4", "8"})
+    EXPECT_EQ(run_session(shards, false), plain) << "UD_SHARDS=" << shards;
   EXPECT_EQ(run_session("1", true), plain);
   EXPECT_EQ(run_session("4", true), plain);
 }

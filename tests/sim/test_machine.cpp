@@ -339,18 +339,23 @@ TEST(MachineEnv, ShardsValidValueAppliesAndClampsToNodes) {
   }
 }
 
-// MachineConfig::steal is a tombstone: setting it throws, naming the field.
+// MachineConfig::steal and MachineConfig::pin are tombstones: setting either
+// throws, naming the field.
 TEST(Machine, StealTombstoneThrows) {
-  MachineConfig cfg = MachineConfig::scaled(4);
-  cfg.steal = true;
-  try {
-    Machine m(cfg);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("MachineConfig::steal"), std::string::npos) << e.what();
+  for (bool MachineConfig::*field : {&MachineConfig::steal, &MachineConfig::pin}) {
+    MachineConfig cfg = MachineConfig::scaled(4);
+    cfg.*field = true;
+    const std::string name =
+        field == &MachineConfig::steal ? "MachineConfig::steal" : "MachineConfig::pin";
+    try {
+      Machine m(cfg);
+      ADD_FAILURE() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+    cfg.*field = false;
+    EXPECT_NO_THROW(Machine{cfg});
   }
-  cfg.steal = false;
-  EXPECT_NO_THROW(Machine{cfg});
 }
 
 }  // namespace

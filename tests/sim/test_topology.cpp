@@ -2,6 +2,7 @@
 // round trips, configuration validity, machine-shape properties.
 #include <gtest/gtest.h>
 
+#include "env_guard.hpp"
 #include "sim/machine.hpp"
 
 namespace updown {
@@ -60,6 +61,20 @@ TEST(TopologyConfig, RejectsNonPowerOfTwoNodes) {
   MachineConfig cfg = MachineConfig::scaled(3);
   EXPECT_FALSE(cfg.valid());
   EXPECT_THROW(Machine{cfg}, std::invalid_argument);
+}
+
+// The engine runs lookahead windows [W, W + min_cross_node_latency()) at
+// every shard count, so a zero cross-node latency is invalid even serially:
+// the window would be empty and the loop would never advance.
+TEST(TopologyConfig, RejectsZeroCrossNodeLatency) {
+  EnvGuard g("UD_SHARDS", "1");
+  MachineConfig cfg = MachineConfig::scaled(2);
+  cfg.lat_intra_node = 0;
+  cfg.lat_hop = 0;
+  EXPECT_FALSE(cfg.valid());
+  EXPECT_THROW(Machine{cfg}, std::invalid_argument);
+  cfg.lat_hop = 1;
+  EXPECT_TRUE(cfg.valid());
 }
 
 TEST(TopologyConfig, FirstLaneOfNode) {
