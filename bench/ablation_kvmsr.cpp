@@ -7,15 +7,8 @@
 //     the master lane saturates itself re-polling.
 //  3. Block vs PBMW map binding under *artificial* skew (a key range whose
 //     map cost grows with the key): the case PBMW exists for.
-//  4. Shuffle coalescing factor (JobSpec::coalesce_tuples): packing emitted
-//     tuples into destination-coalesced bulk packets trades per-message
-//     overhead against buffer residency; the sweep quantifies message-count
-//     reduction, wire bytes, and end-to-end ticks. Written to
-//     BENCH_kvmsr_coalesce.json for CI's bench smoke.
 #include <cstdio>
-#include <cstdlib>
 
-#include "bench/bench_util.hpp"
 #include "kvmsr/kvmsr.hpp"
 
 using namespace updown;
@@ -78,16 +71,14 @@ struct RunStats {
   Tick ticks = 0;
   std::uint32_t poll_rounds = 0;
   Tick master_busy = 0;
-  ShuffleStats shuffle;
 };
 
 RunStats run_once(std::uint32_t window, Tick backoff, MapBinding binding, bool skewed,
-                  std::uint64_t reduce_cost = 3, std::uint32_t coalesce = 1,
-                  std::uint64_t n = 40000) {
+                  std::uint64_t reduce_cost = 3) {
   Machine m(MachineConfig::scaled(8));
   auto& lib = Library::install(m);
   auto& app = m.emplace_user<AblApp>();
-  app.n = n;
+  app.n = 40000;
   app.skewed = skewed;
   app.reduce_cost = reduce_cost;
   app.cells = m.memory().dram_malloc_spread(app.n * 8);
@@ -102,11 +93,9 @@ RunStats run_once(std::uint32_t window, Tick backoff, MapBinding binding, bool s
   spec.max_inflight_per_lane = window;
   spec.poll_backoff = backoff;
   spec.map_binding = binding;
-  spec.coalesce_tuples = coalesce;
   app.job = lib.add_job(spec);
   const JobState& st = lib.run_to_completion(app.job, 0, app.n);
-  return {st.done_tick - st.start_tick, st.poll_rounds, m.lane_stats()[0].busy_cycles,
-          m.stats().shuffle};
+  return {st.done_tick - st.start_tick, st.poll_rounds, m.lane_stats()[0].busy_cycles};
 }
 
 }  // namespace
@@ -142,59 +131,5 @@ int main() {
   const Tick tp = run_once(64, 4096, MapBinding::kPBMW, true).ticks;
   std::printf("%-8s %12llu %12llu   (PBMW %+0.1f%%)\n", "skewed", (unsigned long long)tb,
               (unsigned long long)tp, 100.0 * (static_cast<double>(tb) / tp - 1.0));
-
-  // Shuffle coalescing: the job has no combiner (the hashed keys are
-  // effectively unique per lane), so this isolates pure destination packing —
-  // message count, wire bytes, and the latency cost/benefit of buffer
-  // residency. 400k keys so each of the 256 source lanes has several tuples
-  // per destination buffer (the 40k sweeps above would leave <1).
-  std::printf("\n--- shuffle coalescing factor (spec.coalesce_tuples) ---\n");
-  std::printf("%-10s %12s %10s %12s %12s %14s %8s\n", "coalesce", "ticks", "speedup",
-              "msgs", "cross-node", "bytes", "factor");
-  bench::Json json("BENCH_kvmsr_coalesce.json");
-  json.str("benchmark", "ablation_kvmsr");
-  json.str("workload",
-           "8-node machine, 400k uniform keys, one remote read per map, no combiner");
-  json.begin_array("coalesce_sweep");
-  Tick cbase = 0;
-  RunStats at1, at16;
-  for (std::uint32_t c : {1u, 4u, 16u, 64u}) {
-    const RunStats r =
-        run_once(64, 4096, MapBinding::kBlock, false, 3, c, /*n=*/400000);
-    if (!cbase) cbase = r.ticks;
-    if (c == 1) at1 = r;
-    if (c == 16) at16 = r;
-    std::printf("%-10u %12llu %10.2f %12llu %12llu %14llu %8.2f\n", c,
-                (unsigned long long)r.ticks, static_cast<double>(cbase) / r.ticks,
-                (unsigned long long)r.shuffle.messages,
-                (unsigned long long)r.shuffle.cross_node_messages,
-                (unsigned long long)r.shuffle.bytes, r.shuffle.coalescing_factor());
-    json.begin_object();
-    json.u64("coalesce_tuples", c);
-    json.u64("ticks", r.ticks);
-    json.u64("shuffle_messages", r.shuffle.messages);
-    json.u64("shuffle_cross_node_messages", r.shuffle.cross_node_messages);
-    json.u64("shuffle_bytes", r.shuffle.bytes);
-    json.u64("tuples_emitted", r.shuffle.tuples_emitted);
-    json.u64("tuples_combined", r.shuffle.tuples_combined);
-    json.u64("coalesced_packets", r.shuffle.coalesced_packets);
-    json.num("coalescing_factor", r.shuffle.coalescing_factor());
-    json.end();
-  }
-  json.end();
-  json.close();
-  if (std::getenv("UD_BENCH_ENFORCE")) {
-    // The uniform-key workload spreads each lane's tuples over every
-    // destination, so the floor here is a modest 2x (the >=4x density claim
-    // is enforced on PageRank's edge traffic in fig9_pagerank).
-    if (at16.shuffle.messages * 2 > at1.shuffle.messages) {
-      std::fprintf(stderr,
-                   "ablation_kvmsr: FAIL: coalesce=16 sent %llu shuffle messages, "
-                   "not under half of the %llu uncoalesced ones\n",
-                   (unsigned long long)at16.shuffle.messages,
-                   (unsigned long long)at1.shuffle.messages);
-      return 1;
-    }
-  }
   return 0;
 }

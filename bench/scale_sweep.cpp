@@ -87,7 +87,7 @@ struct SizePoint {
 int main() {
   // The sweep drives every knob through MachineConfig so an ambient CI
   // environment (UD_SHARDS=4 etc.) cannot skew the matrix.
-  for (const char* v : {"UD_SHARDS", "UD_CHECK", "UD_TRACE", "UD_COALESCE"})
+  for (const char* v : {"UD_SHARDS", "UD_CHECK", "UD_TRACE"})
     ::unsetenv(v);
 
   const std::uint32_t max_nodes =

@@ -65,13 +65,11 @@ struct GnnReduce : ThreadState {
   }
 };
 
-App& App::install(Machine& m, const DeviceGraph& dg, const std::vector<double>& features,
-                  const Options& opt) {
-  return m.emplace_user<App>(m, dg, features, opt);
+App& App::install(Machine& m, const DeviceGraph& dg, const std::vector<double>& features) {
+  return m.emplace_user<App>(m, dg, features);
 }
 
-App::App(Machine& m, const DeviceGraph& dg, const std::vector<double>& features,
-         const Options& opt)
+App::App(Machine& m, const DeviceGraph& dg, const std::vector<double>& features)
     : m_(m), dg_(dg) {
   if (features.size() != dg.num_vertices * kDims)
     throw std::invalid_argument("gnn: features must be num_vertices * kDims");
@@ -92,9 +90,6 @@ App::App(Machine& m, const DeviceGraph& dg, const std::vector<double>& features,
   spec.kv_map = p.event("gnn::kv_map", &GnnMap::kv_map);
   spec.kv_reduce = p.event("gnn::kv_reduce", &GnnReduce::kv_reduce);
   spec.flush = cc_->flush_label();
-  spec.coalesce_tuples = opt.coalesce_tuples;
-  // Per-(vertex, dimension) sums are order-insensitive up to f64 rounding.
-  spec.combiner = kvmsr::Combiner::kSumF64;
   spec.name = "gnn.genFeatures";
   job_ = lib_->add_job(spec);
 }

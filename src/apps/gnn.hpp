@@ -19,14 +19,6 @@ namespace updown::gnn {
 
 constexpr unsigned kDims = 4;  ///< feature dimensions (one emit per dim)
 
-struct Options {
-  /// Shuffle coalescing factor for the aggregation job (1 = off; UD_COALESCE
-  /// overrides). The job declares kSumF64 combining: contributions to one
-  /// (vertex, dimension) key merge in the emit buffer, changing the result
-  /// only by f64 summation order.
-  std::uint32_t coalesce_tuples = 1;
-};
-
 struct Result {
   /// out[v * kDims + d] = sum over in-neighbors u of feature[u][d].
   std::vector<double> aggregated;
@@ -38,10 +30,8 @@ struct Result {
 class App {
  public:
   /// `features[v * kDims + d]` are the input per-vertex features.
-  static App& install(Machine& m, const DeviceGraph& dg, const std::vector<double>& features,
-                      const Options& opt = {});
-  App(Machine& m, const DeviceGraph& dg, const std::vector<double>& features,
-      const Options& opt = {});
+  static App& install(Machine& m, const DeviceGraph& dg, const std::vector<double>& features);
+  App(Machine& m, const DeviceGraph& dg, const std::vector<double>& features);
 
   Result run();
 

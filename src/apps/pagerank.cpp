@@ -11,6 +11,10 @@ App& App::install(Machine& m, const DeviceGraph& dg, const SplitGraph& sg,
 
 App::App(Machine& m, const DeviceGraph& dg, const SplitGraph& sg, const Options& opt)
     : eng_(serve::QueryEngine::install(m)), dg_(dg) {
+  if (opt.coalesce_tuples != 1)
+    throw std::invalid_argument(
+        "pagerank: Options::coalesce_tuples is no longer supported (KVMSR's packed "
+        "shuffle was removed; every tuple is one message)");
   if (!dg.split() || dg.num_vertices != sg.num_sub() || dg.num_original != sg.num_original)
     throw std::invalid_argument("pagerank: dg is not the device image of sg");
   serve::QuerySpec s;
@@ -20,7 +24,6 @@ App::App(Machine& m, const DeviceGraph& dg, const SplitGraph& sg, const Options&
   s.map_binding = opt.map_binding;
   s.iterations = opt.iterations;
   s.damping = opt.damping;
-  s.coalesce_tuples = opt.coalesce_tuples;
   s.name = "pr";
   query_ = eng_.add_query(std::move(s));
 }

@@ -3,7 +3,7 @@
 //
 // The kernel lives in the serve layer (serve/pagerank.cpp, the kPageRank
 // query): App installs the QueryEngine and adds one PageRank query on all
-// lanes, with the binding, coalescing and value placement below as query
+// lanes, with the binding and value placement below as query
 // inputs. run() launches the query's driver, simulates to quiescence, and
 // reads back the ranks.
 //
@@ -27,12 +27,10 @@ struct Options {
   double damping = 0.85;
   /// Computation binding for the propagate map phase (Block default).
   kvmsr::MapBinding map_binding = kvmsr::MapBinding::kBlock;
-  /// Shuffle coalescing factor for the propagate job (1 = off; see
-  /// kvmsr::JobSpec::coalesce_tuples, overridable via UD_COALESCE). The
-  /// propagate job declares kSumF64 map-side combining, so whenever the job
-  /// coalesces, same-slot contributions sharing a source lane merge in the
-  /// emit buffer; ranks then differ from the uncoalesced run only by f64
-  /// summation order.
+  /// Removed: KVMSR's packed shuffle lost on every benchmark workload, so
+  /// every tuple is one message. The field remains so existing callers that
+  /// set it to 1 still compile; install throws std::invalid_argument for any
+  /// other value.
   std::uint32_t coalesce_tuples = 1;
   /// Placement of the rank/accumulator value arrays.
   GraphPlacement value_placement{};
@@ -42,9 +40,7 @@ struct Result {
   std::vector<double> rank;  ///< per original vertex
   Tick start_tick = 0;
   Tick done_tick = 0;
-  /// Total emitted tuples over all iterations. With map-side combining this
-  /// counts post-combine tuples (reduce tasks), not raw edge traversals, so
-  /// gups() is not comparable between combining-on and combining-off runs.
+  /// Total emitted tuples over all iterations: one per edge per iteration.
   std::uint64_t edge_updates = 0;
   unsigned iterations = 0;
 

@@ -16,7 +16,6 @@ App::App(Machine& m, const DeviceGraph& dg, const Options& opt)
   // One count cell per lane, spread over the machine in 4 KiB blocks.
   s.values = {0, 0, 4096};
   s.map_binding = opt.map_binding;
-  s.coalesce_tuples = opt.coalesce_tuples;
   s.name = "tc";
   query_ = eng_.add_query(std::move(s));
 }

@@ -22,10 +22,6 @@ namespace updown::tc {
 
 struct Options {
   kvmsr::MapBinding map_binding = kvmsr::MapBinding::kBlock;
-  /// Shuffle coalescing factor for the pair job (1 = off; UD_COALESCE
-  /// overrides). TC never enables map-side combining: every pair key is
-  /// emitted exactly once, so there is nothing to merge.
-  std::uint32_t coalesce_tuples = 1;
 };
 
 struct Result {

@@ -941,25 +941,6 @@ void Checker::on_sync_acquire(NetworkId lane, std::uint64_t slot) {
   }
 }
 
-void Checker::push_origin() {
-  snap_ref(origin_snap_);  // the saved copy holds its own pool ref
-  origin_stack_.push_back(SavedOrigin{origin_, origin_stamp_, origin_snap_,
-                                      origin_ext_, origin_host_ep_,
-                                      origin_cont_pending_});
-}
-
-void Checker::pop_origin() {
-  const SavedOrigin& s = origin_stack_.back();
-  origin_ = s.origin;
-  origin_stamp_ = s.stamp;
-  snap_unref(origin_snap_);
-  origin_snap_ = s.snap;  // the saved ref transfers back
-  origin_ext_ = s.ext;
-  origin_host_ep_ = s.host_ep;
-  origin_cont_pending_ = s.cont_pending;
-  origin_stack_.pop_back();
-}
-
 void Checker::check_access(ShadowCell& cell, const Stamp& cur, const ClockView& view,
                            bool is_write, bool is_sp, Addr va) {
   const auto racy = [&](const Stamp& prev) {
@@ -1130,7 +1111,6 @@ void Checker::report() {
     origin_snap_ = kNoSnap;
     origin_ext_ = InlineVC{};
     origin_host_ep_ = 0;
-    origin_stack_.clear();
     for (Lifetime& l : lifetimes_) {
       l.clock = kNoSnap;
       l.last = InlineVC{};

@@ -154,14 +154,6 @@ class Checker final : public MemoryObserver {
   void on_sync_release(NetworkId lane, std::uint64_t slot);
   void on_sync_acquire(NetworkId lane, std::uint64_t slot);
 
-  /// Save / restore the scoped message origin around an inline delivery
-  /// (Machine::deliver_inline): the nested task's begin/end hooks overwrite
-  /// the origin, and the caller's later sends must stamp with the caller's
-  /// clock again. Push before the nested on_route_message, pop after the
-  /// nested on_task_end. Nesting depth follows the inline call depth.
-  void push_origin();
-  void pop_origin();
-
   // ---- MemoryObserver (allocation lifecycle) ------------------------------
   void on_alloc(const SwizzleDescriptor& d) override;
   void on_free(const SwizzleDescriptor& d, std::uint64_t free_seq) override;
@@ -440,18 +432,6 @@ class Checker final : public MemoryObserver {
   InlineVC origin_ext_;      ///< valid for kDramReply (inline entries)
   std::uint32_t origin_host_ep_ = 0;  ///< valid for kDramReply
   bool origin_cont_pending_ = false;  ///< valid for kDramReply
-
-  /// Saved origins for nested inline deliveries (Machine::deliver_inline).
-  /// Stamp carries no refcount; the snap slot's pool ref moves with the save.
-  struct SavedOrigin {
-    Origin origin;
-    Stamp stamp;
-    SnapId snap;
-    InlineVC ext;
-    std::uint32_t host_ep;
-    bool cont_pending;
-  };
-  std::vector<SavedOrigin> origin_stack_;
 
   std::vector<MsgMeta> msg_meta_;
   std::vector<DramMeta> dram_meta_;

@@ -1,9 +1,9 @@
 // Environment-variable overrides, shared by the engine knobs (UD_SHARDS,
-// UD_TRACE_SLICE, UD_COALESCE, ...).
+// UD_TRACE_SLICE, UD_JOBS, ...).
 //
 // Integer knobs parse strictly: std::from_chars over the whole value, no
 // sign, no trailing characters, range-checked. A typo like UD_SHARDS=4x or a
-// wrapped UD_COALESCE=-1 is a configuration error the user needs to see, not
+// wrapped UD_SHARDS=-1 is a configuration error the user needs to see, not
 // a value to silently truncate — both used to slip through strtoul.
 #pragma once
 

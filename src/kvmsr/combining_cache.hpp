@@ -9,13 +9,9 @@
 // windowed read-modify-write chains through the simulated DRAM and replies to
 // the KVMSR master when its lane is clean.
 //
-// Relation to shuffle-level map-side combining (JobSpec::combiner): the two
-// aggregate at different points and compose. The combining cache merges on
-// the RECEIVING lane, after tuples cross the network, and spans the whole
-// job. The emit-buffer combiner merges on the SENDING lane, before the
-// network, but only within one (source lane, destination) buffer between
-// flushes. Enabling the latter shrinks shuffle traffic; this cache then
-// absorbs whatever duplicate keys still arrive from different source lanes.
+// This is the one place KVMSR jobs aggregate: on the RECEIVING lane, after
+// the per-tuple shuffle, across the whole job. Nothing merges tuples before
+// they ship.
 #pragma once
 
 #include <atomic>

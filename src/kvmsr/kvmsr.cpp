@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstring>
-
-#include "common/env.hpp"
 
 namespace updown::kvmsr {
 
@@ -16,51 +13,6 @@ namespace {
 // order their DRAM writes before the master's done decision).
 constexpr std::uint64_t emitted_slot(JobId job) { return 2ull * job; }
 constexpr std::uint64_t received_slot(JobId job) { return 2ull * job + 1; }
-
-// Sync cell carrying the emitter→flusher happens-before edge for one
-// (job, destination) emit buffer: every append releases it, the flush
-// acquires it before sending the packet, so the packet's clock dominates
-// every emitter — one conservative HB edge per packed tuple. Cell keys must
-// fit 32 bits (the checker packs them as (lane << 32) | slot); bit 31
-// namespaces buffer cells away from the emitted/received counter cells,
-// which bounds job ids to 11 bits and lane ids to 20 (checked at add_job).
-constexpr std::uint64_t buf_slot(JobId job, NetworkId dst) {
-  return (1ull << 31) | (static_cast<std::uint64_t>(job) << 20) | dst;
-}
-
-/// JobSpec::coalesce_tuples with the UD_COALESCE override applied. Strict
-/// parse: trailing garbage, a negative value, or a factor beyond the
-/// bulk-message capacity (kMaxBulkWords) throws std::invalid_argument at
-/// add_job time instead of being silently truncated or wrapped; "0", empty,
-/// and unset keep the job's configured factor.
-std::uint32_t resolved_coalesce(const JobSpec& spec) {
-  const std::uint32_t c = static_cast<std::uint32_t>(
-      env_u64("UD_COALESCE", spec.coalesce_tuples, kMaxBulkWords));
-  return std::max<std::uint32_t>(1, c);
-}
-
-/// Buffer capacity in tuples: the job's factor, clamped so one packet's
-/// payload fits the bulk-message capacity at this tuple width.
-std::uint32_t tuple_cap(std::uint32_t coalesce, std::uint32_t nvals) {
-  return std::min<std::uint32_t>(coalesce, kMaxBulkWords / (1 + nvals));
-}
-
-Word combine_values(Combiner c, Word a, Word b) {
-  switch (c) {
-    case Combiner::kSumU64: return a + b;
-    case Combiner::kSumF64: {
-      double x, y;
-      std::memcpy(&x, &a, sizeof x);
-      std::memcpy(&y, &b, sizeof y);
-      const double r = x + y;
-      Word w;
-      std::memcpy(&w, &r, sizeof w);
-      return w;
-    }
-    case Combiner::kNone: break;
-  }
-  return b;
-}
 
 /// Largest fan-out the master or a relay takes on before the control tree
 /// inserts the machine's next tier below it.
@@ -217,13 +169,6 @@ struct PollThread : ThreadState {
   void p_poll(Ctx& ctx);
 };
 
-/// Receiver of one coalesced shuffle packet: unpacks the bulk payload into
-/// per-tuple reduce tasks executed inline on this lane, each charged its own
-/// handler cost exactly as an individually delivered tuple would have been.
-struct PacketThread : ThreadState {
-  void kv_packet(Ctx& ctx);
-};
-
 // ---------------------------------------------------------------------------
 // Library
 // ---------------------------------------------------------------------------
@@ -249,21 +194,13 @@ Library::Library(Machine& m) : m_(m) {
   w_map_returned_ = p.event("kvmsr::w_map_returned", &WorkerThread::w_map_returned);
   w_grant_ = p.event("kvmsr::w_grant", &WorkerThread::w_grant);
   p_poll_ = p.event("kvmsr::p_poll", &PollThread::p_poll);
-  kv_packet_ = p.event("kvmsr::kv_packet", &PacketThread::kv_packet);
 }
 
 JobId Library::add_job(JobSpec spec) {
   Job j;
   j.spec = std::move(spec);
-  j.coalesce = resolved_coalesce(j.spec);
   j.emitted_by_lane.assign(m_.config().total_lanes(), 0);
   j.received_by_lane.assign(m_.config().total_lanes(), 0);
-  if (j.coalesce > 1) {
-    if (jobs_.size() >= (1u << 11) || m_.config().total_lanes() >= (1u << 20))
-      throw std::runtime_error("KVMSR coalescing: job or lane id exceeds the "
-                               "32-bit sync-cell packing (see buf_slot)");
-    j.bufs_by_lane.resize(m_.config().total_lanes());
-  }
   jobs_.push_back(std::move(j));
   return static_cast<JobId>(jobs_.size() - 1);
 }
@@ -332,11 +269,6 @@ void Library::emit(Ctx& ctx, JobId job, Word key, Word v0) {
   const NetworkId dst = reduce_lane(j, key);
   ctx.charge(2);  // binding hash + scratchpad emit counter
   ctx.shuffle_stats().tuples_emitted++;
-  if (j.coalesce > 1) {
-    const Word vals[1] = {v0};
-    coalesce_emit(ctx, job, j, dst, key, vals, 1);
-    return;
-  }
   j.emitted_by_lane.at(ctx.nwid())++;
   ctx.sync_release(emitted_slot(job));
   ctx.send_event(evw::make_new(dst, j.spec.kv_reduce), {key, v0, job});
@@ -348,88 +280,19 @@ void Library::emit2(Ctx& ctx, JobId job, Word key, Word v0, Word v1) {
   const NetworkId dst = reduce_lane(j, key);
   ctx.charge(2);
   ctx.shuffle_stats().tuples_emitted++;
-  if (j.coalesce > 1) {
-    const Word vals[2] = {v0, v1};
-    coalesce_emit(ctx, job, j, dst, key, vals, 2);
-    return;
-  }
   j.emitted_by_lane.at(ctx.nwid())++;
   ctx.sync_release(emitted_slot(job));
   ctx.send_event(evw::make_new(dst, j.spec.kv_reduce), {key, v0, v1, job});
   count_tuple_message(ctx, dst, 4);
 }
 
-// Shuffle-traffic accounting for one un-coalesced tuple message. Pure
-// statistics — never touches timing, so the coalesce-off goldens stay
-// bit-identical.
+// Shuffle-traffic accounting for one tuple message. Pure statistics: it
+// never touches timing.
 void Library::count_tuple_message(Ctx& ctx, NetworkId dst, std::uint32_t payload_words) {
   ShuffleStats& s = ctx.shuffle_stats();
   s.messages++;
   s.bytes += m_.config().msg_header_bytes + 8ull * payload_words;
   if (m_.node_of(ctx.nwid()) != m_.node_of(dst)) s.cross_node_messages++;
-}
-
-void Library::coalesce_emit(Ctx& ctx, JobId job, Job& j, NetworkId dst, Word key,
-                            const Word* vals, std::uint32_t nvals) {
-  LaneBufs& lb = j.bufs_by_lane.at(ctx.nwid());
-  std::uint32_t slot;
-  const auto it = lb.index.find(dst);
-  if (it == lb.index.end()) {
-    slot = static_cast<std::uint32_t>(lb.bufs.size());
-    lb.bufs.push_back(EmitBuf{dst, nvals, 0, {}});
-    lb.index.emplace(dst, slot);
-  } else {
-    slot = it->second;
-  }
-  EmitBuf& b = lb.bufs[slot];
-  // emit/emit2 width mix on one destination: ship the old-width packet first.
-  if (b.ntuples > 0 && b.nvals != nvals) flush_buffer(ctx, job, b);
-  b.nvals = nvals;
-
-  // Map-side combining: merge into an equal key already waiting in the
-  // buffer. The merged tuple never becomes a reduce task, so it must NOT
-  // bump the emitted counter — emitted == received stays exact.
-  if (j.spec.combiner != Combiner::kNone && nvals == 1) {
-    for (std::uint32_t t = 0; t < b.ntuples; ++t) {
-      if (b.words[2 * t] == key) {
-        b.words[2 * t + 1] = combine_values(j.spec.combiner, b.words[2 * t + 1], vals[0]);
-        ctx.charge(1);  // probe hit: one scratchpad read-modify-write
-        ctx.shuffle_stats().tuples_combined++;
-        return;
-      }
-    }
-  }
-
-  b.words.push_back(key);
-  for (std::uint32_t i = 0; i < nvals; ++i) b.words.push_back(vals[i]);
-  b.ntuples++;
-  j.emitted_by_lane.at(ctx.nwid())++;
-  ctx.sync_release(emitted_slot(job));
-  ctx.sync_release(buf_slot(job, dst));
-  if (b.ntuples >= tuple_cap(j.coalesce, nvals)) flush_buffer(ctx, job, b);
-}
-
-void Library::flush_buffer(Ctx& ctx, JobId job, EmitBuf& b) {
-  if (b.ntuples == 0) return;
-  // The acquire stamps the packet with a clock dominating every emitter that
-  // appended to this buffer (see buf_slot) — the checker sees one HB edge
-  // covering each packed tuple.
-  ctx.sync_acquire(buf_slot(job, b.dst));
-  ctx.send_event_bulk(evw::make_new(b.dst, kv_packet_), {job, b.ntuples, b.nvals},
-                      b.words.data(), static_cast<std::uint32_t>(b.words.size()));
-  ShuffleStats& s = ctx.shuffle_stats();
-  s.messages++;
-  s.coalesced_packets++;
-  s.bytes += m_.config().msg_header_bytes + 8ull * (3 + b.words.size());
-  if (m_.node_of(ctx.nwid()) != m_.node_of(b.dst)) s.cross_node_messages++;
-  b.words.clear();
-  b.ntuples = 0;
-}
-
-void Library::flush_lane(Ctx& ctx, JobId job) {
-  Job& j = jobs_.at(job);
-  if (j.coalesce <= 1) return;
-  for (EmitBuf& b : j.bufs_by_lane.at(ctx.nwid()).bufs) flush_buffer(ctx, job, b);
 }
 
 void Library::map_return(Ctx& ctx, Word stored_cont) {
@@ -765,10 +628,6 @@ void WorkerThread::maybe_finish(Ctx& ctx) {
   const bool exhausted =
       next >= end && (j.spec.map_binding != MapBinding::kPBMW || no_more);
   if (exhausted && inflight == 0 && !waiting_grant) {
-    // Map-task retirement flush: this lane's map work is done, so ship any
-    // partially filled emit buffers before reporting map-done (poll-time
-    // flushing alone would still be correct, just slower to drain).
-    lib.flush_lane(ctx, job);
     ctx.send_event(done, {});
     ctx.yield_terminate();
   }
@@ -778,41 +637,10 @@ void PollThread::p_poll(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
   const JobId job_id = static_cast<JobId>(ctx.op(0));
   Library::Job& j = lib.jobs_.at(job_id);
-  // Gather-barrier flush BEFORE the counter reads, in the same event: any
-  // tuple still buffered on this lane is counted in emitted but cannot have
-  // been received, so after this flush the sums can only agree once every
-  // buffer in the set was empty at its poll — and each round flushes, which
-  // guarantees progress. This is also the only flush point for lanes with no
-  // WorkerThread (map tasks a leaf relay sent itself, emits from UDWeave
-  // subtasks).
-  lib.flush_lane(ctx, job_id);
   ctx.charge(3);  // two scratchpad counter loads + reply setup
   ctx.sync_acquire(emitted_slot(job_id));
   ctx.sync_acquire(received_slot(job_id));
   ctx.send_reply({j.emitted_by_lane.at(ctx.nwid()), j.received_by_lane.at(ctx.nwid())});
-  ctx.yield_terminate();
-}
-
-void PacketThread::kv_packet(Ctx& ctx) {
-  Library& lib = ctx.machine().service<Library>();
-  const JobId job_id = static_cast<JobId>(ctx.op(0));
-  const std::uint32_t ntuples = static_cast<std::uint32_t>(ctx.op(1));
-  const std::uint32_t nvals = static_cast<std::uint32_t>(ctx.op(2));
-  Library::Job& j = lib.jobs_.at(job_id);
-  const Word reduce_evw = evw::make_new(ctx.nwid(), j.spec.kv_reduce);
-  std::uint32_t w = 0;
-  for (std::uint32_t t = 0; t < ntuples; ++t) {
-    ctx.charge(1);  // per-tuple unpack: operand copy + dispatch
-    Word ops[kMaxOperands];
-    ops[0] = ctx.bulk_op(w++);                                    // key
-    for (std::uint32_t v = 0; v < nvals; ++v) ops[1 + v] = ctx.bulk_op(w++);
-    ops[1 + nvals] = job_id;
-    // Inline delivery: the reduce handler runs synchronously on this lane
-    // with the exact operand layout of an un-coalesced tuple message, and
-    // its charged cycles (plus the per-task Thread Yield) accrue to this
-    // packet event — per-tuple cost parity with the uncoalesced shuffle.
-    ctx.deliver_inline(reduce_evw, ops, 2 + nvals);
-  }
   ctx.yield_terminate();
 }
 

@@ -11,6 +11,10 @@
 //   - reduce side: Hash (default) — lane = hash(key) % lanes — or any
 //                  user-provided binding function.
 //
+// The shuffle sends each emitted tuple as one message, straight from the
+// emitting lane to a new kv_reduce thread: no buffering, packing or
+// map-side combining (DESIGN.md "One shuffle path" says why).
+//
 // Contract for user events:
 //   kv_map   : new thread per key, ops = {key, job}. CCONT is the launching
 //              worker's return continuation; a single-event map task calls
@@ -47,7 +51,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -68,11 +71,6 @@ enum class MapBinding {
   kPBMW,   ///< partial block + master-worker work requests
 };
 
-/// Map-side combining operator applied inside the per-destination emit
-/// buffer (JobSpec::combiner). Values are merged as raw 64-bit words; kSumF64
-/// reinterprets them as IEEE doubles.
-enum class Combiner : std::uint8_t { kNone, kSumU64, kSumF64 };
-
 struct JobSpec {
   EventLabel kv_map = 0;
   EventLabel kv_reduce = 0;  ///< 0 = map-only (do_all)
@@ -89,23 +87,6 @@ struct JobSpec {
   /// Backoff between termination-gather rounds (cycles). Without pacing the
   /// master lane saturates itself re-polling while reducers drain.
   Tick poll_backoff = 4096;
-  /// Shuffle coalescing: pack up to this many tuples per (source lane,
-  /// destination lane) emit buffer into one simulated bulk message. 1 = off
-  /// (default): the classic one-message-per-tuple shuffle, bit-identical to
-  /// pre-coalescing builds. The UD_COALESCE environment variable, when set
-  /// to a positive integer, overrides this for every job (global experiment
-  /// knob, read at add_job). Capacity is further clamped so a packet fits
-  /// the bulk payload (kMaxBulkWords words) at the job's tuple width.
-  std::uint32_t coalesce_tuples = 1;
-  /// Optional map-side combining: merge same-key tuples inside the emit
-  /// buffer before they ship. A merged tuple never becomes a reduce task and
-  /// is never counted as emitted, so the termination gather's
-  /// emitted == received comparison stays exact. Applies only to 1-value
-  /// tuples (emit, not emit2) and only while the job coalesces (factor > 1).
-  /// Composes with — does not replace — map-task-level pre-aggregation such
-  /// as apps' CombiningCache: the cache merges within one map task, the
-  /// buffer merges across map tasks that share a source lane.
-  Combiner combiner = Combiner::kNone;
   /// Opaque job tag, readable from user events via Library::spec(job).tag.
   /// The stream layer stamps each delta-ingest job with its batch id so the
   /// reduce handlers append parsed edges into the right staging batch.
@@ -147,8 +128,6 @@ class Library {
   JobId add_job(JobSpec spec);
   JobSpec& spec(JobId job) { return jobs_.at(job).spec; }
   const JobState& state(JobId job) const { return jobs_.at(job).state; }
-  /// Resolved per-job coalescing factor (spec / UD_COALESCE; 1 = off).
-  std::uint32_t coalesce_factor(JobId job) const { return jobs_.at(job).coalesce; }
 
   // ---- Launch ----------------------------------------------------------------
   /// Fire a job from the host (TOP core). `cont` receives {total_emitted}
@@ -168,9 +147,10 @@ class Library {
                                     std::uint64_t key_end);
 
   // ---- Calls available inside user tasks ---------------------------------------
-  /// kv_map_emit: push a tuple into the intermediate map; it becomes a
-  /// kv_reduce task on the lane chosen by the reduce binding. May be called
-  /// from the map thread or any UDWeave subtask on a lane of the job's set.
+  /// kv_map_emit: push a tuple into the intermediate map; it travels as one
+  /// message to a new kv_reduce task on the lane chosen by the reduce
+  /// binding. May be called from the map thread or any UDWeave subtask on a
+  /// lane of the job's set.
   void emit(Ctx& ctx, JobId job, Word key, Word v0);
   void emit2(Ctx& ctx, JobId job, Word key, Word v0, Word v1);
   /// kv_map_return: retire the map task (pass ctx.ccont() for single-event
@@ -178,14 +158,6 @@ class Library {
   void map_return(Ctx& ctx, Word stored_cont);
   /// kv_reduce_return: count the processed tuple and terminate the reducer.
   void reduce_return(Ctx& ctx, JobId job);
-  /// Coalescing flush hint: ship any partially filled emit buffers of the
-  /// calling lane for `job` now. The runtime flushes automatically at
-  /// map-task retirement and at every termination-gather poll, so this is
-  /// never needed for correctness — but emitting tasks the runtime cannot
-  /// see retire (UDWeave subtasks, e.g. BFS expansion chunks) should call it
-  /// when they finish emitting, or their tuples wait for the next poll
-  /// round. No-op when the job does not coalesce.
-  void flush_hint(Ctx& ctx, JobId job) { flush_lane(ctx, job); }
 
   // ---- Multi-job serving -------------------------------------------------------
   /// Drain-to-cancel: stop issuing new map tasks for `job` at each worker's
@@ -221,47 +193,17 @@ class Library {
   friend struct RelayThread;
   friend struct WorkerThread;
   friend struct PollThread;
-  friend struct PacketThread;
-
-  /// One (source lane, destination lane) emit buffer. `words` holds
-  /// `ntuples` packed tuples of `1 + nvals` words each: {key, v0 [, v1]}.
-  struct EmitBuf {
-    NetworkId dst = 0;
-    std::uint32_t nvals = 0;
-    std::uint32_t ntuples = 0;
-    std::vector<Word> words;
-  };
-  /// Per-source-lane buffer set. `bufs` keeps insertion order so flush_lane
-  /// ships packets in a deterministic order; flushed buffers are emptied in
-  /// place, never erased. Each lane's entry is touched only by the engine
-  /// shard that owns the lane (same disjointness as emitted_by_lane).
-  struct LaneBufs {
-    std::vector<EmitBuf> bufs;
-    std::unordered_map<NetworkId, std::uint32_t> index;  ///< dst -> bufs slot
-  };
 
   struct Job {
     JobSpec spec;
     JobState state;
-    bool cancel = false;         ///< request_cancel pending (cleared at finish)
-    std::uint32_t coalesce = 1;  ///< resolved coalescing factor (1 = off)
+    bool cancel = false;  ///< request_cancel pending (cleared at finish)
     std::vector<std::uint64_t> emitted_by_lane;
     std::vector<std::uint64_t> received_by_lane;
-    std::vector<LaneBufs> bufs_by_lane;  ///< sized total_lanes iff coalesce > 1
   };
 
   LaneSet resolved_lanes(const Job& j) const;
   NetworkId reduce_lane(Job& j, Word key) const;
-  void coalesce_emit(Ctx& ctx, JobId job, Job& j, NetworkId dst, Word key,
-                     const Word* vals, std::uint32_t nvals);
-  void flush_buffer(Ctx& ctx, JobId job, EmitBuf& b);
-  /// Flush every buffer of the calling lane for `job` (no-op when the job
-  /// does not coalesce). Called at map-task retirement (WorkerThread) and at
-  /// the start of every termination-gather poll (PollThread) — the latter is
-  /// what keeps the emitted/received protocol exact: a non-empty buffer
-  /// holds counted-but-undelivered tuples, so the sums cannot agree until a
-  /// poll round has flushed it and the reducers have drained.
-  void flush_lane(Ctx& ctx, JobId job);
   void count_tuple_message(Ctx& ctx, NetworkId dst, std::uint32_t payload_words);
 
   Machine& m_;
@@ -282,7 +224,6 @@ class Library {
   EventLabel w_map_returned_ = 0;
   EventLabel w_grant_ = 0;
   EventLabel p_poll_ = 0;
-  EventLabel kv_packet_ = 0;  ///< coalesced-shuffle packet unpack
 };
 
 /// do_all: map-only KVMSR (the paper's 33-LoC wrapper) — run `kv_map` once

@@ -152,12 +152,7 @@ struct SqBfsExpand : ThreadState {
       eng.lib_->emit2(ctx, job, ctx.op(i), level, u);
     }
     loaded += ctx.nops();
-    if (loaded == len) {
-      // The runtime cannot see this task retire; ship its partial emit
-      // buffers now instead of at the next poll.
-      eng.lib_->flush_hint(ctx, job);
-      finish(ctx);
-    }
+    if (loaded == len) finish(ctx);
   }
 
   void bfs_chunk_done(Ctx& ctx) {
@@ -184,9 +179,9 @@ struct SqBfsExpand : ThreadState {
 // udcheck sync cell for the lane-owned level-mirror entry of vertex w. A
 // repair frontier mixes levels, so one round can improve dist[w] twice; the
 // improve-test on the mirror orders the two acked DRAM writes, and this cell
-// shows the checker that edge. Bit 30 keeps these cells apart from KVMSR's:
-// its emit-buffer cells set bit 31, and its counter cells (2*job and
-// 2*job + 1) stay below bit 30 for job ids under 2^29.
+// shows the checker that edge. Bit 30 keeps these cells apart from KVMSR's
+// counter cells (2*job and 2*job + 1), which stay below bit 30 for job ids
+// under 2^29.
 constexpr std::uint64_t dist_slot(Word w) { return (1ull << 30) | (w & ((1ull << 30) - 1)); }
 
 /// Kv_reduce on w's hash-owner lane: improve-test, {level, parent} write,

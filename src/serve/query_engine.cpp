@@ -175,9 +175,7 @@ struct SqDriver : ThreadState {
 
 // ---------------------------------------------------------------------------
 // 2-hop path count (the PartialMatch stand-in): map emits one tuple per edge
-// (a -> b, weight 1); the reduce on b's lane multiplies by outdeg(b). With
-// shuffle combining (kSumU64) tuples for the same b merge map-side, so the
-// reduce sees (b, #predecessors-in-buffer).
+// (a -> b, weight 1); the reduce on b's lane multiplies by outdeg(b).
 // ---------------------------------------------------------------------------
 struct SqPcMap : kvmsr::MapTask {
   kvmsr::JobId job = 0;
@@ -468,7 +466,6 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
   kvmsr::JobSpec js;
   js.lanes = q.spec.lanes;
   js.map_binding = q.spec.map_binding;
-  js.coalesce_tuples = q.spec.coalesce_tuples;
   js.name = q.spec.name;
 
   switch (q.spec.kind) {
@@ -486,9 +483,6 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
       js.kv_map = lb_.pr_map;
       js.kv_reduce = lb_.pr_reduce;
       js.flush = cc_->flush_label();
-      // Contributions to one accumulator are order-insensitive f64 sums up
-      // to rounding; combining only activates when the job coalesces.
-      js.combiner = kvmsr::Combiner::kSumF64;
       js.name = q.spec.name + ".prop";
       q.job = lib_->add_job(js);
 
@@ -507,7 +501,6 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
       js.kv_map = lb_.pc_map;
       js.kv_reduce = lb_.pc_reduce;
       js.flush = cc_->flush_label();
-      js.combiner = kvmsr::Combiner::kSumU64;
       js.name = q.spec.name + ".paths";
       q.job = lib_->add_job(js);
       break;
@@ -519,7 +512,6 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
       js.kv_map = lb_.tc_map;
       js.kv_reduce = lb_.tc_reduce;
       js.flush = cc_->flush_label();
-      // The combiner stays kNone: every pair key is emitted exactly once.
       js.name = q.spec.name + ".tc";
       q.job = lib_->add_job(js);
       break;

@@ -43,8 +43,8 @@
 //                until no vertex improves. With Seeds::kAll it recomputes the
 //                array from the root, which warms the resident state.
 //
-// Results are value-deterministic for a fixed machine + shard count; queries
-// whose lane partition, graph copy, and value arrays are confined to a
+// Results are value-deterministic for a fixed machine at any shard count;
+// queries whose lane partition, graph copy, and value arrays are confined to a
 // disjoint node partition are bit-identical to running alone (asserted in
 // tests/serve/).
 #pragma once
@@ -120,7 +120,6 @@ struct QuerySpec {
   std::uint32_t iterations = 2;  ///< PageRank sweeps (0 = no-op query)
   double damping = 0.85;         ///< PageRank damping factor
   VertexId root = 0;             ///< BFS root
-  std::uint32_t coalesce_tuples = 1;  ///< forwarded to the shuffle jobs
   /// kIncPageRank / kIncBfs only: the streaming session state the query
   /// refreshes. When set and `graph` is null, the engine fills graph from it
   /// (rev for kIncPageRank, fwd for kIncBfs). `iterations` must equal

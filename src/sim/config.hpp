@@ -127,9 +127,9 @@ struct MachineConfig {
   /// scaled(), with the network bandwidths cut by the same factor as the
   /// lane count: each lane's injection/bisection share matches the paper
   /// machine's (2048 lanes/node sharing 2000 B/cycle injection ~= 1 B/cycle
-  /// per lane). This is the configuration where traffic optimizations such
-  /// as the KVMSR shuffle coalescer show their simulated-time effect; under
-  /// plain scaled() they only move message/byte counters.
+  /// per lane). This is the configuration where network traffic shows in
+  /// simulated time; under plain scaled() it only moves message/byte
+  /// counters.
   static MachineConfig scaled_netbound(std::uint32_t n_nodes, std::uint32_t accels = 4,
                                        std::uint32_t lanes = 8) {
     MachineConfig c = scaled(n_nodes, accels, lanes);

@@ -144,7 +144,7 @@ void Machine::push(EngineShard& sh, const QEntry& e) {
 }
 
 void Machine::route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
-                            Message&& m, Tick depart, const Word* bulk) {
+                            Message&& m, Tick depart) {
   const NetworkId dst = evw::nwid(m.evw);
   if (dst >= lanes_.size()) {
     // Checked mode reports the bad event word and drops the send so the
@@ -168,22 +168,12 @@ void Machine::route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t se
   const std::uint32_t dshard = shard_of(dst_node);
   EngineShard& dsh = *shards_[dshard];
   if (&dsh == &sh) {
-    std::uint32_t bulk_idx = kNoBulk;
-    if (m.bulk_words > 0) {
-      bulk_idx = sh.bulk_pool.acquire();
-      std::copy(bulk, bulk + m.bulk_words, sh.bulk_pool[bulk_idx].w.begin());
-    }
-    m.bulk = bulk_idx;
     const std::uint32_t idx = sh.msg_pool.acquire();
     sh.msg_pool[idx] = m;
     if (checker_) checker_->on_route_message(idx, depart);
     push(sh, QEntry{arrive, ent, seq, idx, kMsg});
   } else {
-    m.bulk = kNoBulk;  // re-pooled by the destination at merge time
-    sh.outbox[dshard].msgs.push_back(
-        {arrive, ent, seq, m,
-         m.bulk_words > 0 ? std::vector<Word>(bulk, bulk + m.bulk_words)
-                          : std::vector<Word>{}});
+    sh.outbox[dshard].msgs.push_back({arrive, ent, seq, m});
   }
 }
 
@@ -282,80 +272,6 @@ void Machine::exec_message(EngineShard& sh, const QEntry& e) {
   if (lane_free > sh.now) sh.now = lane_free;
 }
 
-std::uint64_t Machine::deliver_inline(EngineShard& sh, Message&& m, Tick start) {
-  const NetworkId dst = evw::nwid(m.evw);
-  Lane lane(lanes_, dst);
-  const EventLabel label = evw::label(m.evw);
-  const EventDef& def = program_.def(label);
-
-  // Checked mode threads the synthetic message through the normal hook
-  // sequence (a pooled slot carries the clock stamp, so the inline task joins
-  // the caller's causal history exactly like a delivered message would). The
-  // scoped origin is saved around the nested task: after the inline handler
-  // finishes, the caller's own sends must stamp with the caller's clock again.
-  std::uint32_t idx = 0;
-  if (checker_) {
-    idx = sh.msg_pool.acquire();
-    sh.msg_pool[idx] = m;
-    checker_->push_origin();
-    checker_->on_route_message(idx, start);
-    if (!checker_->on_pre_deliver(idx, start)) {
-      sh.msg_pool.release(idx);
-      checker_->pop_origin();
-      return 0;
-    }
-  }
-
-  const bool new_thread = evw::is_new_thread(m.evw);
-  ThreadId tid;
-  if (new_thread) {
-    tid = lane.allocate_thread(sh.states.take(def));  // Thread Create: 0 cycles
-    sh.stats.threads_created++;
-    const std::uint64_t live = ++sh.live_threads;
-    if (live > sh.stats.max_live_threads) sh.stats.max_live_threads = live;
-  } else {
-    tid = evw::tid(m.evw);
-  }
-  ThreadState& state = lane.thread(tid);
-  if (state.ud_class_id != def.type_id) {
-    if (checker_) {
-      checker_->on_class_mismatch(idx, dst, tid, start);
-      sh.msg_pool.release(idx);
-      checker_->pop_origin();
-      return 0;
-    }
-    throw std::runtime_error("event '" + def.name + "' delivered to a thread of another class");
-  }
-
-  const Word cevnt = evw::make_existing(dst, tid, label, m.nops);
-  UDSIM_LOG(LogLevel::kDebug, start, "[NWID %u][TID %u] %s (%u ops, inline)", dst, tid,
-            def.name.c_str(), m.nops);
-  if (checker_) checker_->on_task_begin(idx, dst, tid, label, start, new_thread);
-  Ctx ctx(*this, sh, lane, m, start, tid, cevnt, state);
-  def.invoke(ctx, state);
-
-  // The caller absorbs the cost into its own charge (lane free_at and
-  // busy/charged cycles flow through the caller's event), so only the event
-  // and thread counters are taken here.
-  const std::uint64_t cost = ctx.charged() + 1;  // +1: Thread Yield at return
-  lane.stats().events_executed++;
-  sh.stats.events_executed++;
-  // Inline cycles flow through the enclosing packet event (traced when that
-  // event completes); only the executed-event count moves here.
-  if (tracer_) tracer_->on_inline_execute(node_of(dst), start);
-  if (ctx.terminated()) {
-    sh.states.give(lane.deallocate_thread(tid));
-    sh.stats.threads_destroyed++;
-    --sh.live_threads;
-  }
-  if (checker_) {
-    checker_->on_task_end(dst, tid, ctx.terminated());
-    sh.msg_pool.release(idx);
-    checker_->pop_origin();
-  }
-  return cost;
-}
-
 void Machine::exec_dram(EngineShard& sh, const QEntry& e) {
   DramRequest& r = sh.dram_pool[e.index];
   const Tick arrive = e.t;
@@ -405,7 +321,6 @@ void Machine::exec_next(EngineShard& sh) {
     // The pooled payload stays in place through execution; handlers may
     // acquire new slots (slabs are stable), and the slot is recycled after.
     exec_message(sh, e);
-    release_bulk(sh, e.index);
     sh.msg_pool.release(e.index);
   } else {
     exec_dram(sh, e);
@@ -459,12 +374,7 @@ bool Machine::run_until(const std::function<bool()>& stop) {
 void Machine::merge_inbox(EngineShard& sh, std::uint32_t my) {
   for (std::uint32_t s = 0; s < nshards_; ++s) {
     EngineShard::MailBox& box = shards_[s]->outbox[my];
-    for (EngineShard::MailMsg& mm : box.msgs) {
-      if (!mm.bulk.empty()) {
-        const std::uint32_t bidx = sh.bulk_pool.acquire();
-        std::copy(mm.bulk.begin(), mm.bulk.end(), sh.bulk_pool[bidx].w.begin());
-        mm.m.bulk = bidx;
-      }
+    for (const EngineShard::MailMsg& mm : box.msgs) {
       const std::uint32_t idx = sh.msg_pool.acquire();
       sh.msg_pool[idx] = mm.m;
       push(sh, QEntry{mm.t, mm.ent, mm.seq, idx, kMsg});

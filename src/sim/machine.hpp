@@ -81,8 +81,6 @@ struct EngineShard {
     Tick t;
     std::uint32_t ent, seq;
     Message m;
-    std::vector<Word> bulk;  ///< bulk payload by value (m.bulk is re-pooled
-                             ///< by the destination shard at merge time)
   };
   struct MailDram {
     Tick t;
@@ -97,7 +95,6 @@ struct EngineShard {
   CalendarEventQueue queue;
   SlabPool<Message> msg_pool;
   SlabPool<DramRequest> dram_pool;
-  SlabPool<BulkPayload> bulk_pool;  ///< out-of-line payloads of packed messages
   StatePool states;  ///< terminated thread states of this shard's lanes, by class
   MachineStats stats;  ///< delta since the last flush into Machine::stats_
   Tick now = 0;
@@ -299,11 +296,8 @@ class Machine {
   // pool directly, cross-shard sends ride the mailbox until the window
   // boundary. `sh` is the shard doing the sending (it owns the network
   // token buckets of the sending node and takes the stats deltas).
-  /// `bulk` must point at m.bulk_words valid words when m.bulk_words > 0 (the
-  /// words are copied into the destination shard's bulk pool, or by value
-  /// into the mailbox for cross-shard sends).
   void route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
-                     Message&& m, Tick depart, const Word* bulk = nullptr);
+                     Message&& m, Tick depart);
   void route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
                   DramRequest&& r, Tick depart);
   /// The one path of every host injection, departing at `depart`.
@@ -313,25 +307,7 @@ class Machine {
   void exec_next(EngineShard& sh);
   void exec_message(EngineShard& sh, const QEntry& e);
   void exec_dram(EngineShard& sh, const QEntry& e);
-  /// Run `m`'s handler synchronously on the current lane, bypassing the
-  /// network and the event queue — the KVMSR packet unpacker spawning one
-  /// reduce thread per packed tuple. The event word must address the lane the
-  /// caller is executing on. Returns the cycles the inline event consumed
-  /// (handler charges + the thread yield/deallocate cycle); the caller
-  /// absorbs them into its own charge so lane timing stays exact. Counted in
-  /// events_executed/threads_* but not messages_sent (no message exists).
-  std::uint64_t deliver_inline(EngineShard& sh, Message&& m, Tick start);
   void push(EngineShard& sh, const QEntry& e);
-  /// Release a message's bulk-pool slot, if it holds one. Call exactly once
-  /// per pooled message, right before msg_pool.release.
-  void release_bulk(EngineShard& sh, std::uint32_t pool_index) {
-    Message& m = sh.msg_pool[pool_index];
-    if (m.bulk != kNoBulk) {
-      sh.bulk_pool.release(m.bulk);
-      m.bulk = kNoBulk;
-      m.bulk_words = 0;
-    }
-  }
 
   /// One shard's part of the window protocol (the body of run_until, on
   /// the caller's thread for shard 0 and on a worker for every other shard).

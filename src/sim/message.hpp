@@ -3,7 +3,8 @@
 // UpDown messages are 64 bytes: an event word, a continuation word, and up to
 // six 64-bit operands (DRAM read responses are the exception and carry up to
 // eight words, matching the paper's PageRank listing where returnRead
-// receives n0..n7).
+// receives n0..n7). There is no out-of-line payload: every message, the
+// KVMSR shuffle's one-tuple messages included, is one fixed-size record.
 //
 // In-flight payloads live in the Machine's recycling slab pools (see
 // sim/event_queue.hpp) from enqueue until execution; the calendar queue holds
@@ -23,30 +24,14 @@ namespace updown {
 
 constexpr unsigned kMaxOperands = 8;
 
-/// Out-of-line payload for bulk (packed) messages: the KVMSR shuffle
-/// coalescer streams up to kMaxBulkWords words behind a plain 3-operand
-/// header. Bulk slots live in a per-shard SlabPool next to the message pool;
-/// a Message references its slot by index so the Message itself stays
-/// trivially copyable (cross-shard mailboxes copy the words by value).
-constexpr unsigned kMaxBulkWords = 256;
-constexpr std::uint32_t kNoBulk = 0xFFFFFFFFu;
-
-struct BulkPayload {
-  std::array<Word, kMaxBulkWords> w;
-};
-
 struct Message {
   Word evw = 0;          ///< destination event word
   Word cont = IGNRCONT;  ///< continuation word delivered to the handler
   std::array<Word, kMaxOperands> ops{};
   std::uint8_t nops = 0;
   NetworkId src = 0;  ///< sending lane (host sends use lane 0 of node 0)
-  std::uint32_t bulk = kNoBulk;     ///< bulk-pool slot in the owning shard
-  std::uint16_t bulk_words = 0;     ///< valid words in the bulk slot
 
-  std::uint32_t payload_bytes(std::uint32_t header) const {
-    return header + (nops + static_cast<std::uint32_t>(bulk_words)) * 8u;
-  }
+  std::uint32_t payload_bytes(std::uint32_t header) const { return header + nops * 8u; }
 };
 
 struct DramRequest {

@@ -61,36 +61,20 @@ struct CheckSummary {
 
 /// KVMSR shuffle-phase traffic counters, kept separately from the machine
 /// totals so figures and tests can split map/control traffic from the
-/// shuffle without re-deriving counts. `tuples_emitted` counts emit()/emit2()
-/// calls; `tuples_combined` of those merged map-side (equal keys under a job
-/// combiner) and never touched the wire; the rest became reduce tasks, either
-/// as single per-tuple messages or packed `coalesced_packets`. All counters
-/// accumulate whether or not coalescing is on, so the per-phase summary is
-/// meaningful for baseline runs too.
+/// shuffle without re-deriving counts. Every emit()/emit2() call sends one
+/// message, so `messages` equals `tuples_emitted`.
 struct ShuffleStats {
-  std::uint64_t tuples_emitted = 0;    ///< emit()/emit2() calls
-  std::uint64_t tuples_combined = 0;   ///< merged map-side, never sent
-  std::uint64_t messages = 0;          ///< shuffle wire messages (singles + packets)
-  std::uint64_t coalesced_packets = 0; ///< of `messages`, packed multi-tuple sends
-  std::uint64_t bytes = 0;             ///< shuffle wire bytes (header + payload)
+  std::uint64_t tuples_emitted = 0;   ///< emit()/emit2() calls
+  /// Removed with map-side combining: always 0. It remains only because the
+  /// repository benchmark reads it.
+  std::uint64_t tuples_combined = 0;
+  std::uint64_t messages = 0;         ///< shuffle wire messages, one per tuple
+  std::uint64_t bytes = 0;            ///< shuffle wire bytes (header + payload)
   std::uint64_t cross_node_messages = 0;
-
-  /// Tuples that crossed the wire (emitted minus map-side-combined).
-  std::uint64_t tuples_delivered() const { return tuples_emitted - tuples_combined; }
-  /// Achieved tuples-per-message: 1.0 without coalescing. A job that emitted
-  /// nothing sent no messages and achieved exactly the uncoalesced ratio, so
-  /// the empty case reports 1.0 (a 0.0 row in the bench JSON would read as a
-  /// pathological shuffle, not an idle one).
-  double coalescing_factor() const {
-    return messages ? static_cast<double>(tuples_delivered()) / static_cast<double>(messages)
-                    : 1.0;
-  }
 
   void merge(const ShuffleStats& s) {
     tuples_emitted += s.tuples_emitted;
-    tuples_combined += s.tuples_combined;
     messages += s.messages;
-    coalesced_packets += s.coalesced_packets;
     bytes += s.bytes;
     cross_node_messages += s.cross_node_messages;
   }
@@ -161,17 +145,14 @@ struct MachineStats {
     d.threads_created -= base.threads_created;
     d.threads_destroyed -= base.threads_destroyed;
     d.shuffle.tuples_emitted -= base.shuffle.tuples_emitted;
-    d.shuffle.tuples_combined -= base.shuffle.tuples_combined;
     d.shuffle.messages -= base.shuffle.messages;
-    d.shuffle.coalesced_packets -= base.shuffle.coalesced_packets;
     d.shuffle.bytes -= base.shuffle.bytes;
     d.shuffle.cross_node_messages -= base.shuffle.cross_node_messages;
     return d;
   }
 
   /// Per-phase traffic summary: the shuffle split vs everything else (map
-  /// fan-out, control, DRAM replies). Benches print this so figures and CI
-  /// can assert on shuffle message counts directly.
+  /// fan-out, control, DRAM replies), for printing after a run.
   void print_traffic_summary(std::FILE* f = stdout) const {
     // The shuffle split only makes sense against merged machine totals. On an
     // unmerged per-shard delta block the shuffle counters can exceed the
@@ -199,14 +180,6 @@ struct MachineStats {
     std::fprintf(f, "%-28s %12llu msgs %14llu bytes\n", "map/control/replies",
                  static_cast<unsigned long long>(other_msgs),
                  static_cast<unsigned long long>(other_bytes));
-    std::fprintf(f,
-                 "%-28s %12llu emitted, %llu combined map-side, %llu packets, "
-                 "coalescing factor %.2f\n",
-                 "shuffle tuples",
-                 static_cast<unsigned long long>(shuffle.tuples_emitted),
-                 static_cast<unsigned long long>(shuffle.tuples_combined),
-                 static_cast<unsigned long long>(shuffle.coalesced_packets),
-                 shuffle.coalescing_factor());
   }
 };
 

@@ -60,6 +60,10 @@ StreamEngine& StreamEngine::install(Machine& m, Graph base, StreamOptions opt) {
 
 StreamEngine::StreamEngine(Machine& m, Graph base, StreamOptions opt)
     : m_(m), opt_(std::move(opt)), dg_(std::move(base)) {
+  if (opt_.coalesce_tuples != 1)
+    throw std::invalid_argument(
+        "stream: StreamOptions::coalesce_tuples is no longer supported (KVMSR's "
+        "packed shuffle was removed; every tuple is one message)");
   lib_ = &kvmsr::Library::install(m);
   qe_ = &serve::QueryEngine::install(m);
   rlanes_ = opt_.lanes;
@@ -109,7 +113,6 @@ serve::QuerySpec StreamEngine::base_spec(serve::QueryKind k, const char* nm) {
   s.iterations = opt_.pr_iterations;
   s.damping = opt_.damping;
   s.root = opt_.bfs_root;
-  s.coalesce_tuples = opt_.coalesce_tuples;
   s.name = std::string("stream.") + nm + "#" + std::to_string(queries_++);
   return s;
 }
@@ -187,7 +190,6 @@ std::uint64_t StreamEngine::ingest_async(const std::vector<tform::EdgeRecord>& r
   js.kv_map = lb_.kv_map;
   js.kv_reduce = lb_.kv_reduce;
   js.lanes = opt_.lanes;
-  js.coalesce_tuples = opt_.coalesce_tuples;
   js.tag = b;  // reduce handlers route parsed edges by this
   js.name = "stream.ingest#" + std::to_string(b);
   bt.job = lib_->add_job(js);

@@ -55,7 +55,11 @@ struct StreamOptions {
   /// unrelated jobs on other nodes.
   GraphPlacement values;
   std::uint64_t block_bytes = 1000;   ///< ingest parse-block size (UD_STREAM_BLOCK)
-  std::uint32_t coalesce_tuples = 1;  ///< forwarded to ingest shuffle
+  /// Removed: KVMSR's packed shuffle lost on every benchmark workload, so
+  /// every tuple is one message. The field remains so existing callers that
+  /// set it to 1 still compile; install throws std::invalid_argument for any
+  /// other value.
+  std::uint32_t coalesce_tuples = 1;
   /// Compaction tick grid (UD_STREAM_EPOCH): a submitted batch becomes
   /// visible at the next multiple of `epoch` at/after its arrival. 0 =
   /// apply as soon as the engine is quiescent.

@@ -72,11 +72,6 @@ void Tracer::on_execute(std::uint32_t lane, std::uint32_t node, Tick arrive, Tic
   add_ranged(node_busy_[node], start, cost, slice_);
 }
 
-void Tracer::on_inline_execute(std::uint32_t node, Tick start) {
-  // Busy cycles already flow through the enclosing packet event's cost.
-  bump(node_events_[node], slice_of(start), 1);
-}
-
 void Tracer::on_message(TraceShard& ts, std::uint32_t src_node, std::uint32_t dst_node,
                         std::uint32_t bytes, Tick depart, Tick arrive,
                         Tick inject_backlog) {

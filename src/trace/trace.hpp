@@ -98,9 +98,6 @@ class Tracer {
   /// per-node executed-events series, and the per-node arrival series.
   void on_execute(std::uint32_t lane, std::uint32_t node, Tick arrive, Tick start,
                   std::uint64_t cost);
-  /// An inline-delivered event (KVMSR packet unpack): its cycles are already
-  /// inside the enclosing packet event's cost, so only the event count moves.
-  void on_inline_execute(std::uint32_t node, Tick start);
   /// A message routed from `src_node` to `dst_node`: sent series, traffic
   /// matrix, delivery-latency histogram, and the injection-backlog sample
   /// (max per slice) for the network-pressure time series.

@@ -58,13 +58,6 @@ class Ctx {
     assert(i < msg_.nops);
     return msg_.ops[i];
   }
-  /// Bulk payload of the current message (packed sends): valid words behind
-  /// the plain operands. Zero for ordinary messages.
-  unsigned bulk_words() const { return msg_.bulk_words; }
-  Word bulk_op(unsigned i) const {
-    assert(i < msg_.bulk_words && msg_.bulk != kNoBulk);
-    return sh_.bulk_pool[msg_.bulk].w[i];
-  }
   Tick start_time() const { return start_; }
   Tick now() const { return start_ + charged_; }
   std::uint64_t charged() const { return charged_; }
@@ -97,48 +90,6 @@ class Ctx {
     charge(n > 3 ? 2 : 1);  // Send Message: 1-2 cycles
     lane_.stats().messages_sent++;
     m_.route_message(sh_, nwid_, lane_.next_seq(), std::move(m), now());
-  }
-
-  /// Bulk send: a message whose header carries up to 3 plain operands and
-  /// whose payload streams `nwords` further words (<= kMaxBulkWords) — the
-  /// KVMSR shuffle coalescer's packed-tuple transport. Table-2-faithful cost:
-  /// the base Send Message charge covers the header and the first 8 payload
-  /// words (the plain-message maximum), and each further 32-byte flit streams
-  /// in one cycle. The receiver reads the payload with bulk_op().
-  void send_event_bulk(Word event_word, std::initializer_list<Word> ops, const Word* words,
-                       std::uint32_t nwords, Word cont = IGNRCONT) {
-    assert(ops.size() <= 3 && nwords >= 1 && nwords <= kMaxBulkWords);
-    Message m;
-    m.evw = event_word;
-    m.cont = cont;
-    m.nops = static_cast<std::uint8_t>(ops.size());
-    std::size_t i = 0;
-    for (Word w : ops) m.ops[i++] = w;
-    m.src = nwid();
-    m.bulk_words = static_cast<std::uint16_t>(nwords);
-    const std::uint32_t base = (nwords + m.nops) > 3 ? 2u : 1u;
-    const std::uint32_t flits = nwords > 8 ? (nwords - 8 + 3) / 4 : 0u;
-    charge(base + flits);
-    lane_.stats().messages_sent++;
-    m_.route_message(sh_, nwid_, lane_.next_seq(), std::move(m), now(), words);
-  }
-
-  /// Deliver an event to a thread on THIS lane synchronously, inside the
-  /// current event's execution: no message, no queue round trip. The cycles
-  /// the inline handler consumes (plus its yield) are charged to this
-  /// context, so lane timing is identical to running the handler back to
-  /// back on the lane. Used by the KVMSR packet unpacker to spawn one reduce
-  /// thread per packed tuple with per-tuple cycle charging.
-  void deliver_inline(Word event_word, const Word* ops, std::size_t n) {
-    assert(n <= kMaxOperands);
-    assert(evw::nwid(event_word) == nwid_ && "deliver_inline: same-lane only");
-    Message m;
-    m.evw = event_word;
-    m.cont = IGNRCONT;
-    m.nops = static_cast<std::uint8_t>(n);
-    for (std::size_t i = 0; i < n; ++i) m.ops[i] = ops[i];
-    m.src = nwid_;
-    charge(m_.deliver_inline(sh_, std::move(m), now()));
   }
 
   /// KVMSR shuffle traffic counters of the executing shard (merged into

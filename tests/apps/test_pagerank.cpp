@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <stdexcept>
 
 #include "baseline/baseline.hpp"
 #include "graph/generators.hpp"
@@ -29,16 +29,7 @@ void expect_matches_oracle(const Graph& g, std::uint32_t nodes, std::uint64_t ma
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     EXPECT_NEAR(r.rank[v], oracle[v], 1e-9) << "vertex " << v;
   EXPECT_GT(r.done_tick, r.start_tick);
-  // Map-side combining (active when UD_COALESCE > 1 is in the environment)
-  // merges same-slot contributions pre-shuffle, so emitted tuples can drop
-  // below one per edge traversal; ranks above stay oracle-exact either way.
-  const char* uc = std::getenv("UD_COALESCE");
-  if (uc != nullptr && std::strtoul(uc, nullptr, 10) > 1) {
-    EXPECT_LE(r.edge_updates, g.num_edges() * iterations);
-    EXPECT_GT(r.edge_updates, 0u);
-  } else {
-    EXPECT_EQ(r.edge_updates, g.num_edges() * iterations);
-  }
+  EXPECT_EQ(r.edge_updates, g.num_edges() * iterations);
 }
 
 TEST(PageRank, MatchesOracleOnRmat) {
@@ -99,6 +90,23 @@ TEST(PageRank, GupsIsPositiveAndFinite) {
   Result r = App::install(m, dg, sg, {.iterations = 1}).run();
   EXPECT_GT(r.gups(), 0.0);
   EXPECT_LT(r.gups(), 1e6);
+}
+
+// The packed shuffle is gone: Options::coalesce_tuples is a tombstone that
+// accepts only 1, the one path.
+TEST(PageRank, CoalesceTuplesAboveOneThrows) {
+  Machine m(MachineConfig::scaled(2));
+  Graph g = rmat(7, {}, 3);
+  SplitGraph sg = split_vertices(g, 32);
+  DeviceGraph dg = upload_split_graph(m, sg);
+  EXPECT_THROW(App::install(m, dg, sg, {.iterations = 2, .coalesce_tuples = 16}),
+               std::invalid_argument);
+  Result r = App::install(m, dg, sg, {.iterations = 2, .coalesce_tuples = 1}).run();
+  const auto oracle = baseline::pagerank(g, 2);
+  ASSERT_EQ(r.rank.size(), oracle.size());
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    EXPECT_NEAR(r.rank[v], oracle[v], 1e-9) << "vertex " << v;
+  EXPECT_EQ(r.edge_updates, g.num_edges() * 2);
 }
 
 }  // namespace

@@ -31,13 +31,12 @@ Counts counts_of(const Machine& m, Tick done) {
           s.dram_writes, s.threads_created, s.charged_cycles};
 }
 
-Counts run_pagerank(bool check, CheckSummary* out = nullptr, std::uint32_t coalesce = 1) {
+Counts run_pagerank(bool check, CheckSummary* out = nullptr) {
   Machine m(config(2, check));
   Graph g = rmat(8, {}, 77);
   SplitGraph sg = split_vertices(g, 32);
   DeviceGraph dg = upload_split_graph(m, sg);
-  pr::Result r =
-      pr::App::install(m, dg, sg, {.iterations = 2, .coalesce_tuples = coalesce}).run();
+  pr::Result r = pr::App::install(m, dg, sg, {.iterations = 2}).run();
   if (out) *out = m.stats().check;
   return counts_of(m, r.done_tick);
 }
@@ -83,18 +82,6 @@ TEST(UdCheckClean, TriangleCountIsCleanAndCountsUnchanged) {
   EXPECT_EQ(c.errors(), 0u) << "TC must run clean under UD_CHECK";
   EXPECT_TRUE(c.clean());
   EXPECT_EQ(checked, run_tc(false));
-}
-
-TEST(UdCheckClean, CoalescedPageRankIsCleanAndCountsUnchanged) {
-  // Shuffle coalescing under the checker exercises bulk-message stamping,
-  // the per-buffer sync cells, and the inline-delivery origin stack; a clean
-  // run must stay clean and bit-identical to the unchecked coalesced run.
-  CheckSummary c;
-  const Counts checked = run_pagerank(true, &c, /*coalesce=*/16);
-  EXPECT_TRUE(c.enabled);
-  EXPECT_EQ(c.errors(), 0u) << "coalesced PageRank must run clean under UD_CHECK";
-  EXPECT_TRUE(c.clean());
-  EXPECT_EQ(checked, run_pagerank(false, nullptr, /*coalesce=*/16));
 }
 
 }  // namespace

@@ -244,11 +244,9 @@ struct SetFlush : ThreadState {
 
 // Runs a 500-key job with reduce and flush on `set` and checks that no task
 // ran outside it and that every lane inside was flushed once.
-void run_in_set(const MachineConfig& cfg, LaneSet set, MapBinding binding,
-                std::uint32_t coalesce) {
+void run_in_set(const MachineConfig& cfg, LaneSet set, MapBinding binding) {
   SCOPED_TRACE("set {" + std::to_string(set.first) + ", " + std::to_string(set.count) +
-               "} binding " + std::to_string(int(binding)) + " coalesce " +
-               std::to_string(coalesce));
+               "} binding " + std::to_string(int(binding)));
   Machine m(cfg);
   auto& lib = Library::install(m);
   auto& app = m.emplace_user<SetApp>();
@@ -261,7 +259,6 @@ void run_in_set(const MachineConfig& cfg, LaneSet set, MapBinding binding,
   spec.kv_reduce = m.program().event("SetReduce::kv_reduce", &SetReduce::kv_reduce);
   spec.flush = m.program().event("SetFlush::flush", &SetFlush::flush);
   spec.map_binding = binding;
-  spec.coalesce_tuples = coalesce;
   spec.lanes = set;
   app.job = lib.add_job(spec);
 
@@ -280,8 +277,7 @@ TEST(KvmsrLaneSet, JobStaysInsideItsLaneSet) {
   // the relays of both end nodes serve a sub-range of their node.
   for (const LaneSet set : {LaneSet{lpn, 2 * lpn}, LaneSet{19, 58}})
     for (const MapBinding binding : {MapBinding::kBlock, MapBinding::kPBMW})
-      for (const std::uint32_t coalesce : {1u, 16u})
-        run_in_set(MachineConfig::scaled(4), set, binding, coalesce);
+      run_in_set(MachineConfig::scaled(4), set, binding);
 }
 
 // 300 nodes of a 2,048-node machine, starting and ending mid-node: the tree
@@ -292,8 +288,7 @@ TEST(KvmsrLaneSet, JobStaysInsideItsLaneSet) {
 TEST(KvmsrLaneSet, GroupTiersStayInsideTheSet) {
   const MachineConfig cfg = MachineConfig::scaled(2048);
   const std::uint32_t lpn = cfg.lanes_per_node();
-  for (const std::uint32_t coalesce : {1u, 16u})
-    run_in_set(cfg, LaneSet{5 * lpn + 19, 300 * lpn}, MapBinding::kBlock, coalesce);
+  run_in_set(cfg, LaneSet{5 * lpn + 19, 300 * lpn}, MapBinding::kBlock);
 }
 
 // ---------------------------------------------------------------------------

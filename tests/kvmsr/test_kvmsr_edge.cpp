@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <string>
 
-#include "env_guard.hpp"
 #include "kvmsr/combining_cache.hpp"
 #include "kvmsr/kvmsr.hpp"
 
@@ -283,64 +281,6 @@ TEST(CombiningCacheUnit, EmptyFlushRepliesImmediately) {
                    evw::make_new(0, app.flush_done));
   m.run();
   EXPECT_TRUE(app.flushed);
-}
-
-// ---------------------------------------------------------------------------
-// UD_COALESCE is parsed strictly at add_job: "-1" used to wrap through
-// strtoul into a huge factor (silently clamped), and trailing garbage was
-// silently ignored. Both are now fatal; "0"/unset keep the job's factor, and
-// anything above the bulk-message capacity (kMaxBulkWords) is rejected
-// instead of silently truncated.
-// ---------------------------------------------------------------------------
-
-class KvmsrCoalesceEnv : public ::testing::Test {
- protected:
-  JobId add(Machine& m) {
-    auto& lib = Library::install(m);
-    JobSpec spec;
-    spec.kv_map = m.program().event("EMap::kv_map_env", &EMap::kv_map);
-    spec.kv_reduce = m.program().event("EReduce::kv_reduce_env", &EReduce::kv_reduce);
-    spec.name = "env";
-    spec.coalesce_tuples = 8;
-    return lib.add_job(spec);
-  }
-};
-
-TEST_F(KvmsrCoalesceEnv, NegativeValueThrows) {
-  EnvGuard g("UD_COALESCE", "-1");
-  Machine m(MachineConfig::scaled(1));
-  EXPECT_THROW(add(m), std::invalid_argument);
-}
-
-TEST_F(KvmsrCoalesceEnv, TrailingGarbageThrows) {
-  EnvGuard g("UD_COALESCE", "16x");
-  Machine m(MachineConfig::scaled(1));
-  EXPECT_THROW(add(m), std::invalid_argument);
-}
-
-TEST_F(KvmsrCoalesceEnv, BeyondBulkCapacityThrows) {
-  EnvGuard g("UD_COALESCE", std::to_string(kMaxBulkWords + 1).c_str());
-  Machine m(MachineConfig::scaled(1));
-  EXPECT_THROW(add(m), std::invalid_argument);
-}
-
-TEST_F(KvmsrCoalesceEnv, ZeroAndUnsetKeepTheJobFactor) {
-  {
-    EnvGuard g("UD_COALESCE", "0");
-    Machine m(MachineConfig::scaled(1));
-    EXPECT_NO_THROW(add(m));
-  }
-  {
-    EnvGuard g("UD_COALESCE", nullptr);
-    Machine m(MachineConfig::scaled(1));
-    EXPECT_NO_THROW(add(m));
-  }
-}
-
-TEST_F(KvmsrCoalesceEnv, CapacityBoundaryIsAccepted) {
-  EnvGuard g("UD_COALESCE", std::to_string(kMaxBulkWords).c_str());
-  Machine m(MachineConfig::scaled(1));
-  EXPECT_NO_THROW(add(m));
 }
 
 }  // namespace

@@ -94,7 +94,9 @@ TEST(ServeQueries, BfsOnMidNodeLanesStaysOnThem) {
   expect_bfs_tree(g, 0, r.dist, r.parent);
   const std::vector<LaneStats> lanes = m.lane_stats();
   for (NetworkId l = 0; l < lanes.size(); ++l) {
-    if (l < 19 || l >= 77) EXPECT_EQ(lanes[l].events_executed, 0u) << "lane " << l;
+    if (l < 19 || l >= 77) {
+      EXPECT_EQ(lanes[l].events_executed, 0u) << "lane " << l;
+    }
   }
 }
 

@@ -51,11 +51,9 @@ RunFingerprint fingerprint(Machine& m, Tick done, std::uint64_t result) {
           result};
 }
 
-RunFingerprint run_pr(std::uint32_t nodes, std::uint32_t shards = 1, bool check = false,
-                      std::uint32_t coalesce = 1) {
+RunFingerprint run_pr(std::uint32_t nodes, std::uint32_t shards = 1, bool check = false) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
-  EnvGuard g3("UD_COALESCE", std::to_string(coalesce).c_str());
   Machine m(MachineConfig::scaled(nodes));
   Graph g = rmat(9, {}, 77);
   SplitGraph sg = split_vertices(g, 32);
@@ -72,11 +70,9 @@ RunFingerprint run_pr(std::uint32_t nodes, std::uint32_t shards = 1, bool check 
   return fingerprint(m, r.done_tick, r.edge_updates);
 }
 
-RunFingerprint run_bfs(std::uint32_t nodes, std::uint32_t shards = 1, bool check = false,
-                       std::uint32_t coalesce = 1) {
+RunFingerprint run_bfs(std::uint32_t nodes, std::uint32_t shards = 1, bool check = false) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
-  EnvGuard g3("UD_COALESCE", std::to_string(coalesce).c_str());
   Machine m(MachineConfig::scaled(nodes));
   Graph g = rmat(9, {.symmetrize = true}, 13);
   DeviceGraph dg = upload_graph(m, g);
@@ -92,10 +88,9 @@ RunFingerprint run_bfs(std::uint32_t nodes, std::uint32_t shards = 1, bool check
   return fingerprint(m, r.done_tick, r.traversed_edges);
 }
 
-RunFingerprint run_tc(std::uint32_t shards = 1, std::uint32_t coalesce = 1) {
+RunFingerprint run_tc(std::uint32_t shards = 1) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", "0");
-  EnvGuard g3("UD_COALESCE", std::to_string(coalesce).c_str());
   Machine m(MachineConfig::scaled(2));
   Graph g = rmat(8, {.symmetrize = true}, 5);
   DeviceGraph dg = upload_graph(m, g);
@@ -157,39 +152,6 @@ TEST(DeterminismMatrix, TriangleCountIdenticalAcrossShardCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// The same matrix with shuffle coalescing on (UD_COALESCE=16): packing,
-// map-side combining, bulk routing across shard mailboxes, and the poll-time
-// flush must all be bit-identical for every shard count — and must survive
-// the checker, whose inline-delivery origin stack is exercised only here.
-// ---------------------------------------------------------------------------
-
-TEST(DeterminismMatrix, CoalescedPageRankIdenticalAcrossShardCounts) {
-  const RunFingerprint serial = run_pr(8, 1, false, 16);
-  for (std::uint32_t shards : {2u, 4u, 8u})
-    EXPECT_EQ(run_pr(8, shards, false, 16), serial) << "shards=" << shards;
-  // Sanity: coalescing actually changed the simulation (fewer messages).
-  EXPECT_LT(serial.messages, run_pr(8, 1, false, 1).messages);
-}
-
-TEST(DeterminismMatrix, CoalescedPageRankIdenticalUnderCheck) {
-  const RunFingerprint serial = run_pr(8, 1, false, 16);
-  for (std::uint32_t shards : {1u, 2u, 4u})
-    EXPECT_EQ(run_pr(8, shards, /*check=*/true, 16), serial)
-        << "shards=" << shards;
-}
-
-TEST(DeterminismMatrix, CoalescedBfsIdenticalAcrossShardCounts) {
-  const RunFingerprint serial = run_bfs(8, 1, false, 16);
-  for (std::uint32_t shards : {2u, 4u, 8u})
-    EXPECT_EQ(run_bfs(8, shards, false, 16), serial) << "shards=" << shards;
-}
-
-TEST(DeterminismMatrix, CoalescedTriangleCountIdenticalAcrossShardCounts) {
-  const RunFingerprint serial = run_tc(1, 16);
-  EXPECT_EQ(run_tc(2, 16), serial);
-}
-
-// ---------------------------------------------------------------------------
 // Concurrent serve-layer jobs: two tenants (a partitioned PageRank and a
 // partitioned BFS) resident at once, launched together and driven to global
 // drain. The whole-machine fingerprint AND the per-job quantities folded into
@@ -201,7 +163,6 @@ TEST(DeterminismMatrix, CoalescedTriangleCountIdenticalAcrossShardCounts) {
 RunFingerprint run_concurrent(std::uint32_t shards, bool check = false) {
   EnvGuard g1("UD_SHARDS", std::to_string(shards).c_str());
   EnvGuard g2("UD_CHECK", check ? "1" : "0");
-  EnvGuard g3("UD_COALESCE", "1");
   Machine m(MachineConfig::scaled(4));
   auto& eng = serve::QueryEngine::install(m);
   const auto lanes_per_node =

@@ -1,6 +1,6 @@
-// Unit tests for the statistics structs: the coalescing-factor empty case,
-// the traffic-summary underflow clamp, MachineStats::merge counter-vs-gauge
-// semantics, and the LaneActivity aggregate edges.
+// Unit tests for the statistics structs: the traffic-summary underflow
+// clamp, MachineStats::merge counter-vs-gauge semantics, and the
+// LaneActivity aggregate edges.
 #include "sim/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -18,25 +18,6 @@ std::string read_all(std::FILE* f) {
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
   return out;
-}
-
-TEST(ShuffleStatsTest, CoalescingFactorEmptyShuffleIsUnity) {
-  // A job that emitted nothing sent no messages: it achieved exactly the
-  // uncoalesced 1-tuple-per-message ratio, not a pathological 0.0.
-  ShuffleStats s;
-  EXPECT_DOUBLE_EQ(s.coalescing_factor(), 1.0);
-}
-
-TEST(ShuffleStatsTest, CoalescingFactorCountsDeliveredTuplesPerMessage) {
-  ShuffleStats s;
-  s.tuples_emitted = 100;
-  s.tuples_combined = 20;  // merged map-side, never crossed the wire
-  s.messages = 10;
-  EXPECT_EQ(s.tuples_delivered(), 80u);
-  EXPECT_DOUBLE_EQ(s.coalescing_factor(), 8.0);
-
-  s.messages = 80;  // uncoalesced: one message per delivered tuple
-  EXPECT_DOUBLE_EQ(s.coalescing_factor(), 1.0);
 }
 
 TEST(MachineStatsTest, TrafficSummaryPrintsShuffleSplit) {

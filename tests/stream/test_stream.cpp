@@ -251,6 +251,30 @@ TEST(StreamEngineTest, InstallIsExclusiveAndOptionsReadEnv) {
   EXPECT_THROW(StreamEngine::install(m, path_graph(8), {}), std::logic_error);
 }
 
+// The packed shuffle is gone: StreamOptions::coalesce_tuples is a tombstone
+// that accepts only 1, the one path. A rejected install leaves nothing
+// behind, so a second install with 1 runs the session as before.
+TEST(StreamEngineTest, CoalesceTuplesAboveOneThrows) {
+  const Graph base = rmat(7, {}, 21);
+  const auto recs = delta_recs(base.num_vertices(), 50, 3);
+  StreamOptions opt;
+  opt.coalesce_tuples = 16;
+  Machine m(MachineConfig::scaled(2));
+  EXPECT_THROW(StreamEngine::install(m, base, opt), std::invalid_argument);
+  opt.coalesce_tuples = 1;
+  auto& se = StreamEngine::install(m, base, opt);
+  se.warm();
+  const std::uint64_t b = se.ingest_async(recs, m.now());
+  m.run();
+  ASSERT_TRUE(se.ingested(b));
+  se.compact(m.now());
+  const RefreshResult r = se.refresh();
+  const Graph post = apply_delta(base, recs);
+  expect_rank_bits(r.pr.rank, baseline::pagerank(post, opt.pr_iterations),
+                   "post-delta pagerank");
+  EXPECT_EQ(r.bfs.dist, baseline::bfs(post, opt.bfs_root).dist);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism matrix: a mutating session confined to nodes {0,1} must be
 // bit-identical — refresh results AND completion ticks — across UD_SHARDS x

@@ -73,7 +73,6 @@ Tick run_tiny_traced(const std::string& trace_path, std::uint32_t shards) {
   EnvGuard g2("UD_TRACE", nullptr);        // config path, not env, drives this run
   EnvGuard g3("UD_TRACE_SLICE", nullptr);
   EnvGuard g4("UD_CHECK", "0");
-  EnvGuard g5("UD_COALESCE", nullptr);
   MachineConfig cfg = MachineConfig::scaled(4);
   cfg.trace = trace_path;
   Machine m(cfg);
@@ -204,6 +203,17 @@ TEST(TraceTest, TraceSliceEnvParsesStrictly) {
   {
     EnvGuard g2("UD_TRACE_SLICE", "-4");
     EXPECT_THROW(Machine m(MachineConfig::scaled(1)), std::invalid_argument);
+  }
+  {
+    // The maximum, 2^30, is accepted; one above it throws.
+    EnvGuard g2("UD_TRACE_SLICE", std::to_string((1ull << 30) + 1).c_str());
+    EXPECT_THROW(Machine m(MachineConfig::scaled(1)), std::invalid_argument);
+  }
+  {
+    EnvGuard g2("UD_TRACE_SLICE", std::to_string(1ull << 30).c_str());
+    Machine m(MachineConfig::scaled(1));
+    ASSERT_NE(m.tracer(), nullptr);
+    EXPECT_EQ(m.tracer()->slice(), Tick(1) << 30);
   }
 }
 
