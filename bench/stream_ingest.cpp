@@ -5,7 +5,8 @@
 // incrementally. The refresh is cross-checked bit-for-bit against the
 // from-scratch CPU baselines on the post-delta graph, and its simulated cost
 // is compared to a full device-side recomputation of the same state: under
-// UD_BENCH_ENFORCE the incremental PageRank must be >= 3x cheaper.
+// UD_BENCH_ENFORCE the incremental PageRank must be >= 3x cheaper and the
+// incremental BFS >= 2x cheaper.
 //
 // The incremental pass runs BEFORE the full recomputation so the comparison
 // cannot be flattered by re-ranking an already-converged state.
@@ -141,13 +142,19 @@ int main() {
     std::fprintf(stderr, "FAIL: incremental refresh diverged from post-delta baselines\n");
     return 1;
   }
-  // The cost claim: re-ranking the delta frontier must be materially cheaper
-  // than a full recompute for a <= 1% batch.
+  // The cost claim: re-ranking the delta frontier, and repairing levels from
+  // the delta's sources, must be materially cheaper than a full recompute
+  // for a <= 1% batch.
   if (std::getenv("UD_BENCH_ENFORCE")) {
     if (pr_speedup < 3.0) {
       std::fprintf(stderr,
                    "FAIL: incremental pagerank only %.2fx cheaper than full (floor 3x)\n",
                    pr_speedup);
+      return 1;
+    }
+    if (bfs_speedup < 2.0) {
+      std::fprintf(stderr, "FAIL: incremental bfs only %.2fx cheaper than full (floor 2x)\n",
+                   bfs_speedup);
       return 1;
     }
   }

@@ -2,9 +2,9 @@
 // custom computation binding.
 //
 // Demonstrates two things the paper emphasizes:
-//   1. BFS's departure from flat data parallelism — node-local frontiers
-//      split into per-lane slices, each round one KVMSR job whose map task
-//      per lane scans that lane's slice;
+//   1. BFS's departure from flat data parallelism — one diffusing KVMSR
+//      job whose reduces emit: a reduce that lowers a vertex's level
+//      expands it at once, with no per-level rounds;
 //   2. that an application can override KVMSR's default bindings (here we
 //      also run a do_all with a user-defined reduce binding to build the
 //      distance histogram).
@@ -28,7 +28,7 @@ int main() {
   opt.root = 1;
   bfs::Result r = bfs::App::install(m, dg, opt).run();
 
-  std::printf("BFS from vertex %llu: %llu rounds, %llu edges traversed, %.3f ms "
+  std::printf("BFS from vertex %llu: %llu levels, %llu edges traversed, %.3f ms "
               "simulated (%.2f GTEPS)\n",
               (unsigned long long)opt.root, (unsigned long long)r.rounds,
               (unsigned long long)r.traversed_edges, 1e3 * r.seconds(), r.gteps());

@@ -14,7 +14,7 @@ App::App(Machine& m, const DeviceGraph& dg, const Options& opt)
   s.kind = serve::QueryKind::kBfs;
   s.graph = &dg_;
   s.root = opt.root;
-  s.values.nr_nodes = opt.frontier_mem_nodes;
+  s.values.nr_nodes = opt.result_mem_nodes;
   s.name = "bfs";
   query_ = eng_.add_query(std::move(s));
 }
@@ -27,7 +27,12 @@ Result App::run() {
   Result r;
   r.dist = std::move(q.dist);
   r.parent = std::move(q.parent);
-  r.traversed_edges = q.emitted;
+  // A vertex can be expanded more than once, so the tuples emitted
+  // (q.emitted) can exceed the edges the BFS tree traverses.
+  GlobalMemory& mem = eng_.machine().memory();
+  for (VertexId v = 0; v < r.dist.size(); ++v)
+    if (r.dist[v] != kInfDist)
+      r.traversed_edges += mem.host_load<Word>(dg_.field_addr(v, DeviceGraph::kDegree));
   r.rounds = q.rounds;
   r.start_tick = q.launch_tick;
   r.done_tick = q.done_tick;

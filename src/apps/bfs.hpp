@@ -2,14 +2,12 @@
 // single-tenant app interface.
 //
 // The kernel lives in the serve layer (serve/bfs.cpp, the kBfs query): App
-// installs the QueryEngine and adds one BFS query on all lanes. As the paper
-// describes, the frontier is a per-node local structure split into per-lane
-// slices, each round is one kBlock KVMSR invocation with one key per lane
-// whose map task scans the lane's slice, and reduce tasks on hash(vertex)
-// lanes keep the vertex's level and append newly reached vertices to their
-// own lane's next slice. The driver stops when a round adds nothing ("add
-// queue 0" in the paper's log). run() launches the query, simulates to
-// quiescence, and reads back levels and parents.
+// installs the QueryEngine and adds one BFS query on all lanes. Where the
+// paper runs one KVMSR invocation per level, the traversal here is one
+// diffusing KVMSR job: a reduce that lowers a vertex's level expands it at
+// once, and the job ends when the termination gather finds no work left.
+// run() launches the query, simulates to quiescence, and reads back levels
+// and parents.
 #pragma once
 
 #include <cstdint>
@@ -22,17 +20,17 @@ namespace updown::bfs {
 
 struct Options {
   VertexId root = 0;
-  /// Placement of the frontier: 0 keeps each lane's slice on its own node
-  /// (the paper's default); n spreads it over nodes [0, n) (the Figure 12
-  /// placement sweep).
-  std::uint32_t frontier_mem_nodes = 0;
+  /// Placement of the {level, parent} result array: 0 puts each vertex's
+  /// pair on its vertex record's node; n spreads it over nodes [0, n) (the
+  /// Figure 12 placement sweep).
+  std::uint32_t result_mem_nodes = 0;
 };
 
 struct Result {
   std::vector<std::uint64_t> dist;  ///< kInfDist if unreachable
   std::vector<VertexId> parent;     ///< kNoParent if none
-  std::uint64_t traversed_edges = 0;
-  std::uint64_t rounds = 0;
+  std::uint64_t traversed_edges = 0;  ///< edges out of reached vertices
+  std::uint64_t rounds = 0;           ///< BFS levels (deepest level + 1)
   Tick start_tick = 0;
   Tick done_tick = 0;
 

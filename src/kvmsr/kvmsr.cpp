@@ -106,6 +106,8 @@ struct MasterThread : ThreadState {
   /// replies, then flush replies (the phases never overlap).
   std::uint64_t pending = 0;
   std::uint64_t poll_emitted = 0, poll_received = 0;
+  /// The sum of the last poll wave if it was balanced (reduces_emit jobs).
+  std::uint64_t balanced_sum = ~0ull;
   std::uint64_t pbmw_next = 0;
   Tick backoff = 128;  ///< exponential re-poll delay, capped at spec.poll_backoff
 
@@ -214,10 +216,13 @@ LaneSet Library::resolved_lanes(const Job& j) const {
   return s;
 }
 
-NetworkId Library::reduce_lane(Job& j, Word key) const {
+NetworkId Library::reduce_lane(JobId job, Word key) const {
+  const Job& j = jobs_.at(job);
   const LaneSet s = resolved_lanes(j);
   if (j.spec.reduce_binding) return j.spec.reduce_binding(key, s.first, s.count);
-  return s.first + static_cast<NetworkId>(hash64(key) % s.count);  // Hash binding
+  // The Hash binding. hash64(0) == 0, so hashing key 0 itself would put it
+  // (RMAT's top hub) on the set's first lane, which also runs the master.
+  return s.first + static_cast<NetworkId>(hash64(key + 1) % s.count);
 }
 
 void Library::launch_from_host(JobId job, std::uint64_t key_begin, std::uint64_t key_end,
@@ -266,7 +271,7 @@ const JobState& Library::run_to_completion(JobId job, std::uint64_t key_begin,
 
 void Library::emit(Ctx& ctx, JobId job, Word key, Word v0) {
   Job& j = jobs_.at(job);
-  const NetworkId dst = reduce_lane(j, key);
+  const NetworkId dst = reduce_lane(job, key);
   ctx.charge(2);  // binding hash + scratchpad emit counter
   ctx.shuffle_stats().tuples_emitted++;
   j.emitted_by_lane.at(ctx.nwid())++;
@@ -277,7 +282,7 @@ void Library::emit(Ctx& ctx, JobId job, Word key, Word v0) {
 
 void Library::emit2(Ctx& ctx, JobId job, Word key, Word v0, Word v1) {
   Job& j = jobs_.at(job);
-  const NetworkId dst = reduce_lane(j, key);
+  const NetworkId dst = reduce_lane(job, key);
   ctx.charge(2);
   ctx.shuffle_stats().tuples_emitted++;
   j.emitted_by_lane.at(ctx.nwid())++;
@@ -412,14 +417,22 @@ void MasterThread::m_poll_reply(Ctx& ctx) {
   poll_emitted += ctx.op(0);
   poll_received += ctx.op(1);
   if (--pending > 0) return;
-  if (poll_emitted == poll_received) {
+  const bool balanced = poll_emitted == poll_received;
+  if (balanced && (!j.spec.reduces_emit || poll_emitted == balanced_sum)) {
     j.state.total_emitted = poll_emitted;
     if (ctx.machine().tracer()) ctx.trace_phase_end(j.spec.name + ":drain");
     if (j.spec.flush != 0)
       start_flush(ctx);
     else
       finish(ctx);
+  } else if (balanced) {
+    // Reduces emit: confirm with a second wave at once. Counters only grow,
+    // so its emitted sum matches only if no lane emitted between its two
+    // reads, and then nothing was in flight when the first wave ended.
+    balanced_sum = poll_emitted;
+    start_poll_round(ctx);
   } else {
+    balanced_sum = ~0ull;
     // Tuples are still in flight; gather again after an exponentially
     // growing backoff, so short drains re-poll quickly while long-running
     // reduce phases do not saturate the master lane with polling.

@@ -8,7 +8,7 @@
 //
 //   - map side:    Block (default) — each lane gets a contiguous key range —
 //                  or PBMW (partial-block + master-worker work stealing).
-//   - reduce side: Hash (default) — lane = hash(key) % lanes — or any
+//   - reduce side: Hash (default) — lane = hash(key + 1) % lanes — or any
 //                  user-provided binding function.
 //
 // The shuffle sends each emitted tuple as one message, straight from the
@@ -25,7 +25,11 @@
 //              subtask it spawned (the task may fan out further in UDWeave).
 //   kv_reduce: new thread per tuple, ops = {key, v0 [, v1, v2], job}. Must
 //              finish by calling Library::reduce_return(ctx, job), which also
-//              terminates the thread.
+//              terminates the thread. A reduce may emit only when its job's
+//              JobSpec::reduces_emit is set, and then must call
+//              reduce_return only once it, and any work it spawned, has
+//              emitted all it will: a tuple counts as received when its
+//              reduce returns, so a balanced count means no work is left.
 //   flush    : optional; after the reduce drain one flush event runs per
 //              lane, sent by the lane's leaf relay (new thread, ops = {job});
 //              it must reply to CCONT with no operands when its lane's state
@@ -35,7 +39,11 @@
 // reduce phases"): workers retire map tasks via kv_map_return; once the map
 // phase is done, the master runs gather rounds summing per-lane
 // emitted/received counters until the sums agree, then flushes and signals
-// the launch continuation with {total_emitted}. Every all-lane exchange
+// the launch continuation with {total_emitted}. Emitted is final at
+// map-done unless reduces emit, so one balanced wave ends a job. A job whose
+// reduces emit ends only when two consecutive waves read the same balanced
+// sum (Mattern's four-counter test): one wave may read a lane's counters
+// before a reduce elsewhere emits and returns. Every all-lane exchange
 // (kBlock launch and map-done, each poll round, the flush) goes through a
 // control tree shaped by the machine: the master, then the network's L2 and
 // L1 node groups, nodes, accelerators, and the lanes. Node relays are always
@@ -87,6 +95,9 @@ struct JobSpec {
   /// Backoff between termination-gather rounds (cycles). Without pacing the
   /// master lane saturates itself re-polling while reducers drain.
   Tick poll_backoff = 4096;
+  /// Reduces emit (a diffusing job, such as BFS): termination takes two
+  /// consecutive balanced gather waves with the same sum instead of one.
+  bool reduces_emit = false;
   /// Opaque job tag, readable from user events via Library::spec(job).tag.
   /// The stream layer stamps each delta-ingest job with its batch id so the
   /// reduce handlers append parsed edges into the right staging batch.
@@ -150,7 +161,7 @@ class Library {
   /// kv_map_emit: push a tuple into the intermediate map; it travels as one
   /// message to a new kv_reduce task on the lane chosen by the reduce
   /// binding. May be called from the map thread or any UDWeave subtask on a
-  /// lane of the job's set.
+  /// lane of the job's set, and from reduces when JobSpec::reduces_emit.
   void emit(Ctx& ctx, JobId job, Word key, Word v0);
   void emit2(Ctx& ctx, JobId job, Word key, Word v0, Word v1);
   /// kv_map_return: retire the map task (pass ctx.ccont() for single-event
@@ -171,6 +182,9 @@ class Library {
   bool cancel_requested(JobId job) const { return jobs_.at(job).cancel; }
   /// Resolved lane set of `job` (a spec count of 0 expanded to the machine).
   LaneSet lanes_of(JobId job) const { return resolved_lanes(jobs_.at(job)); }
+  /// The lane the reduce binding gives `key`: where its tuples reduce, and
+  /// so the lane that owns any per-key state the reduces keep.
+  NetworkId reduce_lane(JobId job, Word key) const;
   std::size_t num_jobs() const { return jobs_.size(); }
   /// Any job currently mid-flight (between launch and its master's finish)?
   bool any_running() const {
@@ -203,7 +217,6 @@ class Library {
   };
 
   LaneSet resolved_lanes(const Job& j) const;
-  NetworkId reduce_lane(Job& j, Word key) const;
   void count_tuple_message(Ctx& ctx, NetworkId dst, std::uint32_t payload_words);
 
   Machine& m_;

@@ -1,90 +1,42 @@
 // Push breadth-first search (paper Section 4.2), the kBfs and kIncBfs query
 // kernel and the repo's one BFS: bfs::App adds one kBfs query.
 //
-// The frontier lives in DRAM as per-lane slices, each lane's slice on the
-// lane's own node by default (the paper's DRAMmalloc(size, 0, NRnodes,
-// size/NRnodes) idiom), and each round is one kBlock KVMSR job with one key
-// per lane of the query's LaneSet, so the control tree's leaf relays send
-// the map tasks themselves. A map task is its lane's frontier scan: it reads
-// and resets the lane's slice count, streams the slice, and spawns one
-// expand per entry on its own lane. An expand reads u's level from the
-// lane-owned level mirror (the scan's lane is u's hash-owner lane), then
-// u's record and neighbor list, and emits <w, level + 1, u>; a hub (degree
-// above kSplitDegree) fans its list out in chunks over the query's lanes.
-// The reduce runs on w's hash-owner lane: it improve-tests the mirror,
-// writes {level, parent} with one acked 2-word write, and appends w to its
-// own lane's next slice unless w's `queued` flag says w already waits in a
-// slice. The scan clears the flag as it reads the entry, so an expand
-// always reads the newest level, and a repair frontier, which mixes levels,
-// stays a set without a per-round snapshot.
+// The paper runs BFS in level-synchronous rounds, one KVMSR job per level.
+// Here each traversal is one diffusing KVMSR job (JobSpec::reduces_emit), so
+// it pays one launch and one termination gather, not one per level. The map
+// keys are the seeds, the root or a repair's dirty sources; a seed's map
+// task starts the seed's expand on its owner lane, the lane the job's
+// reduce binding gives it. An expand reads u's level from the lane-owned
+// level mirror, then u's record and neighbor list, and emits
+// <w, level + 1, u>; a hub (degree above kSplitDegree) fans its list out in
+// chunks over the query's lanes. The reduce runs on w's owner lane: it
+// improve-tests the mirror, writes {level, parent} with one acked 2-word
+// write and, unless w's `queued` flag says an expand of w is pending,
+// spawns w's expand on its own lane. It returns once the write is acked and
+// that expand has emitted, so a balanced termination count means no work
+// is left. The expand clears the flag as it reads the level, so it always
+// reads the newest level, and a later improvement spawns a new expand; an
+// expand whose vertex improved while it streams stops emitting.
 //
 // Levels only fall, so the final levels do not depend on message order,
-// shard count or concurrent jobs. kBfs seeds the root on the query's own
-// arrays; kIncBfs repairs the session's resident arrays from delta-touched
-// sources (Seeds::kPending) or recomputes them from the root (Seeds::kAll).
-// The driver (SqDriver) chains rounds until one appends nothing.
+// shard count or concurrent jobs; a vertex may be expanded more than once,
+// so a query can emit more tuples than its BFS tree traverses. kBfs seeds
+// the root on the query's own arrays; kIncBfs repairs the session's
+// resident arrays from delta-touched sources (Seeds::kPending) or
+// recomputes them from the root (Seeds::kAll). A cancelled query stops
+// spawning expands, so its job drains early.
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "serve/query_engine.hpp"
 
 namespace updown::serve {
 
-/// Kv_map task of a round, one per lane: scan this lane's slice.
-struct SqBfsScan : kvmsr::MapTask {
-  kvmsr::JobId job = 0;
-  std::uint32_t count = 0;
-  std::uint32_t spawned = 0;
-  std::uint32_t expanded = 0;
-
-  void kv_map(Ctx& ctx) {
-    kvmsr_begin(ctx);
-    auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::map_job(ctx);
-    auto& q = eng.query_of_job(job);
-    ctx.charge(1);  // scratchpad slice-count load and reset
-    count = std::exchange(q.slice_count[q.cur_buf][ctx.nwid() - q.rlanes.first], 0);
-    if (count == 0) {
-      eng.lib_->map_return(ctx, kvmsr_cont);
-      return;
-    }
-    const Addr slice = q.slice_addr(q.cur_buf, ctx.nwid());
-    for (std::uint32_t i = 0; i < count; i += 8) {
-      const unsigned n = std::min<std::uint32_t>(8, count - i);
-      ctx.charge(2);
-      ctx.send_dram_read(slice + i * 8, n, eng.lb_.bfs_slice);
-    }
-  }
-
-  void bfs_slice(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    auto& q = eng.query_of_job(job);
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
-      ctx.charge(1);
-      q.queued[ctx.op(i)] = 0;  // from here on, an improvement re-queues it
-      ctx.send_event(ctx.evw_new(ctx.nwid(), eng.lb_.bfs_expand), {ctx.op(i), job},
-                     ctx.evw_update_event(ctx.cevnt(), eng.lb_.bfs_expanded));
-      ++spawned;
-    }
-    maybe_finish(ctx);
-  }
-
-  void bfs_expanded(Ctx& ctx) {
-    ++expanded;
-    maybe_finish(ctx);
-  }
-
- private:
-  void maybe_finish(Ctx& ctx) {
-    if (spawned == count && expanded == count)
-      ctx.machine().service<QueryEngine>().lib_->map_return(ctx, kvmsr_cont);
-  }
-};
-
-/// Expand one frontier vertex u (bfs_expand, ops {u, job}), or one chunk of
-/// a hub's neighbor list (bfs_chunk, ops {base, len, u, job, level}): stream
-/// the neighbors and emit <w, level, u> for each.
+/// Expand one vertex u (bfs_expand, ops {u, job}), or one chunk of a hub's
+/// neighbor list (bfs_chunk, ops {base, len, u, job, level}): stream the
+/// neighbors and emit <w, level, u> for each, then reply to CCONT. bfs_seed
+/// is the job's kv_map: it hands the seed to an expand on the seed's owner
+/// lane, whose reply retires the map task.
 struct SqBfsExpand : ThreadState {
   /// Above this degree an expand fans chunk subtasks out to other lanes: the
   /// equivalent of the artifact's max-degree-4096 split for BFS, realized as
@@ -97,6 +49,18 @@ struct SqBfsExpand : ThreadState {
   Word level = 0;  ///< the level emitted to u's neighbors
   Word len = 0, loaded = 0, chunks = 0;
   Word done_cont = IGNRCONT;
+  bool owner = false;  ///< runs on u's owner lane (not a hub chunk)
+  bool stale = false;  ///< u improved since: a newer expand supersedes this one
+
+  void bfs_seed(Ctx& ctx) {
+    auto& eng = ctx.machine().service<QueryEngine>();
+    job = kvmsr::Library::map_job(ctx);
+    const Word s = eng.query_of_job(job).alist[kvmsr::Library::map_key(ctx)];
+    ctx.charge(1);  // scratchpad seed-list lookup
+    ctx.send_event(ctx.evw_new(eng.lib_->reduce_lane(job, s), eng.lb_.bfs_expand), {s, job},
+                   ctx.ccont());
+    ctx.yield_terminate();
+  }
 
   void bfs_expand(Ctx& ctx) {
     auto& eng = ctx.machine().service<QueryEngine>();
@@ -104,8 +68,10 @@ struct SqBfsExpand : ThreadState {
     job = static_cast<kvmsr::JobId>(ctx.op(1));
     done_cont = ctx.ccont();
     auto& q = eng.query_of_job(job);
-    ctx.charge(1);  // level-mirror load
+    ctx.charge(2);  // queued-flag clear and level-mirror load
+    q.queued[u] = 0;  // from here on, an improvement spawns a new expand
     level = (*q.dist)[u] + 1;
+    owner = true;
     ctx.send_dram_read(q.spec.graph->vertex_addr(u), 8, eng.lb_.bfs_rec);
   }
 
@@ -147,7 +113,14 @@ struct SqBfsExpand : ThreadState {
 
   void bfs_nbrs(Ctx& ctx) {
     auto& eng = ctx.machine().service<QueryEngine>();
-    for (unsigned i = 0; i < ctx.nops(); ++i) {
+    if (owner && !stale) {
+      // If u's level fell after this expand read it, the reduce that lowered
+      // it spawned a newer expand (or the query was cancelled), whose tuples
+      // carry lower levels to the same neighbors: the rest of ours are waste.
+      ctx.charge(1);  // level-mirror load
+      stale = (*eng.query_of_job(job).dist)[u] + 1 < level;
+    }
+    for (unsigned i = 0; i < ctx.nops() && !stale; ++i) {
       ctx.charge(1);
       eng.lib_->emit2(ctx, job, ctx.op(i), level, u);
     }
@@ -176,20 +149,22 @@ struct SqBfsExpand : ThreadState {
   }
 };
 
-// udcheck sync cell for the lane-owned level-mirror entry of vertex w. A
-// repair frontier mixes levels, so one round can improve dist[w] twice; the
-// improve-test on the mirror orders the two acked DRAM writes, and this cell
-// shows the checker that edge. Bit 30 keeps these cells apart from KVMSR's
-// counter cells (2*job and 2*job + 1), which stay below bit 30 for job ids
-// under 2^29.
+// udcheck sync cell for the lane-owned level-mirror entry of vertex w. Two
+// reduces can both improve dist[w] (a repair's seeds mix levels, and a
+// diffusing traversal reaches w along paths of different lengths); the
+// improve-test on the mirror orders their two acked DRAM writes, and this
+// cell shows the checker that edge. Bit 30 keeps these cells apart from
+// KVMSR's counter cells (2*job and 2*job + 1), which stay below bit 30 for
+// job ids under 2^29.
 constexpr std::uint64_t dist_slot(Word w) { return (1ull << 30) | (w & ((1ull << 30) - 1)); }
 
-/// Kv_reduce on w's hash-owner lane: improve-test, {level, parent} write,
-/// next-slice append. Writes are acked so the next round cannot observe a
-/// partially written slice, and a later query no unordered write.
+/// Kv_reduce on w's owner lane: improve-test, acked {level, parent} write,
+/// and w's expand unless one is pending. Returns when the write is acked
+/// and the expand it spawned has emitted, so a later query reads no
+/// unordered write and the job's termination count stays exact.
 struct SqBfsReduce : ThreadState {
   kvmsr::JobId job = 0;
-  unsigned acks = 0, writes = 1;
+  unsigned pending = 1;  ///< the write ack, plus a spawned expand's reply
 
   void kv_reduce(Ctx& ctx) {
     auto& eng = ctx.machine().service<QueryEngine>();
@@ -205,45 +180,42 @@ struct SqBfsReduce : ThreadState {
       return;
     }
     (*q.dist)[w] = pair[0];
-    if (!q.queued[w]) {
+    if (!q.queued[w] && !q.cancel) {
       q.queued[w] = 1;
-      q.added.fetch_add(1, std::memory_order_relaxed);
-      const unsigned nxt = q.cur_buf ^ 1;
-      std::uint32_t& fill = q.slice_count[nxt][ctx.nwid() - q.rlanes.first];
-      ctx.charge(2);  // slice fill-count update
-      ctx.send_dram_write(q.slice_addr(nxt, ctx.nwid()) + fill++ * 8, {w},
-                          eng.lb_.bfs_written);
-      ++writes;
+      ++pending;
+      ctx.charge(1);  // queued-flag store
+      ctx.send_event(ctx.evw_new(ctx.nwid(), eng.lb_.bfs_expand), {w, job},
+                     ctx.evw_update_event(ctx.cevnt(), eng.lb_.bfs_settled));
     }
     ctx.send_dram_writev(q.bfs_base + w * 16, pair, 2,
-                         ctx.evw_update_event(ctx.cevnt(), eng.lb_.bfs_written));
+                         ctx.evw_update_event(ctx.cevnt(), eng.lb_.bfs_settled));
     ctx.sync_release(dist_slot(w));
   }
 
-  void bfs_written(Ctx& ctx) {
-    if (++acks == writes) ctx.machine().service<QueryEngine>().lib_->reduce_return(ctx, job);
+  void bfs_settled(Ctx& ctx) {
+    if (--pending == 0) ctx.machine().service<QueryEngine>().lib_->reduce_return(ctx, job);
   }
 };
 
 void QueryEngine::register_bfs(Program& p) {
-  lb_.bfs_scan = p.event("serve::bfs_scan", &SqBfsScan::kv_map);
-  lb_.bfs_slice = p.event("serve::bfs_slice", &SqBfsScan::bfs_slice);
-  lb_.bfs_expanded = p.event("serve::bfs_expanded", &SqBfsScan::bfs_expanded);
+  lb_.bfs_seed = p.event("serve::bfs_seed", &SqBfsExpand::bfs_seed);
   lb_.bfs_expand = p.event("serve::bfs_expand", &SqBfsExpand::bfs_expand);
   lb_.bfs_chunk = p.event("serve::bfs_chunk", &SqBfsExpand::bfs_chunk);
   lb_.bfs_rec = p.event("serve::bfs_rec", &SqBfsExpand::bfs_rec);
   lb_.bfs_nbrs = p.event("serve::bfs_nbrs", &SqBfsExpand::bfs_nbrs);
   lb_.bfs_chunk_done = p.event("serve::bfs_chunk_done", &SqBfsExpand::bfs_chunk_done);
   lb_.bfs_reduce = p.event("serve::bfs_reduce", &SqBfsReduce::kv_reduce);
-  lb_.bfs_written = p.event("serve::bfs_written", &SqBfsReduce::bfs_written);
+  lb_.bfs_settled = p.event("serve::bfs_settled", &SqBfsReduce::bfs_settled);
 }
 
 void QueryEngine::add_bfs(Query& q, bool from_root) {
   const std::uint64_t nv = q.spec.graph->num_vertices;
-  GlobalMemory& mem = m_.memory();
   ResidentState* rs = q.spec.resident;
   if (q.spec.kind == QueryKind::kBfs) {
-    q.bfs_base = alloc_vertex_pairs(m_, *q.spec.graph);
+    // The query's own {level, parent} array: on `values`' nodes when set
+    // (the fig12 placement knob), else beside the graph's vertex records.
+    q.bfs_base = q.spec.values.nr_nodes ? place(q.spec, nv * 16)
+                                        : alloc_vertex_pairs(m_, *q.spec.graph);
     q.own_dist.resize(nv);
     q.dist = &q.own_dist;
   } else {
@@ -253,37 +225,14 @@ void QueryEngine::add_bfs(Query& q, bool from_root) {
     q.bfs_base = rs->bfs_base;
     q.dist = &rs->dist;
   }
-
-  // Slices: a lane's slice holds each vertex the lane owns at most once, so
-  // the most vertices any lane owns under the Hash binding is the capacity.
-  const kvmsr::LaneSet ls = q.rlanes;
-  std::vector<std::uint64_t> owned(ls.count, 0);
-  for (VertexId v = 0; v < nv; ++v) ++owned[hash64(v) % ls.count];
-  q.slice_cap = std::max<std::uint64_t>(1, *std::max_element(owned.begin(), owned.end()));
-  // One block per node the lanes touch, over a power-of-two node range.
-  const MachineConfig& cfg = m_.config();
-  q.lpn = cfg.lanes_per_node();
-  const std::uint32_t n0 = ls.first / q.lpn;
-  const std::uint32_t span =
-      static_cast<std::uint32_t>(next_pow2((ls.first + ls.count - 1) / q.lpn + 1 - n0));
-  q.node0 = std::min(n0, cfg.nodes - span);
-  q.node_bytes = next_pow2(std::uint64_t{q.lpn} * q.slice_cap * 8);
-  const std::uint64_t bytes = span * q.node_bytes;
-  const GraphPlacement& v = q.spec.values;
-  for (Addr& base : q.frontier)
-    base = v.nr_nodes ? mem.dram_malloc(bytes, v.first_node, v.nr_nodes,
-                                        std::max(q.node_bytes, bytes / v.nr_nodes))
-                      : mem.dram_malloc(bytes, q.node0, span, q.node_bytes);
-  for (auto& c : q.slice_count) c.assign(ls.count, 0);
   q.queued.assign(nv, 0);
 
-  // Seeds go into buffer 0 on their hash-owner lanes.
+  // Seeds are the job's map keys, each at most once; a seed's expand is
+  // pending from the start.
   const auto seed = [&](VertexId s) {
     if (q.queued[s]) return;
     q.queued[s] = 1;
-    const NetworkId lane = ls.first + static_cast<NetworkId>(hash64(s) % ls.count);
-    mem.host_store<Word>(q.slice_addr(0, lane) + q.slice_count[0][lane - ls.first]++ * 8, s);
-    ++q.seeded;
+    q.alist.push_back(s);
   };
   std::vector<Word>& dist = *q.dist;
   if (from_root) {
@@ -297,7 +246,7 @@ void QueryEngine::add_bfs(Query& q, bool from_root) {
     }
     pairs[2 * root] = 0;
     pairs[2 * root + 1] = root;
-    mem.host_write(q.bfs_base, pairs.data(), pairs.size() * 8);
+    m_.memory().host_write(q.bfs_base, pairs.data(), pairs.size() * 8);
     seed(root);
   } else {
     // Repair: only delta-touched sources that are themselves reachable can

@@ -66,11 +66,11 @@ struct SqDriver : ThreadState {
         break;
       case QueryKind::kBfs:
       case QueryKind::kIncBfs:
-        if (q.seeded == 0) {
+        if (q.alist.empty()) {  // no seed: a repair with nothing dirty
           finish(ctx, eng, q);
           return;
         }
-        launch_main(ctx, eng, q, eng.lb_.d_bfs_round_done);
+        launch_main(ctx, eng, q, eng.lb_.d_pass_done);
         break;
     }
   }
@@ -136,31 +136,15 @@ struct SqDriver : ThreadState {
     launch_main(ctx, eng, q, eng.lb_.d_ipr_round_done);
   }
 
-  void d_bfs_round_done(Ctx& ctx) {
-    auto& eng = ctx.machine().service<QueryEngine>();
-    auto& q = *eng.queries_.at(qid);
-    q.emitted += ctx.op(0);
-    q.round++;
-    if (q.cancel || q.added.load(std::memory_order_relaxed) == 0) {
-      finish(ctx, eng, q);
-      return;
-    }
-    // The next round scans the slices this one appended to. Driver-owned,
-    // ordered by the round's gather -> driver -> relaunch message chain.
-    q.cur_buf ^= 1;
-    q.added.store(0, std::memory_order_relaxed);
-    launch_main(ctx, eng, q, eng.lb_.d_bfs_round_done);
-  }
-
  private:
   void launch_main(Ctx& ctx, QueryEngine& eng, QueryEngine::Query& q, EventLabel done) {
-    // kIncPageRank sweeps launch only the affected keys (via alist
-    // indirection), BFS rounds one key per lane (its frontier scan), and
-    // everything else maps over the full vertex range.
+    // kIncPageRank sweeps launch only the affected keys and BFS only its
+    // seeds (both via alist indirection); everything else maps over the full
+    // vertex range.
     std::uint64_t hi = q.spec.graph->num_vertices;
-    if (q.spec.kind == QueryKind::kIncPageRank) hi = q.alist.size();
-    if (q.spec.kind == QueryKind::kBfs || q.spec.kind == QueryKind::kIncBfs)
-      hi = q.rlanes.count;
+    if (q.spec.kind == QueryKind::kIncPageRank || q.spec.kind == QueryKind::kBfs ||
+        q.spec.kind == QueryKind::kIncBfs)
+      hi = q.alist.size();
     eng.lib_->launch(ctx, q.job, 0, hi, ctx.evw_update_event(ctx.cevnt(), done));
   }
 
@@ -404,7 +388,6 @@ QueryEngine::QueryEngine(Machine& m) : m_(m) {
   lb_.d_pr_apply_done = p.event("serve::d_pr_apply_done", &SqDriver::d_pr_apply_done);
   lb_.d_pass_done = p.event("serve::d_pass_done", &SqDriver::d_pass_done);
   lb_.d_ipr_round_done = p.event("serve::d_ipr_round_done", &SqDriver::d_ipr_round_done);
-  lb_.d_bfs_round_done = p.event("serve::d_bfs_round_done", &SqDriver::d_bfs_round_done);
   register_pagerank(p);
   register_triangles(p);
   register_bfs(p);
@@ -548,9 +531,10 @@ QueryId QueryEngine::add_query(QuerySpec spec) {
     case QueryKind::kBfs:
     case QueryKind::kIncBfs:
       add_bfs(q, bfs_from_root);
-      js.kv_map = lb_.bfs_scan;
+      js.kv_map = lb_.bfs_seed;
       js.kv_reduce = lb_.bfs_reduce;
-      js.name = q.spec.name + (q.spec.kind == QueryKind::kBfs ? ".round" : ".repair");
+      js.reduces_emit = true;
+      js.name = q.spec.name + (q.spec.kind == QueryKind::kBfs ? ".bfs" : ".repair");
       q.job = lib_->add_job(js);
       break;
   }
@@ -613,9 +597,11 @@ QueryResult QueryEngine::collect(QueryId qid) const {
       m_.memory().host_read(q.bfs_base, pairs.data(), pairs.size() * 8);
       r.dist.resize(nv);
       r.parent.resize(nv);
+      r.rounds = 0;  // levels: one more than the deepest reached level
       for (VertexId v = 0; v < nv; ++v) {
         r.dist[v] = pairs[2 * v];
         r.parent[v] = pairs[2 * v + 1];
+        if (r.dist[v] != kInfDist) r.rounds = std::max<std::uint64_t>(r.rounds, r.dist[v] + 1);
       }
       break;
     }

@@ -23,10 +23,11 @@
 //                the owner's rank over its slice of the owner's edges, and
 //                the apply sums each vertex's accumulator slots. Kernel in
 //                serve/pagerank.cpp.
-//   kBfs       — push BFS from `root` (paper Section 4.2) on per-lane
-//                frontier slices, one kBlock job per round with one key per
-//                lane; levels and parents land in the query's own
-//                {level, parent} array. Kernel in serve/bfs.cpp.
+//   kBfs       — push BFS from `root` (paper Section 4.2) as one diffusing
+//                KVMSR job: a reduce that lowers a level expands the vertex
+//                at once, with no per-level rounds; levels and parents land
+//                in the query's own {level, parent} array. Kernel in
+//                serve/bfs.cpp.
 //   kPathCount — 2-hop path count (#{(a,b,c): a->b->c}), the PartialMatch
 //                stand-in: a two-edge pattern-matching query in one
 //                map+reduce pass (cf. apps/partial_match).
@@ -92,7 +93,7 @@ struct ResidentState {
   /// array (alloc_vertex_pairs).
   Addr bfs_base = 0;
   /// Lane-owned mirror of the levels in bfs_base: dist[w] is read and
-  /// written only on w's hash-owner lane of the refresh query.
+  /// written only on w's owner lane (the refresh job's reduce lane for w).
   std::vector<Word> dist;
   /// Dirty sets accumulated at compaction, consumed by the next refresh query
   /// with Seeds::kPending: pr_dirty = vertices whose in-edges or in-neighbor
@@ -113,9 +114,10 @@ struct QuerySpec {
   /// Computation binding of the query's main map job (PageRank propagate,
   /// triangle pairs, ...); the paper compares Block and PBMW.
   kvmsr::MapBinding map_binding = kvmsr::MapBinding::kBlock;
-  /// Placement of the query's own value arrays (rank and count cells, BFS
-  /// frontier slices) — the fig12 placement knob. nr_nodes 0 = spread over
-  /// the whole machine; a BFS frontier then stays on each lane's own node.
+  /// Placement of the query's own value arrays (rank and count cells, the
+  /// kBfs {level, parent} array) — the fig12 placement knob. nr_nodes 0 =
+  /// spread over the whole machine; a kBfs array then sits beside the
+  /// graph's vertex records (alloc_vertex_pairs).
   GraphPlacement values;
   std::uint32_t iterations = 2;  ///< PageRank sweeps (0 = no-op query)
   double damping = 0.85;         ///< PageRank damping factor
@@ -140,8 +142,8 @@ struct QuerySpec {
 struct QueryResult {
   Tick launch_tick = 0;
   Tick done_tick = 0;
-  std::uint64_t rounds = 0;   ///< PR sweeps run / BFS rounds / 1
-  std::uint64_t emitted = 0;  ///< shuffle tuples over all rounds
+  std::uint64_t rounds = 0;   ///< PR sweeps run / BFS levels reached / 1
+  std::uint64_t emitted = 0;  ///< shuffle tuples over all of the query's jobs
   std::uint64_t count = 0;    ///< kPathCount paths / kTriangles triangles
   bool cancelled = false;     ///< drained early via cancel()
   std::vector<double> rank;   ///< kPageRank, per original vertex
@@ -171,10 +173,11 @@ class QueryEngine {
   /// Host-visible completion flag — the run_until predicate for this query.
   bool done(QueryId q) const { return queries_.at(q)->finished; }
 
-  /// Drain-to-cancel: the query stops starting new rounds, its in-flight
-  /// KVMSR launch forfeits unissued map tasks (Library::request_cancel), and
-  /// the driver finishes through the normal termination path — no leaked
-  /// threads, udcheck-clean. Host-side only.
+  /// Drain-to-cancel: the query stops starting new rounds (a BFS stops
+  /// spawning expands), its in-flight KVMSR launch forfeits unissued map
+  /// tasks (Library::request_cancel), and the driver finishes through the
+  /// normal termination path — no leaked threads, udcheck-clean. Host-side
+  /// only.
   void cancel(QueryId q);
 
   /// Read back results; valid once done(q). kIncPageRank / kIncBfs results
@@ -221,7 +224,6 @@ class QueryEngine {
   friend struct SqTcMap;
   friend struct SqTcReduce;
   friend struct SqIprMap;
-  friend struct SqBfsScan;
   friend struct SqBfsExpand;
   friend struct SqBfsReduce;
 
@@ -238,34 +240,22 @@ class QueryEngine {
     Addr acc_base = 0;    ///< PR accumulators (f64 per vertex / split slot)
     Addr cells_base = 0;  ///< PC/TC per-partition-lane count cells
     // BFS: the {level, parent} device array and the lane-owned level mirror
-    // (the kBfs query's own, or the resident ones a kIncBfs query repairs).
+    // (the kBfs query's own, or the resident ones a kIncBfs query repairs),
+    // and queued[w] (an expand of w is pending), lane-owned scratchpad state
+    // modeled host-side on w's owner lane.
     Addr bfs_base = 0;
     std::vector<Word>* dist = nullptr;
     std::vector<Word> own_dist;  ///< kBfs: the storage behind `dist`
-    // BFS frontier: two buffers of per-lane slices of slice_cap entries, a
-    // node's lanes in one node_bytes block (the first on node0). Round r
-    // scans buffer r%2 and appends to the other. slice_count and queued are
-    // lane-owned scratchpad state modeled host-side: each lane's fill
-    // counts, and queued[w] (w waits in a slice) on w's hash-owner lane.
-    Addr frontier[2] = {0, 0};
-    std::uint64_t slice_cap = 0;  ///< the most vertices one lane owns
-    std::uint64_t node_bytes = 0;
-    std::uint32_t lpn = 0, node0 = 0;
-    std::vector<std::uint32_t> slice_count[2];  ///< per lane of rlanes
     std::vector<std::uint8_t> queued;
-    Addr slice_addr(unsigned buf, NetworkId lane) const {
-      return frontier[buf] + (lane / lpn - node0) * node_bytes + lane % lpn * slice_cap * 8;
-    }
-    unsigned cur_buf = 0;  ///< the buffer this round scans
-    std::atomic<std::uint64_t> added{0};  ///< BFS: slice appends this round
     // kIncPageRank affected flags, plus the same set as a compact ascending
     // list. The sweep job launches keys [0, alist.size()) and maps key ->
     // alist[key], so a sweep's KVMSR cost scales with the affected set, not
-    // num_vertices. `joining` is the driver's expansion scratch.
+    // num_vertices. `joining` is the driver's expansion scratch. A BFS job
+    // maps its seeds the same way.
     std::vector<char> visited;
     std::vector<char> joining;
     std::vector<VertexId> alist;
-    std::uint64_t seeded = 0;  ///< BFS / kIncPageRank: initial frontier size
+    std::uint64_t seeded = 0;  ///< kIncPageRank: initial affected-set size
     // Driver-owned progress (host-visible once published at a pause point).
     std::uint64_t round = 0;
     std::uint64_t emitted = 0;
@@ -273,7 +263,7 @@ class QueryEngine {
     Tick done_tick = 0;
     bool launched = false;
     bool finished = false;
-    bool cancel = false;  ///< host set; driver checks at round boundaries
+    bool cancel = false;  ///< host set; read by drivers and BFS reduces
   };
 
   /// Handlers run once per event: a vector index, no hash lookup.
@@ -287,7 +277,7 @@ class QueryEngine {
   void register_pagerank(Program& p);   // serve/pagerank.cpp
   void register_triangles(Program& p);  // serve/triangles.cpp
   void register_bfs(Program& p);        // serve/bfs.cpp
-  /// kBfs / kIncBfs setup: result arrays, frontier slices and seeds.
+  /// kBfs / kIncBfs setup: result arrays, queued flags and seeds.
   void add_bfs(Query& q, bool from_root);  // serve/bfs.cpp
 
   Machine& m_;
@@ -303,9 +293,8 @@ class QueryEngine {
   struct Labels {
     EventLabel d_pr_prop_done = 0;
     EventLabel d_pr_apply_done = 0;
-    EventLabel d_pass_done = 0;  ///< kPathCount / kTriangles single pass
+    EventLabel d_pass_done = 0;  ///< kPathCount / kTriangles / BFS single job
     EventLabel d_ipr_round_done = 0;
-    EventLabel d_bfs_round_done = 0;
     EventLabel pr_map = 0;
     EventLabel pr_reduce = 0;
     EventLabel pr_apply = 0;
@@ -334,16 +323,14 @@ class QueryEngine {
     EventLabel ipr_deg = 0;
     EventLabel ipr_rank = 0;
     EventLabel ipr_written = 0;
-    EventLabel bfs_scan = 0;
-    EventLabel bfs_slice = 0;
-    EventLabel bfs_expanded = 0;
+    EventLabel bfs_seed = 0;
     EventLabel bfs_expand = 0;
     EventLabel bfs_chunk = 0;
     EventLabel bfs_rec = 0;
     EventLabel bfs_nbrs = 0;
     EventLabel bfs_chunk_done = 0;
     EventLabel bfs_reduce = 0;
-    EventLabel bfs_written = 0;
+    EventLabel bfs_settled = 0;
   } lb_;
 };
 

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 #include "common/types.hpp"
@@ -149,37 +148,6 @@ struct MachineStats {
     d.shuffle.bytes -= base.shuffle.bytes;
     d.shuffle.cross_node_messages -= base.shuffle.cross_node_messages;
     return d;
-  }
-
-  /// Per-phase traffic summary: the shuffle split vs everything else (map
-  /// fan-out, control, DRAM replies), for printing after a run.
-  void print_traffic_summary(std::FILE* f = stdout) const {
-    // The shuffle split only makes sense against merged machine totals. On an
-    // unmerged per-shard delta block the shuffle counters can exceed the
-    // shard's own message total (emit-side accounting vs route-side
-    // accounting land on different shards), and the unsigned subtraction
-    // would underflow into absurd "other traffic" rows — clamp to zero, and
-    // flag the misuse in debug builds.
-    assert(messages_sent >= shuffle.messages && message_bytes >= shuffle.bytes &&
-           "print_traffic_summary: shuffle counters exceed machine totals "
-           "(printing an unmerged per-shard delta?)");
-    const std::uint64_t other_msgs =
-        messages_sent >= shuffle.messages ? messages_sent - shuffle.messages : 0;
-    const std::uint64_t other_bytes =
-        message_bytes >= shuffle.bytes ? message_bytes - shuffle.bytes : 0;
-    std::fprintf(f, "--- traffic summary ---\n");
-    std::fprintf(f, "%-28s %12llu msgs %14llu bytes (%llu cross-node)\n", "total",
-                 static_cast<unsigned long long>(messages_sent),
-                 static_cast<unsigned long long>(message_bytes),
-                 static_cast<unsigned long long>(cross_node_messages));
-    std::fprintf(f, "%-28s %12llu msgs %14llu bytes (%llu cross-node)\n",
-                 "shuffle (kvmsr emit)",
-                 static_cast<unsigned long long>(shuffle.messages),
-                 static_cast<unsigned long long>(shuffle.bytes),
-                 static_cast<unsigned long long>(shuffle.cross_node_messages));
-    std::fprintf(f, "%-28s %12llu msgs %14llu bytes\n", "map/control/replies",
-                 static_cast<unsigned long long>(other_msgs),
-                 static_cast<unsigned long long>(other_bytes));
   }
 };
 

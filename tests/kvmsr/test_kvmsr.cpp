@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 
+#include "env_guard.hpp"
 #include "kvmsr/combining_cache.hpp"
 
 namespace updown::kvmsr {
@@ -44,8 +47,9 @@ struct HistReduce : ThreadState {
 
 // Runs the histogram job over 5,000 keys with a combining-cache flush phase
 // and checks every bucket. Returns every lane's stats; lane 0 is the
-// master's.
-std::vector<LaneStats> run_histogram(const MachineConfig& cfg, MapBinding binding) {
+// master's. `state`, when given, receives the job's final state.
+std::vector<LaneStats> run_histogram(const MachineConfig& cfg, MapBinding binding,
+                                     JobState* state = nullptr) {
   Machine m(cfg);
   auto& lib = Library::install(m);
   auto& cc = CombiningCache::install(m);
@@ -77,6 +81,7 @@ std::vector<LaneStats> run_histogram(const MachineConfig& cfg, MapBinding bindin
     for (std::uint64_t k = b; k < n; k += app.buckets) expect += k * k;
     EXPECT_EQ(m.memory().host_load<Word>(app.hist_base + b * 8), expect) << "bucket " << b;
   }
+  if (state) *state = st;
   return m.lane_stats();
 }
 
@@ -94,20 +99,28 @@ INSTANTIATE_TEST_SUITE_P(
                                                                         MapBinding::kPBMW)));
 
 // The kBlock launch, map-done, every poll round and the flush go through the
-// control tree, so the master's lane handles at most 64 control messages per
-// exchange: 4x the lanes must not bring 4x its events, and at 1,024 nodes the
-// tree's L2 groups keep it near the 64-node count instead of 16x it.
+// control tree, so in each exchange the master sends one message to each
+// top-tier relay, at most 64: one per node up to 64 nodes, then one per
+// group. Lane lpn (node 1's first lane) runs every role lane 0 runs but the
+// master's, so the difference of their sent messages is the master's. At
+// 1,024 nodes the tree's L2 groups also keep lane 0's events near the
+// 64-node count instead of 16x it.
 TEST(KvmsrControlTree, MasterLaneEventsGrowWithNodesNotLanes) {
-  const auto master_lane_events = [](std::uint32_t nodes) {
-    return run_histogram(MachineConfig::scaled(nodes), MapBinding::kBlock).at(0).events_executed;
-  };
-  const std::uint64_t at16 = master_lane_events(16);
-  const std::uint64_t at64 = master_lane_events(64);
-  const std::uint64_t at1024 = master_lane_events(1024);
-  EXPECT_LE(2 * at64, 3 * at16) << "lane 0 events: " << at16 << " at 16 nodes, " << at64
-                                << " at 64";
-  EXPECT_LE(2 * at1024, 3 * at64) << "lane 0 events: " << at64 << " at 64 nodes, " << at1024
-                                  << " at 1024";
+  std::uint64_t events[2] = {};
+  for (const std::uint32_t nodes : {16u, 64u, 1024u}) {
+    const MachineConfig cfg = MachineConfig::scaled(nodes);
+    JobState st;
+    const std::vector<LaneStats> lanes = run_histogram(cfg, MapBinding::kBlock, &st);
+    const std::uint64_t master =
+        lanes.at(0).messages_sent - lanes.at(cfg.lanes_per_node()).messages_sent;
+    // The launch, every poll wave and the flush, and one timer event the
+    // master sends itself before each re-poll.
+    const std::uint64_t exchanges = 2 + st.poll_rounds;
+    EXPECT_LE(master, 64 * exchanges + st.poll_rounds - 1) << nodes << " nodes";
+    if (nodes >= 64) events[nodes == 1024] = lanes.at(0).events_executed;
+  }
+  EXPECT_LE(2 * events[1], 3 * events[0])
+      << "lane 0 events: " << events[0] << " at 64 nodes, " << events[1] << " at 1024";
 }
 
 // A paper_node has 2,048 lanes per node, so an accelerator tier sits below
@@ -290,6 +303,143 @@ TEST(KvmsrLaneSet, GroupTiersStayInsideTheSet) {
   const std::uint32_t lpn = cfg.lanes_per_node();
   run_in_set(cfg, LaneSet{5 * lpn + 19, 300 * lpn}, MapBinding::kBlock);
 }
+
+// ---------------------------------------------------------------------------
+// Reduces that emit (JobSpec::reduces_emit). Map key c starts chain c, whose
+// link i reduces on one of the last lanes of a 2-node machine; the reduce
+// waits past the gather backoff, sends a hop task to one of the first lanes,
+// and returns once the hop has emitted link i + 1. A tuple's receipt is
+// counted on the reduce's lane but its successor's emit on the hop's lane,
+// so one gather wave that reads the hop's lane before the emit and the
+// reduce's lane after the return sees balanced sums while link i + 1 is
+// pending; only the second wave of the two-wave test catches it.
+struct ChainApp {
+  EventLabel wake = 0, hop = 0, hopped = 0;
+  std::vector<Tick> last_reduce;  ///< by lane: the tick of its last reduce
+  std::vector<std::uint32_t> completions;  ///< by lane: launch continuations
+};
+
+/// Chain c has 16 << 2c links: the longest runs alone for most of the job.
+constexpr unsigned kChains = 3;
+constexpr Tick kChainBackoff = 256;
+
+Word chain_length(Word chain) { return Word{16} << (2 * chain); }
+
+struct ChainMap : ThreadState {
+  void kv_map(Ctx& ctx) {
+    auto& lib = ctx.machine().service<Library>();
+    const Word chain = Library::map_key(ctx);
+    lib.emit2(ctx, Library::map_job(ctx), chain, chain, 0);
+    lib.map_return(ctx, ctx.ccont());
+  }
+};
+
+/// ops {key, chain, link, job}; the key picks the reduce lane (see the
+/// binding below).
+struct ChainReduce : ThreadState {
+  JobId job = 0;
+  Word chain = 0, link = 0;
+
+  void kv_reduce(Ctx& ctx) {
+    auto& app = ctx.machine().user<ChainApp>();
+    job = Library::reduce_job(ctx);
+    chain = Library::reduce_val(ctx, 0);
+    link = Library::reduce_val(ctx, 1);
+    app.last_reduce.at(ctx.nwid()) = ctx.now();
+    if (link + 1 == chain_length(chain)) {
+      ctx.machine().service<Library>().reduce_return(ctx, job);
+      return;
+    }
+    // Wait on this lane's timer, a pseudo-random delay past the backoff, so
+    // the hops fall at every phase of the gather waves. (A delayed
+    // cross-node send would hold this node's injection port until it
+    // departs, and so line the gather's replies up behind the hops.)
+    const Tick delay = kChainBackoff + 1 + hash64(chain * 1000 + link) % 1024;
+    ctx.send_event_delayed(ctx.evw_update_event(ctx.cevnt(), app.wake), {}, IGNRCONT, delay);
+  }
+
+  void wake(Ctx& ctx) {
+    auto& app = ctx.machine().user<ChainApp>();
+    const NetworkId first = ctx.machine().service<Library>().lanes_of(job).first;
+    ctx.send_event(ctx.evw_new(first + 1 + link % 3, app.hop), {chain, link + 1, job},
+                   ctx.evw_update_event(ctx.cevnt(), app.hopped));
+  }
+
+  void hopped(Ctx& ctx) { ctx.machine().service<Library>().reduce_return(ctx, job); }
+};
+
+struct ChainHop : ThreadState {
+  void hop(Ctx& ctx) {
+    auto& lib = ctx.machine().service<Library>();
+    const Word chain = ctx.op(0), link = ctx.op(1);
+    lib.emit2(ctx, static_cast<JobId>(ctx.op(2)), chain * 1000 + link, chain, link);
+    ctx.send_reply({});
+    ctx.yield_terminate();
+  }
+};
+
+struct ChainDone : ThreadState {
+  void done(Ctx& ctx) {
+    ctx.machine().user<ChainApp>().completions.at(ctx.nwid())++;
+    ctx.yield_terminate();
+  }
+};
+
+class KvmsrEmittingReduces
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, bool>> {};
+
+TEST_P(KvmsrEmittingReduces, ChainsTerminateOnceAndNeverEarly) {
+  const auto [shards, check] = GetParam();
+  EnvGuard gs("UD_SHARDS", std::to_string(shards).c_str());
+  EnvGuard gc("UD_CHECK", check ? "1" : "0");
+  Machine m(MachineConfig::scaled(2));
+  auto& lib = Library::install(m);
+  auto& app = m.emplace_user<ChainApp>();
+  const std::uint32_t lanes = static_cast<std::uint32_t>(m.config().total_lanes());
+  app.last_reduce.assign(lanes, 0);
+  app.completions.assign(lanes, 0);
+  Program& p = m.program();
+  app.wake = p.event("ChainReduce::wake", &ChainReduce::wake);
+  app.hop = p.event("ChainHop::hop", &ChainHop::hop);
+  app.hopped = p.event("ChainReduce::hopped", &ChainReduce::hopped);
+
+  JobSpec spec;
+  spec.kv_map = p.event("ChainMap::kv_map", &ChainMap::kv_map);
+  spec.kv_reduce = p.event("ChainReduce::kv_reduce", &ChainReduce::kv_reduce);
+  // Every reduce on the last four lanes of the set, which the gather reads
+  // last (and every hop on lanes it reads first).
+  spec.reduce_binding = [](Word key, NetworkId first, std::uint32_t count) {
+    return first + count - 1 - static_cast<NetworkId>(hash64(key) % 4);
+  };
+  spec.reduces_emit = true;
+  spec.poll_backoff = kChainBackoff;
+  spec.name = "chains";
+  const JobId job = lib.add_job(spec);
+
+  const NetworkId home = 37;
+  lib.launch_from_host(job, 0, kChains, evw::make_new(home, p.event("ChainDone::done",
+                                                                         &ChainDone::done)));
+  m.run();
+  EXPECT_TRUE(m.idle());
+
+  const JobState& st = lib.state(job);
+  Word links = 0;
+  for (Word c = 0; c < kChains; ++c) links += chain_length(c);
+  EXPECT_EQ(st.runs, 1u);
+  EXPECT_FALSE(st.running);
+  EXPECT_EQ(st.total_emitted, links);
+  EXPECT_GT(st.done_tick, *std::max_element(app.last_reduce.begin(), app.last_reduce.end()));
+  for (NetworkId l = 0; l < lanes; ++l) EXPECT_EQ(app.completions[l], l == home ? 1u : 0u);
+  if (check) {
+    EXPECT_EQ(m.shards(), 1u);
+    EXPECT_EQ(m.stats().check.errors(), 0u);
+  } else {
+    EXPECT_EQ(m.shards(), std::min(shards, 2u));  // clamped to the node count
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardsAndCheck, KvmsrEmittingReduces,
+                         ::testing::Combine(::testing::Values(1u, 4u), ::testing::Bool()));
 
 // ---------------------------------------------------------------------------
 // Strong-scaling smoke: the same job completes in fewer simulated ticks on a

@@ -80,7 +80,7 @@ TEST(ServeQueries, BfsMatchesOracle) {
 
 TEST(ServeQueries, BfsOnMidNodeLanesStaysOnThem) {
   // Lanes [19, 77) start and end mid-node (32 lanes a node), and the hub's
-  // 700 neighbors fan out in chunks: frontier slices, reducers and chunks
+  // 700 neighbors fan out in chunks: seeds, expands, reducers and chunks
   // must all stay on the query's lanes.
   Machine m(MachineConfig::scaled(4));
   Graph g = star_graph(700);
@@ -463,6 +463,44 @@ TEST(ServeScheduler, MidFlightCancellationDrainsCleanUnderCheck) {
   EXPECT_TRUE(m.idle());
   EXPECT_TRUE(m.stats().check.enabled);
   EXPECT_EQ(m.stats().check.errors(), 0u);
+}
+
+// A BFS is one diffusing KVMSR job, so a cancel lands mid-traversal: its
+// reduces stop spawning expands and the job drains through the two-wave
+// termination gather. The cancelled ticket must finish before the same BFS
+// run to the end, report cancelled, and leave no live thread or checker
+// error behind.
+TEST(ServeScheduler, MidTraversalBfsCancelDrainsCleanUnderCheck) {
+  EnvGuard g1("UD_CHECK", "1");
+  Graph g = rmat(11, {.symmetrize = true}, 23);
+  const auto run = [&](Tick cancel_at) {
+    Machine m(MachineConfig::scaled(2));
+    auto& eng = QueryEngine::install(m);
+    DeviceGraph dg = upload_graph(m, g);
+    Scheduler sched(eng, {.max_concurrent = 1, .max_queue = 1});
+    QuerySpec s;
+    s.kind = QueryKind::kBfs;
+    s.graph = &dg;
+    s.root = 1;
+    s.name = "bfs";
+    const TicketId t = sched.submit(s, QoS::kNormal, 0);
+    if (cancel_at) sched.request_cancel(t, cancel_at);
+    sched.drain();
+    EXPECT_TRUE(m.idle());
+    EXPECT_EQ(m.stats().threads_created, m.stats().threads_destroyed);
+    EXPECT_TRUE(m.stats().check.enabled);
+    EXPECT_EQ(m.stats().check.errors(), 0u);
+    return std::pair{sched.ticket(t).status, eng.collect(sched.ticket(t).query)};
+  };
+  const auto [full_status, full] = run(0);
+  ASSERT_EQ(full_status, TicketStatus::kDone);
+  EXPECT_FALSE(full.cancelled);
+  EXPECT_EQ(full.dist, baseline::bfs(g, 1).dist);
+  const auto [status, cut] = run(full.launch_tick + full.duration() / 3);
+  EXPECT_EQ(status, TicketStatus::kCancelled);
+  EXPECT_TRUE(cut.cancelled);
+  EXPECT_LT(cut.done_tick, full.done_tick);
+  EXPECT_LT(cut.emitted, full.emitted);
 }
 
 // A drain session pauses the engine with run_until at every host-attention

@@ -77,8 +77,9 @@ RunFingerprint run_bfs(std::uint32_t nodes, std::uint32_t shards = 1, bool check
   Graph g = rmat(9, {.symmetrize = true}, 13);
   DeviceGraph dg = upload_graph(m, g);
   bfs::Result r = bfs::App::install(m, dg, {.root = 1}).run();
-  // Each BFS round is one KVMSR invocation: rounds cross the drain path, so
-  // a multi-round run exercises quiescence detection under sharding.
+  // A BFS is one diffusing KVMSR job whose reduces emit, so its termination
+  // takes the two-wave gather, whose polls cross the drain path; a
+  // multi-level run keeps tuples in flight while the gather polls.
   EXPECT_GE(r.rounds, 2u);
   if (check) {
     EXPECT_EQ(m.shards(), 1u);
@@ -155,7 +156,7 @@ TEST(DeterminismMatrix, TriangleCountIdenticalAcrossShardCounts) {
 // Concurrent serve-layer jobs: two tenants (a partitioned PageRank and a
 // partitioned BFS) resident at once, launched together and driven to global
 // drain. The whole-machine fingerprint AND the per-job quantities folded into
-// `result` (each tenant's completion tick, shuffle volume, and BFS rounds)
+// `result` (each tenant's completion tick, shuffle volume, and BFS levels)
 // must be bit-identical across shard counts, with and without UD_CHECK —
 // multi-tenancy adds no nondeterminism.
 // ---------------------------------------------------------------------------
@@ -253,7 +254,10 @@ TEST(Determinism, PageRankGoldenCounts) {
   // launch, the termination poll and the flush go through one relay per
   // node, which folds its lanes' replies into one. DRAM traffic, and so the
   // computation, did not move.
-  EXPECT_EQ(r.done_tick, 37254u);
+  // The Hash binding then moved to hash64(key + 1), so key 0 no longer lands
+  // on the set's first lane (which also runs the master and node 0's relay):
+  // done_tick 37254 -> 37252. Nothing else moved.
+  EXPECT_EQ(r.done_tick, 37252u);
   EXPECT_EQ(s.events_executed, 27941u);
   EXPECT_EQ(s.messages_sent, 27941u);
   EXPECT_EQ(s.dram_reads, 7012u);
@@ -297,13 +301,25 @@ TEST(Determinism, BfsGoldenCounts) {
   // charged cycles 125866 -> 126326 (+460) and done_tick 31624 -> 31628.
   // Events, messages, threads, DRAM traffic, rounds and traversed edges did
   // not move.
-  EXPECT_EQ(r.done_tick, 31628u);
-  EXPECT_EQ(s.events_executed, 16370u);
-  EXPECT_EQ(s.messages_sent, 16370u);
-  EXPECT_EQ(s.dram_reads, 2098u);
-  EXPECT_EQ(s.dram_writes, 918u);
-  EXPECT_EQ(s.threads_created, 11433u);
-  EXPECT_EQ(s.charged_cycles, 126326u);
+  // Two changes then moved every count. The Hash binding became
+  // hash64(key + 1), which moves every vertex's owner lane: done_tick
+  // 31628 -> 31445, events and messages 16370 -> 16111, DRAM reads 2098 ->
+  // 2104, threads 11433 -> 11301 and charged cycles 126326 -> 124914 (DRAM
+  // writes unchanged). The kernel then became one diffusing KVMSR job, whose
+  // reduce expands an improved vertex at once instead of appending it to a
+  // frontier slice for the next round: done_tick 31445 -> 18685 (four
+  // launches and termination gathers became one), events and messages
+  // 16111 -> 14726, DRAM reads 2104 -> 1928 and writes 918 -> 472 (no slice
+  // writes or scans), threads 11301 -> 10922 and charged cycles 124914 ->
+  // 121042. Levels (4) and traversed edges (9514), now computed from the
+  // result, did not move.
+  EXPECT_EQ(r.done_tick, 18685u);
+  EXPECT_EQ(s.events_executed, 14726u);
+  EXPECT_EQ(s.messages_sent, 14726u);
+  EXPECT_EQ(s.dram_reads, 1928u);
+  EXPECT_EQ(s.dram_writes, 472u);
+  EXPECT_EQ(s.threads_created, 10922u);
+  EXPECT_EQ(s.charged_cycles, 121042u);
   EXPECT_EQ(r.rounds, 4u);
   EXPECT_EQ(r.traversed_edges, 9514u);
 }

@@ -3,7 +3,7 @@
 //
 // <graph_prefix> names a tsv-produced binary pair; <lanes> selects the
 // machine size (node count = lanes / (accels * lanes_per_accel)); <mem>
-// sweeps the frontier's memory nodes (Figure 12).
+// sweeps the memory nodes of the {level, parent} array (Figure 12).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -38,14 +38,14 @@ int main(int argc, char** argv) {
   DeviceGraph dg = upload_graph(m, g);
   bfs::Options opt;
   opt.root = root;
-  opt.frontier_mem_nodes = mem;
+  opt.result_mem_nodes = mem;
   bfs::Result r = bfs::App::install(m, dg, opt).run();
 
   std::printf("[UDSIM] %llu: [main_master__init] BFS Start\n",
               (unsigned long long)r.start_tick);
   std::printf("[UDSIM] %llu: [main_master__reduce_launcher_done] BFS finish\n",
               (unsigned long long)r.done_tick);
-  std::printf("simulated time: %.6f s | %llu rounds | traversed edges %llu | %.2f GTEPS\n",
+  std::printf("simulated time: %.6f s | %llu levels | traversed edges %llu | %.2f GTEPS\n",
               r.seconds(), (unsigned long long)r.rounds,
               (unsigned long long)r.traversed_edges, r.gteps());
   return 0;
