@@ -179,7 +179,6 @@ class Library {
   /// Note: a leaf relay whose lanes each hold one key sends their map tasks
   /// up front, so a cancel that arrives after it ran prunes none of them.
   void request_cancel(JobId job) { jobs_.at(job).cancel = true; }
-  bool cancel_requested(JobId job) const { return jobs_.at(job).cancel; }
   /// Resolved lane set of `job` (a spec count of 0 expanded to the machine).
   LaneSet lanes_of(JobId job) const { return resolved_lanes(jobs_.at(job)); }
   /// The lane the reduce binding gives `key`: where its tuples reduce, and

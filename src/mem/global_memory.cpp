@@ -1,20 +1,29 @@
 #include "mem/global_memory.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/strfmt.hpp"
 
 namespace updown {
 
+namespace {
+void check_not_frozen(bool frozen, const char* op) {
+  if (frozen)
+    throw std::logic_error(std::string(op) +
+                           ": the descriptor table is frozen while the machine runs; "
+                           "allocate and free from the host between runs");
+}
+}  // namespace
+
 Addr GlobalMemory::dram_malloc(std::uint64_t size, std::uint32_t first_node,
                                std::uint32_t nr_nodes, std::uint64_t block_size) {
+  check_not_frozen(frozen_, "dram_malloc");
   if (size == 0) throw std::invalid_argument("DRAMmalloc: zero size");
   if (!is_pow2(nr_nodes)) throw std::invalid_argument("DRAMmalloc: NRNodes must be a power of 2");
   if (!is_pow2(block_size)) throw std::invalid_argument("DRAMmalloc: BS must be a power of 2");
   if (first_node + nr_nodes > nodes_)
     throw std::invalid_argument("DRAMmalloc: node range exceeds machine");
-
-  std::lock_guard<std::mutex> lk(mu_);
 
   // Physical placement: every participating node reserves the same number of
   // bytes for this region, starting at the maximum current brk across the
@@ -29,30 +38,26 @@ Addr GlobalMemory::dram_malloc(std::uint64_t size, std::uint32_t first_node,
   for (std::uint32_t n = first_node; n < first_node + nr_nodes; ++n) {
     node_brk_[n] = node_base + per_node;
     // Materialize the backing now so the pointer-unstable resize never runs
-    // while shards access this region concurrently.
+    // while shards access this region.
     auto& mem = backing_[n];
     if (mem.size() < node_brk_[n]) mem.resize(next_pow2(node_brk_[n]));
   }
 
   d.set_alloc_seq(++alloc_seq_);
-  descriptors_.push_back(d);
+  descriptors_.push_back(d);  // base >= every live end: the table stays sorted
   va_brk_ = base + size;
-  version_.fetch_add(1, std::memory_order_release);
   if (observer_) observer_->on_alloc(d);
   return base;
 }
 
 void GlobalMemory::dram_free(Addr base) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto it = descriptors_.begin(); it != descriptors_.end(); ++it) {
-    if (it->base() == base) {
-      const SwizzleDescriptor d = *it;
-      descriptors_.erase(it);
-      freed_.push_back({d.base(), d.size(), d.alloc_seq(), ++free_seq_});
-      version_.fetch_add(1, std::memory_order_release);
-      if (observer_) observer_->on_free(d, free_seq_);
-      return;
-    }
+  check_not_frozen(frozen_, "dram_free");
+  if (const SwizzleDescriptor* live = find_live(base); live && live->base() == base) {
+    const SwizzleDescriptor d = *live;
+    descriptors_.erase(descriptors_.begin() + (live - descriptors_.data()));
+    freed_.push_back({d.base(), d.size(), d.alloc_seq(), ++free_seq_});
+    if (observer_) observer_->on_free(d, free_seq_);
+    return;
   }
   // Distinguish a double free (base matches a retired region) from a pointer
   // that never came from dram_malloc.
@@ -75,9 +80,12 @@ void GlobalMemory::dram_free(Addr base) {
 }
 
 const SwizzleDescriptor* GlobalMemory::find_live(Addr va) const {
-  for (const auto& d : descriptors_)
-    if (d.contains(va)) return &d;
-  return nullptr;
+  // The last region whose base is <= va is the only one that can cover it.
+  const auto it = std::upper_bound(
+      descriptors_.begin(), descriptors_.end(), va,
+      [](Addr v, const SwizzleDescriptor& d) { return v < d.base(); });
+  if (it == descriptors_.begin() || !std::prev(it)->contains(va)) return nullptr;
+  return &*std::prev(it);
 }
 
 const FreedRegion* GlobalMemory::find_freed(Addr va) const {
@@ -108,21 +116,8 @@ std::string GlobalMemory::describe() const {
   return out;
 }
 
-const SwizzleDescriptor& GlobalMemory::find(Addr va, DescriptorSnapshot* snap) const {
-  if (snap) {
-    for (const auto& d : snap->descs)
-      if (d.contains(va)) return d;
-    // Miss: the table may have changed since the last window boundary (a
-    // sim-time dram_malloc on another shard). Refresh once and retry before
-    // declaring the address unmapped.
-    const std::uint64_t before = snap->version;
-    refresh(*snap);
-    if (snap->version != before)
-      for (const auto& d : snap->descs)
-        if (d.contains(va)) return d;
-  } else if (const SwizzleDescriptor* d = find_live(va)) {
-    return *d;
-  }
+const SwizzleDescriptor& GlobalMemory::find(Addr va) const {
+  if (const SwizzleDescriptor* d = find_live(va)) return *d;
   std::string msg = strfmt(
       "GlobalMemory: va=0x%llx is not covered by any translation descriptor",
       (unsigned long long)va);
@@ -137,16 +132,25 @@ const SwizzleDescriptor& GlobalMemory::find(Addr va, DescriptorSnapshot* snap) c
   throw UnmappedAddressError(va, msg);
 }
 
-std::uint8_t* GlobalMemory::phys_ptr(const PhysLoc& loc, std::size_t bytes) {
+std::uint8_t* GlobalMemory::phys_ptr(const PhysLoc& loc, std::size_t bytes) const {
   auto& mem = backing_[loc.node];
   if (mem.size() < loc.offset + bytes) mem.resize(next_pow2(loc.offset + bytes));
   return mem.data() + loc.offset;
 }
 
-const std::uint8_t* GlobalMemory::phys_ptr(const PhysLoc& loc, std::size_t bytes) const {
-  auto& mem = backing_[loc.node];
-  if (mem.size() < loc.offset + bytes) mem.resize(next_pow2(loc.offset + bytes));
-  return mem.data() + loc.offset;
+template <typename F>
+void GlobalMemory::walk(Addr va, std::size_t bytes, std::size_t granule, F&& f) const {
+  const SwizzleDescriptor* d = nullptr;
+  for (std::size_t done = 0; done < bytes;) {
+    const Addr at = va + done;
+    if (!d || !d->contains(at)) d = &find(at);
+    // Stay within one distribution block (contiguous physical bytes).
+    const std::uint64_t room = d->block_size() - ((at - d->base()) & (d->block_size() - 1));
+    const std::size_t chunk =
+        std::max(granule, std::min<std::size_t>(bytes - done, room & ~(granule - 1)));
+    f(phys_ptr(d->translate(at), chunk), done, chunk);
+    done += chunk;
+  }
 }
 
 Word GlobalMemory::read_word_phys(const PhysLoc& loc) const {
@@ -159,91 +163,38 @@ void GlobalMemory::write_word_phys(const PhysLoc& loc, Word value) {
   std::memcpy(phys_ptr(loc, sizeof(Word)), &value, sizeof(Word));
 }
 
-void GlobalMemory::read_words(Addr va, Word* out, std::size_t nwords,
-                              DescriptorSnapshot* snap) const {
-  const SwizzleDescriptor* d = &find(va, snap);
-  while (nwords > 0) {
-    if (!d->contains(va)) d = &find(va, snap);
-    const PhysLoc loc = d->translate(va);
-    const std::uint64_t in_block = (va - d->base()) & (d->block_size() - 1);
-    const std::size_t run =
-        std::min<std::uint64_t>(nwords, (d->block_size() - in_block) >> 3);
-    if (run == 0) {
-      // Word straddles the block boundary: single-word physical access.
-      *out++ = read_word_phys(loc);
-      va += 8;
-      --nwords;
-      continue;
-    }
-    std::memcpy(out, phys_ptr(loc, run * 8), run * 8);
-    out += run;
-    va += run * 8;
-    nwords -= run;
-  }
+void GlobalMemory::read_words(Addr va, Word* out, std::size_t nwords) const {
+  auto* dst = reinterpret_cast<std::uint8_t*>(out);
+  walk(va, nwords * 8, 8, [dst](std::uint8_t* phys, std::size_t done, std::size_t n) {
+    std::memcpy(dst + done, phys, n);
+  });
 }
 
-void GlobalMemory::write_words(Addr va, const Word* in, std::size_t nwords,
-                               DescriptorSnapshot* snap) {
-  const SwizzleDescriptor* d = &find(va, snap);
-  while (nwords > 0) {
-    if (!d->contains(va)) d = &find(va, snap);
-    const PhysLoc loc = d->translate(va);
-    const std::uint64_t in_block = (va - d->base()) & (d->block_size() - 1);
-    const std::size_t run =
-        std::min<std::uint64_t>(nwords, (d->block_size() - in_block) >> 3);
-    if (run == 0) {
-      write_word_phys(loc, *in++);
-      va += 8;
-      --nwords;
-      continue;
-    }
-    std::memcpy(phys_ptr(loc, run * 8), in, run * 8);
-    in += run;
-    va += run * 8;
-    nwords -= run;
-  }
+void GlobalMemory::write_words(Addr va, const Word* in, std::size_t nwords) {
+  const auto* src = reinterpret_cast<const std::uint8_t*>(in);
+  walk(va, nwords * 8, 8, [src](std::uint8_t* phys, std::size_t done, std::size_t n) {
+    std::memcpy(phys, src + done, n);
+  });
 }
 
 void GlobalMemory::host_write(Addr va, const void* data, std::size_t bytes) {
   const auto* src = static_cast<const std::uint8_t*>(data);
-  std::size_t done = 0;
-  while (done < bytes) {
-    const SwizzleDescriptor& d = find(va + done);
-    const PhysLoc loc = d.translate(va + done);
-    // Stay within one distribution block (contiguous physical bytes).
-    const std::uint64_t in_block = (va + done - d.base()) & (d.block_size() - 1);
-    const std::size_t chunk =
-        std::min<std::size_t>(bytes - done, d.block_size() - in_block);
-    std::memcpy(phys_ptr(loc, chunk), src + done, chunk);
-    done += chunk;
-  }
+  walk(va, bytes, 1, [src](std::uint8_t* phys, std::size_t done, std::size_t n) {
+    std::memcpy(phys, src + done, n);
+  });
 }
 
 void GlobalMemory::host_read(Addr va, void* out, std::size_t bytes) const {
   auto* dst = static_cast<std::uint8_t*>(out);
-  std::size_t done = 0;
-  while (done < bytes) {
-    const SwizzleDescriptor& d = find(va + done);
-    const PhysLoc loc = d.translate(va + done);
-    const std::uint64_t in_block = (va + done - d.base()) & (d.block_size() - 1);
-    const std::size_t chunk =
-        std::min<std::size_t>(bytes - done, d.block_size() - in_block);
-    std::memcpy(dst + done, phys_ptr(loc, chunk), chunk);
-    done += chunk;
-  }
+  walk(va, bytes, 1, [dst](std::uint8_t* phys, std::size_t done, std::size_t n) {
+    std::memcpy(dst + done, phys, n);
+  });
 }
 
 void GlobalMemory::host_fill(Addr va, std::uint8_t byte, std::size_t bytes) {
-  std::size_t done = 0;
-  while (done < bytes) {
-    const SwizzleDescriptor& d = find(va + done);
-    const PhysLoc loc = d.translate(va + done);
-    const std::uint64_t in_block = (va + done - d.base()) & (d.block_size() - 1);
-    const std::size_t chunk =
-        std::min<std::size_t>(bytes - done, d.block_size() - in_block);
-    std::memset(phys_ptr(loc, chunk), byte, chunk);
-    done += chunk;
-  }
+  walk(va, bytes, 1, [byte](std::uint8_t* phys, std::size_t, std::size_t n) {
+    std::memset(phys, byte, n);
+  });
 }
 
 }  // namespace updown

@@ -5,18 +5,24 @@
 //   void* DRAMmalloc(size, 1stNode, NRNodes, BS)
 // returns a contiguous virtual region laid out block-cyclically over
 // NRNodes physical node memories starting at 1stNode, in blocks of BS bytes.
-// Each allocation is encoded in a single translation descriptor; the paper
-// notes typical programs need only 2-4 descriptors.
+// Each allocation is encoded in a single translation descriptor. The paper
+// notes typical programs need only 2-4 descriptors, but a serving session
+// that re-patches neighbor lists and allocates per-read value arrays holds
+// hundreds (perfbench's serve_stream_4n ends seed 1 with 870), so lookup is
+// a binary search: the table is sorted by base with disjoint regions,
+// because the VA break only grows and dram_free erases in place.
+//
+// The table is host state. dram_malloc/dram_free run only while the engine
+// is paused; Machine::run_until freezes the table for the whole run, so
+// every shard reads it in place without locks or copies.
 //
 // Host-side (TOP core) accessors read/write the backing store directly with
 // zero simulated cost: they model the data-loading phase that the paper's
 // timing methodology excludes (timings start at the first UpDown event).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -84,18 +90,6 @@ class MemoryObserver {
   }
 };
 
-/// A shard-private copy of the live descriptor table, validated against the
-/// authoritative table by version number. The sharded engine keeps one per
-/// host thread and refreshes it at window boundaries (and on lookup miss), so
-/// steady-state translation never takes the GlobalMemory mutex. Causality
-/// makes window-boundary refresh sufficient: a shard can only learn a virtual
-/// address from a cross-shard message, which arrives at least one full
-/// lookahead window after the dram_malloc that mapped it.
-struct DescriptorSnapshot {
-  std::uint64_t version = ~0ull;  ///< never matches a real version initially
-  std::vector<SwizzleDescriptor> descs;
-};
-
 class GlobalMemory {
  public:
   explicit GlobalMemory(std::uint32_t nodes)
@@ -117,29 +111,19 @@ class GlobalMemory {
 
   /// Release a region previously returned by dram_malloc. Physical node
   /// memory is not compacted (matching a bump-allocated translation table);
-  /// the descriptor is retired so its VA range can be reused.
+  /// the descriptor is retired and its VA range stays unmapped.
   void dram_free(Addr base);
+
+  /// While frozen, dram_malloc and dram_free throw std::logic_error: the
+  /// engine's shards read the table in place. Machine::run_until freezes it
+  /// for the whole run.
+  void set_frozen(bool frozen) { frozen_ = frozen; }
 
   std::size_t descriptor_count() const { return descriptors_.size(); }
   const SwizzleDescriptor& descriptor_for(Addr va) const { return find(va); }
 
   /// Hardware translation of a virtual address.
   PhysLoc translate(Addr va) const { return find(va).translate(va); }
-
-  /// Translation through a shard-private snapshot (refreshed on miss).
-  PhysLoc translate(Addr va, DescriptorSnapshot& snap) const {
-    return find(va, &snap).translate(va);
-  }
-
-  /// Bring `snap` up to date with the authoritative table if any
-  /// dram_malloc/dram_free happened since its last refresh.
-  void refresh(DescriptorSnapshot& snap) const {
-    const std::uint64_t v = version_.load(std::memory_order_acquire);
-    if (snap.version == v) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    snap.descs = descriptors_;
-    snap.version = version_.load(std::memory_order_relaxed);
-  }
 
   // ---- Physical access (used by the DRAM timing model at service time) ----
   Word read_word_phys(const PhysLoc& loc) const;
@@ -150,13 +134,8 @@ class GlobalMemory {
   /// every `addr + 8*i`. Semantically identical to a per-word
   /// read_word_phys(translate(...)) loop, including words that straddle a
   /// block boundary at unaligned addresses.
-  /// The optional snapshot routes descriptor lookups through a shard-private
-  /// copy of the table (see DescriptorSnapshot); pass nullptr for the
-  /// authoritative table (serial engine, host side).
-  void read_words(Addr va, Word* out, std::size_t nwords,
-                  DescriptorSnapshot* snap = nullptr) const;
-  void write_words(Addr va, const Word* in, std::size_t nwords,
-                   DescriptorSnapshot* snap = nullptr);
+  void read_words(Addr va, Word* out, std::size_t nwords) const;
+  void write_words(Addr va, const Word* in, std::size_t nwords);
 
   // ---- Host-side direct access (no simulated cost) -------------------------
   void host_write(Addr va, const void* data, std::size_t bytes);
@@ -178,16 +157,13 @@ class GlobalMemory {
 
   void host_fill(Addr va, std::uint8_t byte, std::size_t bytes);
 
-  /// Total physical bytes currently reserved on `node`.
-  std::uint64_t node_bytes(std::uint32_t node) const { return node_brk_[node]; }
-
   // ---- Introspection / checker support ------------------------------------
-  /// No-throw lookup: the live descriptor covering `va`, or nullptr.
+  /// No-throw lookup: the live descriptor covering `va`, or nullptr. The one
+  /// lookup behind every translation: a binary search over the sorted table.
   const SwizzleDescriptor* find_live(Addr va) const;
   /// The most recently freed region covering `va`, or nullptr.
   const FreedRegion* find_freed(Addr va) const;
   const std::vector<SwizzleDescriptor>& live_descriptors() const { return descriptors_; }
-  const std::vector<FreedRegion>& freed_regions() const { return freed_; }
   /// Human-readable dump of the live descriptor table (+ freed regions),
   /// appended to translation/free fault messages.
   std::string describe() const;
@@ -197,28 +173,30 @@ class GlobalMemory {
   void set_observer(MemoryObserver* obs) { observer_ = obs; }
 
  private:
-  const SwizzleDescriptor& find(Addr va, DescriptorSnapshot* snap = nullptr) const;
-  std::uint8_t* phys_ptr(const PhysLoc& loc, std::size_t bytes);
-  const std::uint8_t* phys_ptr(const PhysLoc& loc, std::size_t bytes) const;
+  /// find_live, or throw UnmappedAddressError naming the table.
+  const SwizzleDescriptor& find(Addr va) const;
+  /// Call f(phys, done, chunk) over the `bytes` at `va`, one run per
+  /// distribution block: runs of `granule` bytes (1, or 8 for DRAM words).
+  /// A word that straddles a block boundary is one 8-byte run at the
+  /// translation of its first byte.
+  template <typename F>
+  void walk(Addr va, std::size_t bytes, std::size_t granule, F&& f) const;
+  std::uint8_t* phys_ptr(const PhysLoc& loc, std::size_t bytes) const;
 
   std::uint32_t nodes_;
+  /// Live regions, sorted by base (bases only grow; frees erase in place).
   std::vector<SwizzleDescriptor> descriptors_;
   std::vector<FreedRegion> freed_;  ///< retired regions, in free order
-  // Backing is fully materialized at dram_malloc time (under mu_), so
-  // phys_ptr's on-demand growth only ever fires for host accesses outside the
-  // parallel region; during sharded execution every mapped byte is resident
-  // and pointer-stable.
+  // Backing is fully materialized at dram_malloc time, so phys_ptr's
+  // on-demand growth only ever fires for host accesses outside a run; while
+  // the engine runs every mapped byte is resident and pointer-stable.
   mutable std::vector<std::vector<std::uint8_t>> backing_;
   std::vector<std::uint64_t> node_brk_;  ///< per-node physical bump pointer
   Addr va_brk_ = 0x10000;                ///< VA 0 reserved (null)
   std::uint64_t alloc_seq_ = 0;          ///< dram_malloc counter (1-based)
   std::uint64_t free_seq_ = 0;           ///< dram_free counter (1-based)
   MemoryObserver* observer_ = nullptr;
-  /// Serializes descriptor-table mutations against snapshot refreshes.
-  /// Introspection helpers (describe, live_descriptors, find_live) read the
-  /// authoritative table unlocked: they are host-side/error-path only.
-  mutable std::mutex mu_;
-  std::atomic<std::uint64_t> version_{0};  ///< bumped on every table mutation
+  bool frozen_ = false;  ///< set for the duration of Machine::run_until
 };
 
 }  // namespace updown

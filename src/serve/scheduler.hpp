@@ -142,7 +142,6 @@ class Scheduler {
   MutationId add_mutation(Mutation mu);
   bool mutation_applied(MutationId m) const { return muts_.at(m).applied; }
   Tick mutation_applied_tick(MutationId m) const { return muts_.at(m).applied_tick; }
-  std::size_t num_mutations() const { return muts_.size(); }
 
   /// Run the simulated timeline until every submitted ticket has resolved
   /// (done / rejected / cancelled). Idempotent; call again after more

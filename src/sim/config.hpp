@@ -38,7 +38,6 @@ struct MachineConfig {
 
   // ---- Message format -------------------------------------------------------
   std::uint32_t msg_header_bytes = 16;  ///< event word + continuation word
-  std::uint32_t max_msg_operands = 8;   ///< DRAM responses carry 8 words
 
   // ---- Checking (src/check/) ------------------------------------------------
   // Overridden by the UD_CHECK / UD_CHECK_SP_STRICT environment variables

@@ -16,10 +16,12 @@
 //
 //   - Cold, bulky state (thread-context table, stats, the scratchpad
 //     backing store) lives in a LaneCore that is materialized on first
-//     touch — and, within a core, the scratchpad
-//     backing is deferred further until the first actual scratchpad access,
-//     because most KVMSR control traffic (w_start broadcasts, poll rounds)
-//     runs threads on a lane without ever touching its scratchpad.
+//     touch — and, within a core, the scratchpad backing is deferred
+//     further until the first actual scratchpad access (sp_alloc alone is
+//     bookkeeping), because most lanes that run threads never touch their
+//     scratchpad: KVMSR keeps its per-lane counters in host-side arrays
+//     (charged as scratchpad accesses), and only handlers that call Ctx's
+//     scratchpad intrinsics ever materialize a backing.
 //
 // First-touch materialization: under the sharded engine a core is
 // allocated by the owning shard's host thread, so the backing pages land

@@ -180,21 +180,12 @@ void Machine::route_message(EngineShard& sh, std::uint32_t ent, std::uint32_t se
 void Machine::route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
                          DramRequest&& r, Tick depart) {
   // Translate once at routing time; the home node rides along in the request.
-  bool addr_mapped = true;
-  if (checker_) {
-    // Don't throw on an unmapped base: route to node 0 and let the checker
-    // classify the fault (UAF vs OOB) at service time, word by word.
-    const SwizzleDescriptor* d = memory_.find_live(r.addr);
-    if (d) r.dst_node = d->translate(r.addr).node;
-    else {
-      addr_mapped = false;
-      r.dst_node = 0;
-    }
-  } else if (nshards_ > 1) {
-    r.dst_node = memory_.translate(r.addr, sh.mem_snap).node;
-  } else {
-    r.dst_node = memory_.translate(r.addr).node;
-  }
+  // An unmapped base throws UnmappedAddressError, except under the checker:
+  // there it routes to node 0 and the checker classifies the fault (UAF vs
+  // OOB) at service time, word by word.
+  const SwizzleDescriptor* d =
+      checker_ ? memory_.find_live(r.addr) : &memory_.descriptor_for(r.addr);
+  r.dst_node = d ? d->translate(r.addr).node : 0;
   const std::uint32_t req_bytes =
       cfg_.msg_header_bytes + (r.is_write ? r.nwords * 8u : 0u);
   const Tick arrive =
@@ -205,7 +196,7 @@ void Machine::route_dram(EngineShard& sh, std::uint32_t ent, std::uint32_t seq,
   if (&dsh == &sh) {
     const std::uint32_t idx = sh.dram_pool.acquire();
     sh.dram_pool[idx] = r;
-    if (checker_) checker_->on_route_dram(idx, addr_mapped, depart);
+    if (checker_) checker_->on_route_dram(idx, d != nullptr, depart);
     push(sh, QEntry{arrive, ent, seq, idx, kDram});
   } else {
     sh.outbox[dshard].drams.push_back({arrive, ent, seq, r});
@@ -277,7 +268,6 @@ void Machine::exec_dram(EngineShard& sh, const QEntry& e) {
   const Tick arrive = e.t;
   const std::uint32_t data_bytes = r.nwords * 8u + cfg_.msg_header_bytes;
   const Tick ready = dram_.service(arrive, r.dst_node, data_bytes);
-  DescriptorSnapshot* snap = nshards_ > 1 ? &sh.mem_snap : nullptr;
   // service() never returns before arrive + lat_dram; the excess is pure
   // bandwidth queueing at the home node's DRAM port.
   if (tracer_) tracer_->on_dram_wait(*sh.trace, ready - arrive - cfg_.lat_dram);
@@ -287,10 +277,10 @@ void Machine::exec_dram(EngineShard& sh, const QEntry& e) {
   // can continue to the report instead of corrupting host memory.
   const bool ok = !checker_ || checker_->on_dram_exec(e.index, arrive);
   if (r.is_write) {
-    if (ok) memory_.write_words(r.addr, r.data.data(), r.nwords, snap);
+    if (ok) memory_.write_words(r.addr, r.data.data(), r.nwords);
     sh.stats.dram_writes++;
   } else {
-    if (ok) memory_.read_words(r.addr, r.data.data(), r.nwords, snap);
+    if (ok) memory_.read_words(r.addr, r.data.data(), r.nwords);
     else r.data.fill(0);
     sh.stats.dram_reads++;
   }
@@ -332,7 +322,15 @@ void Machine::run() { run_until({}); }
 
 bool Machine::run_until(const std::function<bool()>& stop) {
   // One loop at every shard count: shard 0 runs on the caller's thread and
-  // shards 1.. on workers that live for this run only.
+  // shards 1.. on workers that live for this run only. Every shard reads the
+  // descriptor table in place, so it stays frozen until this call returns or
+  // throws.
+  struct Freeze {
+    GlobalMemory& mem;
+    explicit Freeze(GlobalMemory& m) : mem(m) { mem.set_frozen(true); }
+    Freeze(const Freeze&) = delete;
+    ~Freeze() { mem.set_frozen(false); }
+  } freeze(memory_);
   const Tick lookahead = cfg_.min_cross_node_latency();
   abort_.store(false, std::memory_order_relaxed);
   stop_.store(false, std::memory_order_relaxed);
@@ -403,7 +401,6 @@ void Machine::run_shard(std::uint32_t my, Tick lookahead) {
     // this shard already executed.
     try {
       merge_inbox(sh, my);
-      memory_.refresh(sh.mem_snap);
       // run_until stop predicate: evaluated by shard 0 only, here — between
       // barrier B of the previous round (which published every exec-phase
       // write) and barrier A of this one (no shard is executing). The

@@ -69,10 +69,9 @@ class SpinBarrier {
 
 /// Everything one host thread owns when the engine is sharded: the calendar
 /// queue, payload pools and thread-state pool for the nodes assigned to it,
-/// a stats delta block (folded into Machine::stats_ lazily), outgoing
+/// a stats delta block (folded into Machine::stats_ lazily), and outgoing
 /// mailboxes (one per destination shard, drained by the destination at the
-/// next window boundary), and a private snapshot of the DRAM descriptor
-/// table. The serial engine is simply shard 0 used alone.
+/// next window boundary). The serial engine is simply shard 0 used alone.
 struct EngineShard {
   /// An event in flight between shards: the queue-entry key (arrival tick,
   /// sending entity, sender seq) plus the payload by value. The destination
@@ -101,7 +100,6 @@ struct EngineShard {
   std::uint64_t live_threads = 0;
   std::uint64_t mail_received = 0;  ///< events merged in from other shards
   std::vector<MailBox> outbox;      ///< indexed by destination shard
-  DescriptorSnapshot mem_snap;      ///< refreshed at every window boundary
   std::exception_ptr eptr;          ///< first exception thrown on this shard
   TraceShard* trace = nullptr;      ///< this shard's udtrace buffers (null = off)
 };
@@ -198,6 +196,11 @@ class Machine {
   /// The checker report, its drain-era barrier, and trace serialization are
   /// *clean-drain* finalizations: a stopped run skips them, and the final
   /// draining run performs them for the whole simulation.
+  ///
+  /// The DRAM descriptor table is frozen for the whole run (every shard
+  /// reads it in place): a handler's dram_malloc or dram_free throws
+  /// std::logic_error, which this call rethrows. The host allocates between
+  /// runs.
   bool run_until(const std::function<bool()>& stop);
   bool idle() const;
   /// Host-side gauges of the event engine (queue/pool/shard behavior).

@@ -26,8 +26,11 @@
 // (asserted in tests/stream/).
 //
 // Epoch garbage: patching a touched vertex allocates a fresh neighbor-list
-// slice and drops the old one — the simulator has no free(), so superseded
-// slices are leaked by design, bounded by (touched edges) per epoch.
+// slice (one dram_malloc, so one translation descriptor) and drops the old
+// one. Compaction never calls GlobalMemory::dram_free on a superseded slice
+// (an install-time slice lives inside the one neighbor array and cannot be
+// freed alone), so superseded slices leak, bounded by (touched edges) per
+// epoch, and every live slice keeps its descriptor.
 #pragma once
 
 #include <cstdint>
@@ -131,8 +134,6 @@ class StreamEngine {
   /// >= `arrival` dispatch only after the batch is visible.
   serve::MutationId submit(serve::Scheduler& sched,
                            std::vector<tform::EdgeRecord> recs, Tick arrival);
-
-  std::uint64_t num_batches() const { return batches_.size(); }
 
  private:
   friend struct StIngestSource;

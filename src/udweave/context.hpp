@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <cstring>
 #include <initializer_list>
+#include <stdexcept>
+#include <string>
 
 #include "check/checker.hpp"
 #include "common/log.hpp"
@@ -97,9 +99,14 @@ class Ctx {
   ShuffleStats& shuffle_stats() { return sh_.stats.shuffle; }
 
   /// send_event after `delay` cycles (the lane timer: used for paced retry
-  /// loops such as the KVMSR termination gather's backoff).
+  /// loops such as the KVMSR termination gather's backoff). The target must
+  /// be on this lane's node, or std::invalid_argument: a cross-node message
+  /// departing in the future would hold the node's injection bucket until
+  /// then, and every earlier send from the node would queue behind it.
   void send_event_delayed(Word event_word, std::initializer_list<Word> ops, Word cont,
                           Tick delay) {
+    if (m_.node_of(evw::nwid(event_word)) != m_.node_of(nwid_))
+      throw std::invalid_argument("send_event_delayed: the target lane is on another node");
     Message m;
     m.evw = event_word;
     m.cont = cont;
@@ -162,22 +169,19 @@ class Ctx {
   }
 
   // ---- Scratchpad ------------------------------------------------------------
+  /// One word at byte `offset` of this lane's scratchpad. A word past the
+  /// scratchpad's end throws std::out_of_range; under the checker it is
+  /// reported and suppressed instead (a read returns 0).
   Word sp_read(std::uint64_t offset) {
     charge(1);
-    if (Checker* ck = m_.checker()) {
-      if (!ck->on_sp_access(nwid_, offset, sizeof(Word), /*is_write=*/false, now()))
-        return 0;  // out-of-bounds access suppressed (reported by the checker)
-    }
+    if (!sp_access(offset, /*is_write=*/false)) return 0;
     Word v;
     std::memcpy(&v, lane_.scratchpad() + offset, sizeof(Word));
     return v;
   }
   void sp_write(std::uint64_t offset, Word v) {
     charge(1);
-    if (Checker* ck = m_.checker()) {
-      if (!ck->on_sp_access(nwid_, offset, sizeof(Word), /*is_write=*/true, now()))
-        return;
-    }
+    if (!sp_access(offset, /*is_write=*/true)) return;
     std::memcpy(lane_.scratchpad() + offset, &v, sizeof(Word));
   }
   /// Raw scratchpad pointer for bulk operations; caller must charge()
@@ -243,6 +247,18 @@ class Ctx {
   }
 
  private:
+  /// Bounds (and, under the checker, race) check of one scratchpad word;
+  /// false when the checker suppressed the access.
+  bool sp_access(std::uint64_t offset, bool is_write) {
+    if (Checker* ck = m_.checker())
+      return ck->on_sp_access(nwid_, offset, sizeof(Word), is_write, now());
+    const std::uint64_t cap = lane_.scratchpad_bytes();
+    if (offset >= cap || cap - offset < sizeof(Word))
+      throw std::out_of_range("scratchpad access at offset " + std::to_string(offset) +
+                              " beyond the lane's " + std::to_string(cap) + "-byte scratchpad");
+    return true;
+  }
+
   Machine& m_;
   EngineShard& sh_;  ///< the host thread's engine shard (stats, mailboxes)
   Lane lane_;        ///< value handle over this lane's LaneTable row

@@ -267,5 +267,57 @@ TEST(UdCheck, WarnsOnUnfiredContinuation) {
   EXPECT_NE(d->message.find("seed::cont_sink"), std::string::npos);
 }
 
+// ---------------------------------------------------------------------------
+// 5. Scratchpad: two tasks on one lane, ordered by no message, write the same
+//    word (a race only strict mode reports), and a word past the scratchpad's
+//    end (out of bounds in either mode). Both modes come from MachineConfig;
+//    the guards keep the environment from overriding it.
+// ---------------------------------------------------------------------------
+
+struct SpApp {
+  EventLabel write = 0;
+};
+
+struct TSpWriter : ThreadState {
+  void write(Ctx& ctx) {
+    ctx.sp_write(ctx.op(0), ctx.op(1));
+    ctx.yield_terminate();
+  }
+};
+
+CheckSummary run_sp_writers(bool strict, std::uint64_t offset, int writers) {
+  EnvGuard check("UD_CHECK", nullptr);
+  EnvGuard sp("UD_CHECK_SP_STRICT", nullptr);
+  MachineConfig cfg = checked_config();
+  cfg.check_sp_strict = strict;
+  Machine m(cfg);
+  SpApp& app = m.emplace_user<SpApp>();
+  app.write = m.program().event("seed::sp_write", &TSpWriter::write);
+  for (int i = 0; i < writers; ++i)
+    m.send_from_host(evw::make_new(0, app.write), {offset, static_cast<Word>(i)});
+  m.run();
+  return m.stats().check;
+}
+
+TEST(UdCheck, StrictModeReportsUnorderedScratchpadWrites) {
+  const CheckSummary strict = run_sp_writers(true, 64, 2);
+  EXPECT_TRUE(strict.sp_strict);
+  EXPECT_EQ(strict.sp_races, 1u);
+  EXPECT_EQ(strict.errors(), 1u);
+  const CheckSummary plain = run_sp_writers(false, 64, 2);
+  EXPECT_FALSE(plain.sp_strict);
+  EXPECT_EQ(plain.sp_races, 0u);
+  EXPECT_TRUE(plain.clean());
+}
+
+TEST(UdCheck, ReportsScratchpadAccessPastTheEnd) {
+  const std::uint64_t end = checked_config().scratchpad_bytes;
+  for (const bool strict : {false, true}) {
+    const CheckSummary c = run_sp_writers(strict, end, 1);
+    EXPECT_EQ(c.out_of_bounds, 1u) << "strict " << strict;
+    EXPECT_EQ(c.errors(), 1u) << "strict " << strict;
+  }
+}
+
 }  // namespace
 }  // namespace updown

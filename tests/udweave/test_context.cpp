@@ -1,7 +1,8 @@
 // Ctx intrinsics: delayed sends, replies, operand limits, scratchpad
-// allocation, program registry errors, service registry.
+// allocation and bounds, program registry errors, service registry.
 #include <gtest/gtest.h>
 
+#include "env_guard.hpp"
 #include "sim/machine.hpp"
 #include "udweave/context.hpp"
 
@@ -94,6 +95,52 @@ TEST(Context, SpMallocAlignmentAndRelease) {
   app.go = m.program().event("TSpExhaust::go", &TSpExhaust::go);
   m.send_from_host(evw::make_new(0, app.go), {});
   m.run();
+}
+
+// A delayed send to a lane on another node would hold the sending node's
+// injection bucket until its departure, so Ctx rejects it.
+struct TCrossNodeDelay : ThreadState {
+  void go(Ctx& ctx) {
+    auto& app = ctx.machine().user<CtxApp>();
+    const NetworkId other = ctx.machine().first_lane_of_node(1);
+    ctx.send_event_delayed(ctx.evw_new(other, app.tick), {1}, IGNRCONT, 1000);
+    ctx.yield_terminate();
+  }
+  void tick(Ctx& ctx) { ctx.yield_terminate(); }
+};
+
+TEST(Context, CrossNodeDelayedSendThrows) {
+  Machine m(MachineConfig::scaled(2));
+  auto& app = m.emplace_user<CtxApp>();
+  app.go = m.program().event("TCrossNodeDelay::go", &TCrossNodeDelay::go);
+  app.tick = m.program().event("TCrossNodeDelay::tick", &TCrossNodeDelay::tick);
+  m.send_from_host(evw::make_new(0, app.go), {});
+  EXPECT_THROW(m.run(), std::invalid_argument);
+}
+
+// Without the checker, a scratchpad word at or past the end throws instead
+// of copying past the lane's backing store.
+struct TSpPastEnd : ThreadState {
+  void go(Ctx& ctx) {
+    const std::uint64_t end = ctx.lane().scratchpad_bytes();
+    ctx.sp_write(end - 8, 7);
+    EXPECT_EQ(ctx.sp_read(end - 8), 7u);
+    if (ctx.op(0) == 0) ctx.sp_write(end, 1);
+    else ctx.sp_read(end - 4);
+    ctx.yield_terminate();
+  }
+};
+
+TEST(Context, UncheckedScratchpadPastEndThrows) {
+  EnvGuard g("UD_CHECK", nullptr);
+  for (const Word variant : {Word{0}, Word{1}}) {
+    Machine m(MachineConfig::scaled(1));
+    ASSERT_EQ(m.checker(), nullptr);
+    auto& app = m.emplace_user<CtxApp>();
+    app.go = m.program().event("TSpPastEnd::go", &TSpPastEnd::go);
+    m.send_from_host(evw::make_new(0, app.go), {variant});
+    EXPECT_THROW(m.run(), std::out_of_range) << "variant " << variant;
+  }
 }
 
 TEST(Program, LabelLookupAndErrors) {
