@@ -18,6 +18,15 @@
 // reads the newest level, and a later improvement spawns a new expand; an
 // expand whose vertex improved while it streams stops emitting.
 //
+// Sender filter (Query::heard): when the graph has at most 32 edges per lane
+// of the query, every reduce, improving or not, records its tuple's sender
+// u and u's level (the tuple's level - 1) in its lane's 32-slot table, and
+// every expand, on the owner lane or in a hub chunk, skips a neighbor x that
+// its lane's table holds at a level no greater than the one it would send:
+// dist[x] is already that low, so the tuple could not lower it. On a
+// symmetric graph a hub's tuple to w lands on w's owner lane, where w's
+// expand runs, so w no longer echoes its level back to the hub.
+//
 // Levels only fall, so the final levels do not depend on message order,
 // shard count or concurrent jobs; a vertex may be expanded more than once,
 // so a query can emit more tuples than its BFS tree traverses. kBfs seeds
@@ -113,16 +122,25 @@ struct SqBfsExpand : ThreadState {
 
   void bfs_nbrs(Ctx& ctx) {
     auto& eng = ctx.machine().service<QueryEngine>();
+    auto& q = eng.query_of_job(job);
     if (owner && !stale) {
       // If u's level fell after this expand read it, the reduce that lowered
       // it spawned a newer expand (or the query was cancelled), whose tuples
       // carry lower levels to the same neighbors: the rest of ours are waste.
       ctx.charge(1);  // level-mirror load
-      stale = (*eng.query_of_job(job).dist)[u] + 1 < level;
+      stale = (*q.dist)[u] + 1 < level;
     }
     for (unsigned i = 0; i < ctx.nops() && !stale; ++i) {
+      const Word x = ctx.op(i);
+      if (!q.heard.empty()) {
+        // A reduce on this lane heard from x at a level no greater than
+        // ours, so dist[x] <= level already: the tuple could not lower it.
+        ctx.charge(2);  // slot hash and heard-table load
+        const auto& h = q.heard_slot(ctx.nwid(), x);
+        if (h.vertex == x && h.level <= level) continue;
+      }
       ctx.charge(1);
-      eng.lib_->emit2(ctx, job, ctx.op(i), level, u);
+      eng.lib_->emit2(ctx, job, x, level, u);
     }
     loaded += ctx.nops();
     if (loaded == len) finish(ctx);
@@ -173,6 +191,13 @@ struct SqBfsReduce : ThreadState {
     const Word w = kvmsr::Library::reduce_key(ctx);
     const Word pair[2] = {kvmsr::Library::reduce_val(ctx, 0),
                           kvmsr::Library::reduce_val(ctx, 1)};
+    if (!q.heard.empty()) {
+      // Improving or not, record the sender u = pair[1] at the level it sent
+      // from, pair[0] - 1: levels only fall, so dist[u] stays at most that.
+      ctx.charge(2);  // slot hash and heard-table store
+      q.heard_slot(ctx.nwid(), pair[1]) = {static_cast<std::uint32_t>(pair[1]),
+                                           static_cast<std::uint32_t>(pair[0] - 1)};
+    }
     ctx.charge(2);  // improve-test against the lane-owned mirror entry
     ctx.sync_acquire(dist_slot(w));
     if (pair[0] >= (*q.dist)[w]) {
@@ -226,6 +251,13 @@ void QueryEngine::add_bfs(Query& q, bool from_root) {
     q.dist = &rs->dist;
   }
   q.queued.assign(nv, 0);
+  // The sender filter charges 2 cycles for every neighbor an expand streams.
+  // With more than 32 edges a lane, a lane hears from more senders than its
+  // 32 slots hold and filters too few tuples to repay that. Vertex ids and
+  // levels must fit the table's 32-bit fields.
+  if (q.spec.graph->num_edges <= std::uint64_t{Query::kHeardSlots} * q.rlanes.count &&
+      nv < ~std::uint32_t{0})
+    q.heard.assign(std::size_t{q.rlanes.count} * Query::kHeardSlots, {});
 
   // Seeds are the job's map keys, each at most once; a seed's expand is
   // pending from the start.

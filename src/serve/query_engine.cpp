@@ -152,6 +152,7 @@ struct SqDriver : ThreadState {
     q.done_tick = ctx.now();
     if (ctx.machine().tracer()) ctx.trace_phase_end("serve:" + q.spec.name);
     q.finished = true;  // published to the host at the next pause point
+    q.heard = decltype(q.heard)();  // the BFS sender filter's table
     (void)eng;
     ctx.yield_terminate();
   }

@@ -247,6 +247,24 @@ class QueryEngine {
     std::vector<Word>* dist = nullptr;
     std::vector<Word> own_dist;  ///< kBfs: the storage behind `dist`
     std::vector<std::uint8_t> queued;
+    // BFS sender filter: each lane of rlanes keeps kHeardSlots senders its
+    // reduces heard from, direct-mapped by a hash of the sender, each with a
+    // level the sender has reached (256 B of the lane's scratchpad, modeled
+    // host-side like `queued`). Empty, so off, unless the graph has at most
+    // kHeardSlots edges per lane; released when the query finishes.
+    struct Heard {
+      std::uint32_t vertex = 0;
+      std::uint32_t level = ~0u;  ///< ~0u: an empty slot, which filters nothing
+    };
+    static constexpr std::uint32_t kHeardSlots = 32;
+    std::vector<Heard> heard;
+    Heard& heard_slot(NetworkId lane, Word u) {
+      // The top 5 bits of a multiplicative hash pick one of the 32 slots:
+      // RMAT's hubs have power-of-two ids, which `u % 32` puts in one slot.
+      static_assert(kHeardSlots == 32);
+      return heard[std::size_t{lane - rlanes.first} * kHeardSlots +
+                   ((u * 0x9e3779b97f4a7c15ULL) >> 59)];
+    }
     // kIncPageRank affected flags, plus the same set as a compact ascending
     // list. The sweep job launches keys [0, alist.size()) and maps key ->
     // alist[key], so a sweep's KVMSR cost scales with the affected set, not

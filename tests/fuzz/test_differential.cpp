@@ -24,6 +24,7 @@
 #include "apps/pagerank.hpp"
 #include "apps/tc.hpp"
 #include "baseline/baseline.hpp"
+#include "bfs_tree.hpp"
 #include "common/rng.hpp"
 #include "env_guard.hpp"
 #include "graph/generators.hpp"
@@ -122,6 +123,7 @@ void fuzz_bfs(Xoshiro256& rng) {
     ASSERT_EQ(r.dist[v], oracle.dist[v]) << "bfs distance diverged at vertex " << v;
   ASSERT_EQ(r.traversed_edges, oracle.traversed_edges);
   ASSERT_EQ(r.rounds, oracle.rounds);
+  expect_bfs_tree(g, root, r.dist, r.parent, "fuzz bfs");
   if (m.stats().check.enabled) {
     ASSERT_EQ(m.stats().check.errors(), 0u) << "checker false positive";
   }

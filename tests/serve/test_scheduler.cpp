@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/baseline.hpp"
@@ -79,23 +80,30 @@ TEST(ServeQueries, BfsMatchesOracle) {
 }
 
 TEST(ServeQueries, BfsOnMidNodeLanesStaysOnThem) {
-  // Lanes [19, 77) start and end mid-node (32 lanes a node), and the hub's
-  // 700 neighbors fan out in chunks: seeds, expands, reducers and chunks
-  // must all stay on the query's lanes.
-  Machine m(MachineConfig::scaled(4));
-  Graph g = star_graph(700);
-  DeviceGraph dg = upload_graph(m, g);
-  QuerySpec s;
-  s.kind = QueryKind::kBfs;
-  s.lanes = {19, 58};
-  s.name = "bfs";
-  const QueryResult r = run_single(m, dg, std::move(s));
-  EXPECT_EQ(r.dist, baseline::bfs(g, 0).dist);
-  expect_bfs_tree(g, 0, r.dist, r.parent);
-  const std::vector<LaneStats> lanes = m.lane_stats();
-  for (NetworkId l = 0; l < lanes.size(); ++l) {
-    if (l < 19 || l >= 77) {
-      EXPECT_EQ(lanes[l].events_executed, 0u) << "lane " << l;
+  // Lanes [19, 19 + count) start and end mid-node (32 lanes a node), and the
+  // hub's 700 neighbors fan out in chunks: seeds, expands, reducers and
+  // chunks must all stay on the query's lanes. The sender filter is on when
+  // the graph has at most 32 edges a lane. On 58 lanes (1,400 <= 1,856) each
+  // leaf's reduce hears from the hub, and the leaf's expand, on the same
+  // lane, does not send the hub its level back. On 40 lanes (1,400 > 1,280)
+  // the filter is off and every leaf echoes.
+  const Graph g = star_graph(700);
+  for (const auto& [count, emitted] : {std::pair{58u, 700u}, std::pair{40u, 1400u}}) {
+    Machine m(MachineConfig::scaled(4));
+    DeviceGraph dg = upload_graph(m, g);
+    QuerySpec s;
+    s.kind = QueryKind::kBfs;
+    s.lanes = {19, count};
+    s.name = "bfs";
+    const QueryResult r = run_single(m, dg, std::move(s));
+    EXPECT_EQ(r.dist, baseline::bfs(g, 0).dist);
+    expect_bfs_tree(g, 0, r.dist, r.parent);
+    EXPECT_EQ(r.emitted, emitted) << count << " lanes";
+    const std::vector<LaneStats> lanes = m.lane_stats();
+    for (NetworkId l = 0; l < lanes.size(); ++l) {
+      if (l < 19 || l >= 19 + count) {
+        EXPECT_EQ(lanes[l].events_executed, 0u) << "lane " << l;
+      }
     }
   }
 }

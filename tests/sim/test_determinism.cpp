@@ -81,6 +81,15 @@ RunFingerprint run_bfs(std::uint32_t nodes, std::uint32_t shards = 1, bool check
   // takes the two-wave gather, whose polls cross the drain path; a
   // multi-level run keeps tuples in flight while the gather polls.
   EXPECT_GE(r.rounds, 2u);
+  // rmat(9)'s 9,514 edges are at most 32 a lane from 16 nodes (512 lanes)
+  // up, so the sender filter is on and drops tuples: fewer than one per
+  // traversed edge. Below, it is off, and every reached vertex's last
+  // expand emits its whole list.
+  if (nodes >= 16) {
+    EXPECT_LT(m.stats().shuffle.tuples_emitted, r.traversed_edges);
+  } else {
+    EXPECT_GE(m.stats().shuffle.tuples_emitted, r.traversed_edges);
+  }
   if (check) {
     EXPECT_EQ(m.shards(), 1u);
     EXPECT_TRUE(m.stats().check.enabled);
@@ -145,6 +154,20 @@ TEST(DeterminismMatrix, BfsIdenticalUnderCheck) {
   const RunFingerprint serial = run_bfs(8, 1);
   for (std::uint32_t shards : {1u, 2u, 4u})
     EXPECT_EQ(run_bfs(8, shards, /*check=*/true), serial) << "shards=" << shards;
+}
+
+// The same rows on 16 nodes, where BFS runs its sender filter. Its table is
+// lane-owned state: each shard writes only its own lanes' slices.
+TEST(DeterminismMatrix, FilteredBfsIdenticalAcrossShardCounts) {
+  const RunFingerprint serial = run_bfs(16, 1);
+  for (std::uint32_t shards : {2u, 4u, 8u})
+    EXPECT_EQ(run_bfs(16, shards), serial) << "shards=" << shards;
+}
+
+TEST(DeterminismMatrix, FilteredBfsIdenticalUnderCheck) {
+  const RunFingerprint serial = run_bfs(16, 1);
+  for (std::uint32_t shards : {1u, 2u, 4u})
+    EXPECT_EQ(run_bfs(16, shards, /*check=*/true), serial) << "shards=" << shards;
 }
 
 TEST(DeterminismMatrix, TriangleCountIdenticalAcrossShardCounts) {
