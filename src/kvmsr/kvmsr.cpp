@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <stdexcept>
 
 namespace updown::kvmsr {
 
@@ -13,6 +14,13 @@ namespace {
 // order their DRAM writes before the master's done decision).
 constexpr std::uint64_t emitted_slot(JobId job) { return 2ull * job; }
 constexpr std::uint64_t received_slot(JobId job) { return 2ull * job + 1; }
+
+/// Poll-clock stamps of a job whose reduces emit: a tuple's or handoff's job
+/// operand carries its sender's clock mod kStamps above the JobId, and
+/// kStamped marks it, so reduce_return can tell stamp 0 from a bare JobId.
+constexpr unsigned kStamps = 4;
+constexpr unsigned kStampShift = 32;
+constexpr Word kStamped = Word{1} << 34;
 
 /// Largest fan-out the master or a relay takes on before the control tree
 /// inserts the machine's next tier below it.
@@ -70,6 +78,14 @@ struct LaneSpan {
   NetworkId lo, hi;
 };
 
+/// End of the lanes of `s` that hold keys of a non-empty [key_begin,
+/// key_end) under the Block binding. Each lane holds ceil(n / count) keys
+/// from the set's first lane on, so the keyed lanes are a prefix of the set.
+NetworkId keyed_end(LaneSet s, std::uint64_t key_begin, std::uint64_t key_end) {
+  const std::uint64_t n = key_end - key_begin;
+  return s.first + static_cast<NetworkId>(ceil_div(n, ceil_div(n, s.count)));
+}
+
 /// Send `label` {relay_op(job, level + 1), args...} to the relay of every
 /// child block of the level-`level` span `sp`, each replying to `reply` on
 /// the calling thread. Returns the number of children.
@@ -106,8 +122,7 @@ struct MasterThread : ThreadState {
   /// replies, then flush replies (the phases never overlap).
   std::uint64_t pending = 0;
   std::uint64_t poll_emitted = 0, poll_received = 0;
-  /// The sum of the last poll wave if it was balanced (reduces_emit jobs).
-  std::uint64_t balanced_sum = ~0ull;
+  bool poll_grew = false;  ///< a lane returned a tuple stamped with this wave
   std::uint64_t pbmw_next = 0;
   Tick backoff = 128;  ///< exponential re-poll delay, capped at spec.poll_backoff
 
@@ -138,8 +153,9 @@ struct RelayThread : ThreadState {
   std::uint32_t pending = 0;
   bool poll = false;
   std::uint64_t emitted = 0, received = 0;
+  bool grew = false;
 
-  void r_launch(Ctx& ctx);  ///< kBlock: start the lanes' map work, collect map-done
+  void r_launch(Ctx& ctx);  ///< kBlock: start the keyed lanes' map work, collect map-done
   void r_poll(Ctx& ctx);    ///< termination poll: sum the lanes' counters
   void r_flush(Ctx& ctx);   ///< flush phase: run spec.flush on every lane
   void r_child_done(Ctx& ctx);
@@ -201,8 +217,6 @@ Library::Library(Machine& m) : m_(m) {
 JobId Library::add_job(JobSpec spec) {
   Job j;
   j.spec = std::move(spec);
-  j.emitted_by_lane.assign(m_.config().total_lanes(), 0);
-  j.received_by_lane.assign(m_.config().total_lanes(), 0);
   jobs_.push_back(std::move(j));
   return static_cast<JobId>(jobs_.size() - 1);
 }
@@ -274,9 +288,8 @@ void Library::emit(Ctx& ctx, JobId job, Word key, Word v0) {
   const NetworkId dst = reduce_lane(job, key);
   ctx.charge(2);  // binding hash + scratchpad emit counter
   ctx.shuffle_stats().tuples_emitted++;
-  j.emitted_by_lane.at(ctx.nwid())++;
-  ctx.sync_release(emitted_slot(job));
-  ctx.send_event(evw::make_new(dst, j.spec.kv_reduce), {key, v0, job});
+  j.emitted.at(ctx.nwid())++;
+  ctx.send_event(evw::make_new(dst, j.spec.kv_reduce), {key, v0, stamp(ctx, job, j)});
   count_tuple_message(ctx, dst, 3);
 }
 
@@ -285,10 +298,30 @@ void Library::emit2(Ctx& ctx, JobId job, Word key, Word v0, Word v1) {
   const NetworkId dst = reduce_lane(job, key);
   ctx.charge(2);
   ctx.shuffle_stats().tuples_emitted++;
-  j.emitted_by_lane.at(ctx.nwid())++;
-  ctx.sync_release(emitted_slot(job));
-  ctx.send_event(evw::make_new(dst, j.spec.kv_reduce), {key, v0, v1, job});
+  j.emitted.at(ctx.nwid())++;
+  ctx.send_event(evw::make_new(dst, j.spec.kv_reduce), {key, v0, v1, stamp(ctx, job, j)});
   count_tuple_message(ctx, dst, 4);
+}
+
+void Library::hand_off(Ctx& ctx, JobId job, NetworkId lane, EventLabel event,
+                       std::initializer_list<Word> args) {
+  Job& j = jobs_.at(job);
+  if (!j.spec.reduces_emit || args.size() >= kMaxOperands)
+    throw std::logic_error("KVMSR: hand_off in job '" + j.spec.name +
+                           "' needs JobSpec::reduces_emit and at most 7 args");
+  Word ops[kMaxOperands];
+  std::copy(args.begin(), args.end(), ops);
+  ctx.charge(1);  // scratchpad handoff counter
+  j.handed.at(ctx.nwid())++;
+  ops[args.size()] = stamp(ctx, job, j);
+  ctx.send_eventv(evw::make_new(lane, event), ops, args.size() + 1);
+}
+
+Word Library::stamp(Ctx& ctx, JobId job, Job& j) {
+  ctx.sync_release(emitted_slot(job));
+  if (!j.spec.reduces_emit) return job;
+  ctx.charge(1);  // poll-clock load
+  return job | Word{j.clock.at(ctx.nwid()) % kStamps} << kStampShift | kStamped;
 }
 
 // Shuffle-traffic accounting for one tuple message. Pure statistics: it
@@ -305,10 +338,19 @@ void Library::map_return(Ctx& ctx, Word stored_cont) {
   ctx.yield_terminate();
 }
 
-void Library::reduce_return(Ctx& ctx, JobId job) {
+void Library::reduce_return(Ctx& ctx, Word job_operand) {
+  const JobId job = job_of(job_operand);
   Job& j = jobs_.at(job);
-  ctx.charge(1);  // scratchpad received counter
-  j.received_by_lane.at(ctx.nwid())++;
+  std::size_t counter = ctx.nwid();
+  if (j.spec.reduces_emit) {
+    if (!(job_operand & kStamped))
+      throw std::logic_error("KVMSR: job '" + j.spec.name +
+                             "' has emitting reduces; reduce_return needs the tuple's "
+                             "job operand (Library::job_operand), not its JobId");
+    counter = counter * kStamps + (job_operand >> kStampShift) % kStamps;
+  }
+  ctx.charge(1);  // scratchpad received counter, at the address the stamp selects
+  j.received.at(counter)++;
   ctx.sync_release(received_slot(job));
   ctx.yield_terminate();
 }
@@ -333,12 +375,17 @@ void MasterThread::m_start(Ctx& ctx) {
   j.state.map_done_tick = j.state.done_tick = 0;
   j.state.total_keys = key_end - key_begin;
   j.state.total_emitted = 0;
-  j.state.poll_rounds = 0;
+  j.state.poll_rounds = j.state.vetoed_waves = 0;
   j.state.cancelled = false;
   j.cancel = false;  // a relaunch of a previously cancelled job starts fresh
   backoff = 128;
-  std::fill(j.emitted_by_lane.begin(), j.emitted_by_lane.end(), 0);
-  std::fill(j.received_by_lane.begin(), j.received_by_lane.end(), 0);
+  const std::size_t lanes = ctx.machine().config().total_lanes();
+  const std::size_t stamped_lanes = j.spec.reduces_emit ? lanes : 0;
+  j.emitted.assign(lanes, 0);
+  j.received.assign(j.spec.reduces_emit ? lanes * kStamps : lanes, 0);
+  j.handed.assign(stamped_lanes, 0);
+  j.clock.assign(stamped_lanes, 0);
+  j.seen.assign(stamped_lanes, 0);
 
   // udtrace spans live on the master lane: map from launch to the map
   // barrier, then shuffle-drain, then flush — the paper's phase anatomy.
@@ -346,12 +393,19 @@ void MasterThread::m_start(Ctx& ctx) {
   if (ctx.machine().tracer()) ctx.trace_phase_begin(j.spec.name + ":map");
 
   const LaneSet s = lib.resolved_lanes(j);
+  if (key_begin >= key_end) {
+    map_phase_complete(ctx);
+    return;
+  }
 
   switch (j.spec.map_binding) {
     case MapBinding::kBlock:
-      // The leaf relays start their lanes' map work; each relay reports once
-      // when all of its children have retired theirs.
-      pending = to_relays(ctx, lib.r_launch_, lib.m_map_done_, {key_begin, key_end});
+      // The leaf relays start the keyed lanes' map work; each relay reports
+      // once when all of its children have retired theirs. The keys fill a
+      // prefix of the set, and the launch skips every block past it.
+      pending = to_children(ctx, tree_of(ctx.machine(), s), 0,
+                            {s.first, keyed_end(s, key_begin, key_end)}, job, lib.r_launch_,
+                            lib.m_map_done_, {key_begin, key_end});
       break;
     case MapBinding::kPBMW: {
       // Partial block + master-worker: each lane starts with one chunk and
@@ -391,11 +445,16 @@ void MasterThread::map_phase_complete(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
   Library::Job& j = lib.jobs_.at(job);
   j.state.map_done_tick = ctx.now();
+  // A job with no keys ran no map task, so it emitted nothing and left no
+  // lane state to flush: it finishes at once.
+  const bool empty = key_begin >= key_end;
   if (ctx.machine().tracer()) {
     ctx.trace_phase_end(j.spec.name + ":map");
-    if (j.spec.kv_reduce != 0) ctx.trace_phase_begin(j.spec.name + ":drain");
+    if (j.spec.kv_reduce != 0 && !empty) ctx.trace_phase_begin(j.spec.name + ":drain");
   }
-  if (j.spec.kv_reduce != 0)
+  if (empty)
+    finish(ctx);
+  else if (j.spec.kv_reduce != 0)
     start_poll_round(ctx);
   else if (j.spec.flush != 0)
     start_flush(ctx);
@@ -406,34 +465,34 @@ void MasterThread::map_phase_complete(Ctx& ctx) {
 void MasterThread::start_poll_round(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
   poll_emitted = poll_received = 0;
+  poll_grew = false;
   lib.jobs_.at(job).state.poll_rounds++;
   pending = to_relays(ctx, lib.r_poll_, lib.m_poll_reply_, {});
 }
 
+/// One top-level relay's reply: {emitted, received} summed over its block,
+/// and for a job whose reduces emit, whether any of its lanes returned a
+/// tuple stamped with this wave before the wave read it.
 void MasterThread::m_poll_reply(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
   Library::Job& j = lib.jobs_.at(job);
-  ctx.charge(2);  // two scratchpad adds
+  ctx.charge(ctx.nops());  // one scratchpad add (or flag or) per operand
   poll_emitted += ctx.op(0);
   poll_received += ctx.op(1);
+  if (j.spec.reduces_emit) poll_grew |= ctx.op(2) != 0;
   if (--pending > 0) return;
   const bool balanced = poll_emitted == poll_received;
-  if (balanced && (!j.spec.reduces_emit || poll_emitted == balanced_sum)) {
+  if (balanced && !poll_grew) {
     j.state.total_emitted = poll_emitted;
     if (ctx.machine().tracer()) ctx.trace_phase_end(j.spec.name + ":drain");
     if (j.spec.flush != 0)
       start_flush(ctx);
     else
       finish(ctx);
-  } else if (balanced) {
-    // Reduces emit: confirm with a second wave at once. Counters only grow,
-    // so its emitted sum matches only if no lane emitted between its two
-    // reads, and then nothing was in flight when the first wave ended.
-    balanced_sum = poll_emitted;
-    start_poll_round(ctx);
   } else {
-    balanced_sum = ~0ull;
-    // Tuples are still in flight; gather again after an exponentially
+    if (balanced) ++j.state.vetoed_waves;
+    // Tuples are still in flight (or, vetoed, the wave read some lanes too
+    // early to tell); gather again after an exponentially
     // growing backoff, so short drains re-poll quickly while long-running
     // reduce phases do not saturate the master lane with polling.
     const Tick delay = std::min(backoff, j.spec.poll_backoff);
@@ -452,7 +511,10 @@ void MasterThread::start_flush(Ctx& ctx) {
 }
 
 void MasterThread::m_flush_done(Ctx& ctx) {
-  if (--pending == 0) finish(ctx);
+  if (--pending > 0) return;
+  if (ctx.machine().tracer())
+    ctx.trace_phase_end(ctx.machine().service<Library>().jobs_.at(job).spec.name + ":flush");
+  finish(ctx);
 }
 
 void MasterThread::finish(Ctx& ctx) {
@@ -462,8 +524,6 @@ void MasterThread::finish(Ctx& ctx) {
   j.state.cancelled = j.cancel;
   j.cancel = false;
   j.state.running = false;
-  if (j.spec.flush != 0 && ctx.machine().tracer())
-    ctx.trace_phase_end(j.spec.name + ":flush");
   if (cont != IGNRCONT) ctx.send_event(cont, {j.state.total_emitted});
   ctx.yield_terminate();
 }
@@ -505,18 +565,19 @@ LaneSpan RelayThread::enter(Ctx& ctx, Tree& t) {
 void RelayThread::r_launch(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
   Tree t;
-  const LaneSpan lanes = enter(ctx, t);
+  LaneSpan lanes = enter(ctx, t);
   const std::uint64_t key_begin = ctx.op(1), key_end = ctx.op(2);
+  const LaneSet s = lib.lanes_of(job);
+  lanes.hi = std::min(lanes.hi, keyed_end(s, key_begin, key_end));
   if (t.width[level] > 1) {
     pending = to_children(ctx, t, level, lanes, job, lib.r_launch_, lib.r_child_done_,
                           {key_begin, key_end});
     return;
   }
   const Library::Job& j = lib.jobs_.at(job);
-  const LaneSet s = lib.lanes_of(job);
   const std::uint64_t per = ceil_div(key_end - key_begin, s.count);
   pending = lanes.hi - lanes.lo;
-  if (per == 1 && key_begin + (lanes.hi - 1 - s.first) < key_end && !j.cancel) {
+  if (per == 1 && !j.cancel) {
     // Every lane here holds exactly one key: send its map task directly, one
     // cycle per send as in the poll fan-out. A worker would only forward the
     // task and relay its return.
@@ -566,19 +627,23 @@ void RelayThread::fan_out(Ctx& ctx, EventLabel relay_label, EventLabel lane_labe
   }
 }
 
-/// One child's reply: {emitted, received} for a poll, none for map-done and
-/// flush. The last one sends the relay's single reply to its parent.
+/// One child's reply: for a poll {emitted, received}, with the stamp check's
+/// flag third when reduces emit; none for map-done and flush. The last one
+/// sends the relay's single reply, the same shape, to its parent.
 void RelayThread::r_child_done(Ctx& ctx) {
   if (poll) {
-    ctx.charge(2);  // two scratchpad adds
+    ctx.charge(ctx.nops());  // one scratchpad add (or flag or) per operand
     emitted += ctx.op(0);
     received += ctx.op(1);
+    if (ctx.nops() > 2) grew |= ctx.op(2) != 0;
   }
   if (--pending > 0) return;
-  if (poll)
-    ctx.send_event(reply, {emitted, received});
-  else
+  if (!poll)
     ctx.send_event(reply, {});
+  else if (ctx.nops() > 2)
+    ctx.send_event(reply, {emitted, received, grew});
+  else
+    ctx.send_event(reply, {emitted, received});
   ctx.yield_terminate();
 }
 
@@ -650,10 +715,28 @@ void PollThread::p_poll(Ctx& ctx) {
   Library& lib = ctx.machine().service<Library>();
   const JobId job_id = static_cast<JobId>(ctx.op(0));
   Library::Job& j = lib.jobs_.at(job_id);
-  ctx.charge(3);  // two scratchpad counter loads + reply setup
+  const NetworkId lane = ctx.nwid();
   ctx.sync_acquire(emitted_slot(job_id));
   ctx.sync_acquire(received_slot(job_id));
-  ctx.send_reply({j.emitted_by_lane.at(ctx.nwid()), j.received_by_lane.at(ctx.nwid())});
+  if (!j.spec.reduces_emit) {
+    ctx.charge(3);  // two scratchpad counter loads + reply setup
+    ctx.send_reply({j.emitted.at(lane), j.received.at(lane)});
+    ctx.yield_terminate();
+    return;
+  }
+  // Mattern's time test; this read is wave k, the lane's new clock. A tuple
+  // stamped k was emitted after wave k read its sender, so if this lane
+  // returned one since wave k-1 read it, wave k counted its receipt but not
+  // its emit: the wave may not end the job. The handoffs this lane sent
+  // count against its returns, so the sums balance only when every tuple and
+  // handoff has returned (received may wrap below zero on one lane; the
+  // relays' sums wrap back).
+  ctx.charge(9);  // six counter loads, clock bump, stamp-k check and store, reply setup
+  const std::uint32_t k = ++j.clock.at(lane);
+  const std::uint64_t* r = &j.received.at(std::size_t{lane} * kStamps);
+  const bool grew = r[k % kStamps] != j.seen.at(lane);
+  j.seen[lane] = r[(k + 1) % kStamps];
+  ctx.send_reply({j.emitted.at(lane), r[0] + r[1] + r[2] + r[3] - j.handed.at(lane), grew});
   ctx.yield_terminate();
 }
 

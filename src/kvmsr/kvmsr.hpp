@@ -23,13 +23,17 @@
 //              passes it to map_return at the end. Emit tuples at any point
 //              with Library::emit(...) — from the map thread or from any
 //              subtask it spawned (the task may fan out further in UDWeave).
-//   kv_reduce: new thread per tuple, ops = {key, v0 [, v1, v2], job}. Must
-//              finish by calling Library::reduce_return(ctx, job), which also
-//              terminates the thread. A reduce may emit only when its job's
-//              JobSpec::reduces_emit is set, and then must call
-//              reduce_return only once it, and any work it spawned, has
-//              emitted all it will: a tuple counts as received when its
-//              reduce returns, so a balanced count means no work is left.
+//   kv_reduce: new thread per tuple, ops = {key, v0 [, v1, v2], job operand}.
+//              Must finish by calling Library::reduce_return(ctx, job
+//              operand), which also terminates the thread. A reduce may emit
+//              only when its job's JobSpec::reduces_emit is set, and then
+//              must call reduce_return only once it, and any work it spawned
+//              on its own lane, has emitted all it will: a tuple counts as
+//              received when its reduce returns, so a balanced count means
+//              no work is left. Work a reduce hands to another lane must go
+//              through Library::hand_off, which counts it like a tuple; its
+//              task ends with reduce_return too. An uncounted handoff can end
+//              the job while the handed-off work still emits.
 //   flush    : optional; after the reduce drain one flush event runs per
 //              lane, sent by the lane's leaf relay (new thread, ops = {job});
 //              it must reply to CCONT with no operands when its lane's state
@@ -37,23 +41,28 @@
 //
 // Termination protocol (the paper: "KVMSR tracks termination of the map and
 // reduce phases"): workers retire map tasks via kv_map_return; once the map
-// phase is done, the master runs gather rounds summing per-lane
-// emitted/received counters until the sums agree, then flushes and signals
-// the launch continuation with {total_emitted}. Emitted is final at
-// map-done unless reduces emit, so one balanced wave ends a job. A job whose
-// reduces emit ends only when two consecutive waves read the same balanced
-// sum (Mattern's four-counter test): one wave may read a lane's counters
-// before a reduce elsewhere emits and returns. Every all-lane exchange
-// (kBlock launch and map-done, each poll round, the flush) goes through a
-// control tree shaped by the machine: the master, then the network's L2 and
-// L1 node groups, nodes, accelerators, and the lanes. Node relays are always
-// there; a group or accelerator tier is added only where the level above
-// would otherwise fan out to more than 64 children, so jobs on up to 64
-// nodes of up to 64 lanes have one relay per node. Each relay passes the
-// exchange to its children and folds their replies into one, so the master
-// and every relay send and fold one message per child. A leaf relay whose
-// lanes each hold exactly one key sends those map tasks itself; elsewhere
-// it starts a worker per lane.
+// phase is done, the master runs poll waves summing per-lane emitted and
+// received counters until the sums agree, then flushes and signals the
+// launch continuation with {total_emitted}. Emitted is final at map-done
+// unless reduces emit, so one balanced wave ends a job. A job whose reduces
+// emit uses Mattern's time test instead, also one wave: each lane counts
+// the waves that read it (its poll clock), each tuple and handoff carries
+// its sender's clock mod 4 (its stamp) in the job operand, and each lane
+// counts returns per stamp. Wave k ends the job when it is balanced and no
+// lane returned a stamp-k tuple between its wave k-1 and wave k reads: such
+// a tuple was emitted after the wave read its sender, so the wave would have
+// counted its receipt but not its emit. Every all-lane exchange (each poll
+// wave, the flush) and the kBlock launch go through a control tree shaped
+// by the machine: the master, then the network's L2 and L1 node groups,
+// nodes, accelerators, and the lanes. Node relays are always there; a group
+// or accelerator tier is added only where the level above would otherwise
+// fan out to more than 64 children, so jobs on up to 64 nodes of up to 64
+// lanes have one relay per node. Each relay passes the exchange to its
+// children and folds their replies into one, so the master and every relay
+// send and fold one message per child. The launch visits only the blocks
+// whose lanes hold keys, and a job with no keys finishes at once. A leaf
+// relay whose lanes each hold exactly one key sends those map tasks itself;
+// elsewhere it starts a worker per keyed lane.
 #pragma once
 
 #include <cstdint>
@@ -95,8 +104,10 @@ struct JobSpec {
   /// Backoff between termination-gather rounds (cycles). Without pacing the
   /// master lane saturates itself re-polling while reducers drain.
   Tick poll_backoff = 4096;
-  /// Reduces emit (a diffusing job, such as BFS): termination takes two
-  /// consecutive balanced gather waves with the same sum instead of one.
+  /// Reduces emit (a diffusing job, such as BFS): tuples and handoffs carry
+  /// their sender's poll-clock stamp, each emit pays 1 more cycle to read the
+  /// clock, and a poll wave ends the job only if no lane returned a tuple
+  /// stamped with that wave before the wave read it (Mattern's time test).
   bool reduces_emit = false;
   /// Opaque job tag, readable from user events via Library::spec(job).tag.
   /// The stream layer stamps each delta-ingest job with its batch id so the
@@ -112,6 +123,9 @@ struct JobState {
   std::uint64_t total_keys = 0;
   std::uint64_t total_emitted = 0;
   std::uint32_t poll_rounds = 0;
+  /// Poll waves that balanced but failed the stamp check (jobs whose reduces
+  /// emit): without the check, each would have ended the job early.
+  std::uint32_t vetoed_waves = 0;
   std::uint32_t runs = 0;
   bool running = false;
   /// The last run was truncated by request_cancel: workers stopped issuing
@@ -167,8 +181,18 @@ class Library {
   /// kv_map_return: retire the map task (pass ctx.ccont() for single-event
   /// tasks or the stored MapTask::kvmsr_cont) and terminate its thread.
   void map_return(Ctx& ctx, Word stored_cont);
-  /// kv_reduce_return: count the processed tuple and terminate the reducer.
-  void reduce_return(Ctx& ctx, JobId job);
+  /// Hand work to another lane as a counted unit: start `event` {args...,
+  /// job operand} on a new thread on `lane`, counted like a tuple the reduce
+  /// binding did not place (at most 7 args). The task must end with
+  /// reduce_return(ctx, job_operand(ctx)) once it has emitted all it will.
+  /// Only for jobs whose reduces emit, where it is how a reduce or map task
+  /// spreads its work over other lanes (see the contract above).
+  void hand_off(Ctx& ctx, JobId job, NetworkId lane, EventLabel event,
+                std::initializer_list<Word> args);
+  /// kv_reduce_return: count the processed tuple (or handoff) and terminate
+  /// the thread. `job_operand` is the tuple's last operand, job_operand(ctx)
+  /// in its first event; a job whose reduces do not emit may pass its JobId.
+  void reduce_return(Ctx& ctx, Word job_operand);
 
   // ---- Multi-job serving -------------------------------------------------------
   /// Drain-to-cancel: stop issuing new map tasks for `job` at each worker's
@@ -197,7 +221,11 @@ class Library {
   static JobId map_job(Ctx& ctx) { return static_cast<JobId>(ctx.op(1)); }
   static Word reduce_key(Ctx& ctx) { return ctx.op(0); }
   static Word reduce_val(Ctx& ctx, unsigned i = 0) { return ctx.op(1 + i); }
-  static JobId reduce_job(Ctx& ctx) { return static_cast<JobId>(ctx.op(ctx.nops() - 1)); }
+  /// A tuple's or handoff's last operand: its JobId in the low 32 bits and,
+  /// for a job whose reduces emit, its sender's poll-clock stamp above them.
+  static Word job_operand(Ctx& ctx) { return ctx.op(ctx.nops() - 1); }
+  static JobId job_of(Word job_operand) { return static_cast<JobId>(job_operand); }
+  static JobId reduce_job(Ctx& ctx) { return job_of(job_operand(ctx)); }
 
   Machine& machine() { return m_; }
 
@@ -207,15 +235,27 @@ class Library {
   friend struct WorkerThread;
   friend struct PollThread;
 
+  /// Per-lane scratchpad counters of a job, indexed by lane id and reset at
+  /// each launch: tuples emitted, and tuples returned. A job whose reduces
+  /// emit also keeps, per lane, the handoffs sent, its returns by stamp
+  /// (four counters), its poll clock, and its returns under the next wave's
+  /// stamp as of its last poll.
   struct Job {
     JobSpec spec;
     JobState state;
     bool cancel = false;  ///< request_cancel pending (cleared at finish)
-    std::vector<std::uint64_t> emitted_by_lane;
-    std::vector<std::uint64_t> received_by_lane;
+    std::vector<std::uint64_t> emitted;
+    std::vector<std::uint64_t> received;  ///< stamped: lane * 4 + stamp
+    std::vector<std::uint64_t> handed;
+    std::vector<std::uint32_t> clock;
+    std::vector<std::uint64_t> seen;
   };
 
   LaneSet resolved_lanes(const Job& j) const;
+  /// The job operand of a tuple or handoff the executing lane has just
+  /// counted: publishes the count to the poll and, for a job whose reduces
+  /// emit, stamps it with the lane's poll clock.
+  Word stamp(Ctx& ctx, JobId job, Job& j);
   void count_tuple_message(Ctx& ctx, NetworkId dst, std::uint32_t payload_words);
 
   Machine& m_;

@@ -8,13 +8,15 @@
 // task starts the seed's expand on its owner lane, the lane the job's
 // reduce binding gives it. An expand reads u's level from the lane-owned
 // level mirror, then u's record and neighbor list, and emits
-// <w, level + 1, u>; a hub (degree above kSplitDegree) fans its list out in
-// chunks over the query's lanes. The reduce runs on w's owner lane: it
+// <w, level + 1, u>; a hub (degree above kSplitDegree) hands its list out in
+// chunks over the query's lanes, each a counted handoff
+// (kvmsr::Library::hand_off) that streams and emits on its own lane and
+// ends with reduce_return. The reduce runs on w's owner lane: it
 // improve-tests the mirror, writes {level, parent} with one acked 2-word
 // write and, unless w's `queued` flag says an expand of w is pending,
 // spawns w's expand on its own lane. It returns once the write is acked and
-// that expand has emitted, so a balanced termination count means no work
-// is left. The expand clears the flag as it reads the level, so it always
+// that expand has emitted or handed off all its neighbors, so a balanced
+// termination count means no work is left. The expand clears the flag as it reads the level, so it always
 // reads the newest level, and a later improvement spawns a new expand; an
 // expand whose vertex improved while it streams stops emitting.
 //
@@ -41,11 +43,13 @@
 
 namespace updown::serve {
 
-/// Expand one vertex u (bfs_expand, ops {u, job}), or one chunk of a hub's
-/// neighbor list (bfs_chunk, ops {base, len, u, job, level}): stream the
-/// neighbors and emit <w, level, u> for each, then reply to CCONT. bfs_seed
-/// is the job's kv_map: it hands the seed to an expand on the seed's owner
-/// lane, whose reply retires the map task.
+/// Expand one vertex u (bfs_expand, ops {u, job}): stream the neighbors and
+/// emit <w, level, u> for each, or hand a hub's list off in chunks, then
+/// reply to CCONT. Or run one such chunk (bfs_chunk, ops {base, len, u,
+/// level, job operand}), which ends with reduce_return. bfs_seed is the
+/// job's kv_map: it hands the seed to an expand on the seed's owner lane,
+/// whose reply retires the map task; the map-done that follows orders that
+/// handoff before every poll wave, so it needs no count.
 struct SqBfsExpand : ThreadState {
   /// Above this degree an expand fans chunk subtasks out to other lanes: the
   /// equivalent of the artifact's max-degree-4096 split for BFS, realized as
@@ -55,8 +59,9 @@ struct SqBfsExpand : ThreadState {
 
   Word u = 0;
   kvmsr::JobId job = 0;
-  Word level = 0;  ///< the level emitted to u's neighbors
-  Word len = 0, loaded = 0, chunks = 0;
+  Word job_op = 0;  ///< a chunk's job operand, for its reduce_return
+  Word level = 0;   ///< the level emitted to u's neighbors
+  Word len = 0, loaded = 0;
   Word done_cont = IGNRCONT;
   bool owner = false;  ///< runs on u's owner lane (not a hub chunk)
   bool stale = false;  ///< u improved since: a newer expand supersedes this one
@@ -85,10 +90,10 @@ struct SqBfsExpand : ThreadState {
   }
 
   void bfs_chunk(Ctx& ctx) {
+    job_op = kvmsr::Library::job_operand(ctx);
+    job = kvmsr::Library::job_of(job_op);
     u = ctx.op(2);
-    job = static_cast<kvmsr::JobId>(ctx.op(3));
-    level = ctx.op(4);
-    done_cont = ctx.ccont();
+    level = ctx.op(3);
     stream(ctx, ctx.op(0), ctx.op(1));
   }
 
@@ -105,19 +110,20 @@ struct SqBfsExpand : ThreadState {
       stream(ctx, nbr_ptr, degree);
       return;
     }
-    // Fan the list out in kSplitDegree chunks, striped over the query's
-    // lanes; each chunk task streams and emits from its own lane.
+    // Hand the list off in kSplitDegree chunks, striped over the query's
+    // lanes; each chunk task streams and emits from its own lane. The job
+    // counts each chunk until it returns, so this expand is done once it
+    // has sent them.
     const kvmsr::LaneSet ls = eng.query_of_job(job).rlanes;
     Word i = 0;
     for (Word off = 0; off < degree; off += kSplitDegree, ++i) {
       const NetworkId lane =
           ls.first + static_cast<NetworkId>((ctx.nwid() - ls.first + 1 + i * 97) % ls.count);
       ctx.charge(2);
-      ctx.send_event(ctx.evw_new(lane, eng.lb_.bfs_chunk),
-                     {nbr_ptr + off * 8, std::min<Word>(kSplitDegree, degree - off), u, job, level},
-                     ctx.evw_update_event(ctx.cevnt(), eng.lb_.bfs_chunk_done));
-      ++chunks;
+      eng.lib_->hand_off(ctx, job, lane, eng.lb_.bfs_chunk,
+                         {nbr_ptr + off * 8, std::min<Word>(kSplitDegree, degree - off), u, level});
     }
+    finish(ctx);
   }
 
   void bfs_nbrs(Ctx& ctx) {
@@ -146,10 +152,6 @@ struct SqBfsExpand : ThreadState {
     if (loaded == len) finish(ctx);
   }
 
-  void bfs_chunk_done(Ctx& ctx) {
-    if (--chunks == 0) finish(ctx);
-  }
-
  private:
   void stream(Ctx& ctx, Word base, Word n) {
     auto& eng = ctx.machine().service<QueryEngine>();
@@ -162,6 +164,10 @@ struct SqBfsExpand : ThreadState {
   }
 
   void finish(Ctx& ctx) {
+    if (!owner) {
+      ctx.machine().service<QueryEngine>().lib_->reduce_return(ctx, job_op);
+      return;
+    }
     ctx.send_event(done_cont, {});
     ctx.yield_terminate();
   }
@@ -178,15 +184,17 @@ constexpr std::uint64_t dist_slot(Word w) { return (1ull << 30) | (w & ((1ull <<
 
 /// Kv_reduce on w's owner lane: improve-test, acked {level, parent} write,
 /// and w's expand unless one is pending. Returns when the write is acked
-/// and the expand it spawned has emitted, so a later query reads no
-/// unordered write and the job's termination count stays exact.
+/// and the expand it spawned has emitted or handed off all it will, so a
+/// later query reads no unordered write and the job's termination count
+/// stays exact.
 struct SqBfsReduce : ThreadState {
-  kvmsr::JobId job = 0;
+  Word job_op = 0;  ///< the tuple's job operand, for reduce_return
   unsigned pending = 1;  ///< the write ack, plus a spawned expand's reply
 
   void kv_reduce(Ctx& ctx) {
     auto& eng = ctx.machine().service<QueryEngine>();
-    job = kvmsr::Library::reduce_job(ctx);
+    job_op = kvmsr::Library::job_operand(ctx);
+    const kvmsr::JobId job = kvmsr::Library::job_of(job_op);
     auto& q = eng.query_of_job(job);
     const Word w = kvmsr::Library::reduce_key(ctx);
     const Word pair[2] = {kvmsr::Library::reduce_val(ctx, 0),
@@ -201,7 +209,7 @@ struct SqBfsReduce : ThreadState {
     ctx.charge(2);  // improve-test against the lane-owned mirror entry
     ctx.sync_acquire(dist_slot(w));
     if (pair[0] >= (*q.dist)[w]) {
-      eng.lib_->reduce_return(ctx, job);
+      eng.lib_->reduce_return(ctx, job_op);
       return;
     }
     (*q.dist)[w] = pair[0];
@@ -218,7 +226,7 @@ struct SqBfsReduce : ThreadState {
   }
 
   void bfs_settled(Ctx& ctx) {
-    if (--pending == 0) ctx.machine().service<QueryEngine>().lib_->reduce_return(ctx, job);
+    if (--pending == 0) ctx.machine().service<QueryEngine>().lib_->reduce_return(ctx, job_op);
   }
 };
 
@@ -228,7 +236,6 @@ void QueryEngine::register_bfs(Program& p) {
   lb_.bfs_chunk = p.event("serve::bfs_chunk", &SqBfsExpand::bfs_chunk);
   lb_.bfs_rec = p.event("serve::bfs_rec", &SqBfsExpand::bfs_rec);
   lb_.bfs_nbrs = p.event("serve::bfs_nbrs", &SqBfsExpand::bfs_nbrs);
-  lb_.bfs_chunk_done = p.event("serve::bfs_chunk_done", &SqBfsExpand::bfs_chunk_done);
   lb_.bfs_reduce = p.event("serve::bfs_reduce", &SqBfsReduce::kv_reduce);
   lb_.bfs_settled = p.event("serve::bfs_settled", &SqBfsReduce::bfs_settled);
 }

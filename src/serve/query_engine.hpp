@@ -346,7 +346,6 @@ class QueryEngine {
     EventLabel bfs_chunk = 0;
     EventLabel bfs_rec = 0;
     EventLabel bfs_nbrs = 0;
-    EventLabel bfs_chunk_done = 0;
     EventLabel bfs_reduce = 0;
     EventLabel bfs_settled = 0;
   } lb_;

@@ -218,6 +218,27 @@ TEST(KvmsrBlock, EmptyKeyRangeCompletesImmediately) {
   EXPECT_FALSE(st.running);
 }
 
+// The kBlock launch visits only the blocks whose lanes hold keys. A 1-key
+// job's launch therefore runs m_start, one r_launch per relay level, the
+// map task, one r_child_done per relay level and m_map_done. The tree has
+// one relay level at 64 nodes (nodes), two at 1,024 (L2 groups of 64 nodes,
+// nodes) and three at 2,048 (L2 groups of 128, L1 groups of 8, nodes): 5, 7
+// and 9 events, where a launch that started every lane of the set would
+// visit 2,048, 32,768 and 65,536 lanes.
+TEST(KvmsrControlTree, SparseLaunchEventsGrowWithDepthNotLanes) {
+  for (const auto& [nodes, events] :
+       {std::pair{64u, 5u}, std::pair{1024u, 7u}, std::pair{2048u, 9u}}) {
+    Machine m(MachineConfig::scaled(nodes));
+    auto& lib = Library::install(m);
+    auto& app = m.emplace_user<BlockApp>();
+    app.ran_at.assign(1, ~0u);
+    app.job = do_all(lib, m.program().event("BlockMap::kv_map", &BlockMap::kv_map));
+    lib.run_to_completion(app.job, 0, 1);
+    EXPECT_EQ(app.ran_at[0], 0u) << nodes << " nodes";
+    EXPECT_EQ(m.stats().events_executed, events) << nodes << " nodes";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Lane-set restriction: a job bound to a sub-span of lanes never executes
 // map, reduce or flush tasks outside it, and flushes each lane inside once.
@@ -307,14 +328,16 @@ TEST(KvmsrLaneSet, GroupTiersStayInsideTheSet) {
 // ---------------------------------------------------------------------------
 // Reduces that emit (JobSpec::reduces_emit). Map key c starts chain c, whose
 // link i reduces on one of the last lanes of a 2-node machine; the reduce
-// waits past the gather backoff, sends a hop task to one of the first lanes,
-// and returns once the hop has emitted link i + 1. A tuple's receipt is
-// counted on the reduce's lane but its successor's emit on the hop's lane,
-// so one gather wave that reads the hop's lane before the emit and the
-// reduce's lane after the return sees balanced sums while link i + 1 is
-// pending; only the second wave of the two-wave test catches it.
+// waits past the gather backoff, hands a hop task to one of the first lanes
+// (Library::hand_off) and returns. The hop emits link i + 1 and returns in
+// turn. The poll waves read the hops' lanes first and the reduces' lanes
+// last, so a wave often reads a hop's lane before its emit and the reduce's
+// lane after its return: only the handoff's count keeps that wave from
+// balancing while link i + 1 is pending. (With the hop sent as a plain,
+// uncounted message and the reduce returning once the hop replied, the
+// stamped one-wave test ended this job at 148 of 336 tuples.)
 struct ChainApp {
-  EventLabel wake = 0, hop = 0, hopped = 0;
+  EventLabel wake = 0, hop = 0;
   std::vector<Tick> last_reduce;  ///< by lane: the tick of its last reduce
   std::vector<std::uint32_t> completions;  ///< by lane: launch continuations
 };
@@ -334,20 +357,20 @@ struct ChainMap : ThreadState {
   }
 };
 
-/// ops {key, chain, link, job}; the key picks the reduce lane (see the
-/// binding below).
+/// ops {key, chain, link, job operand}; the key picks the reduce lane (see
+/// the binding below).
 struct ChainReduce : ThreadState {
-  JobId job = 0;
+  Word job_op = 0;
   Word chain = 0, link = 0;
 
   void kv_reduce(Ctx& ctx) {
     auto& app = ctx.machine().user<ChainApp>();
-    job = Library::reduce_job(ctx);
+    job_op = Library::job_operand(ctx);
     chain = Library::reduce_val(ctx, 0);
     link = Library::reduce_val(ctx, 1);
     app.last_reduce.at(ctx.nwid()) = ctx.now();
     if (link + 1 == chain_length(chain)) {
-      ctx.machine().service<Library>().reduce_return(ctx, job);
+      ctx.machine().service<Library>().reduce_return(ctx, job_op);
       return;
     }
     // Wait on this lane's timer, a pseudo-random delay past the backoff, so
@@ -359,22 +382,23 @@ struct ChainReduce : ThreadState {
   }
 
   void wake(Ctx& ctx) {
-    auto& app = ctx.machine().user<ChainApp>();
-    const NetworkId first = ctx.machine().service<Library>().lanes_of(job).first;
-    ctx.send_event(ctx.evw_new(first + 1 + link % 3, app.hop), {chain, link + 1, job},
-                   ctx.evw_update_event(ctx.cevnt(), app.hopped));
+    auto& lib = ctx.machine().service<Library>();
+    const JobId job = Library::job_of(job_op);
+    const NetworkId first = lib.lanes_of(job).first;
+    lib.hand_off(ctx, job, first + 1 + link % 3, ctx.machine().user<ChainApp>().hop,
+                 {chain, link + 1});
+    lib.reduce_return(ctx, job_op);
   }
-
-  void hopped(Ctx& ctx) { ctx.machine().service<Library>().reduce_return(ctx, job); }
 };
 
+/// ops {chain, link, job operand}: emit the link, then end the handoff.
 struct ChainHop : ThreadState {
   void hop(Ctx& ctx) {
     auto& lib = ctx.machine().service<Library>();
     const Word chain = ctx.op(0), link = ctx.op(1);
-    lib.emit2(ctx, static_cast<JobId>(ctx.op(2)), chain * 1000 + link, chain, link);
-    ctx.send_reply({});
-    ctx.yield_terminate();
+    const Word job_op = Library::job_operand(ctx);
+    lib.emit2(ctx, Library::job_of(job_op), chain * 1000 + link, chain, link);
+    lib.reduce_return(ctx, job_op);
   }
 };
 
@@ -401,7 +425,6 @@ TEST_P(KvmsrEmittingReduces, ChainsTerminateOnceAndNeverEarly) {
   Program& p = m.program();
   app.wake = p.event("ChainReduce::wake", &ChainReduce::wake);
   app.hop = p.event("ChainHop::hop", &ChainHop::hop);
-  app.hopped = p.event("ChainReduce::hopped", &ChainReduce::hopped);
 
   JobSpec spec;
   spec.kv_map = p.event("ChainMap::kv_map", &ChainMap::kv_map);
@@ -439,6 +462,116 @@ TEST_P(KvmsrEmittingReduces, ChainsTerminateOnceAndNeverEarly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardsAndCheck, KvmsrEmittingReduces,
+                         ::testing::Combine(::testing::Values(1u, 4u), ::testing::Bool()));
+
+// One balanced wave can end a job early even when every successor is
+// emitted on its reduce's own lane. On a 2-node machine a wave reads lane A
+// (node 0, next to the relay) first, then B (node 0, the relay's far end),
+// then C (node 1, one network hop later). The map's tuple m0 reduces on C,
+// which waits `delay` ticks, emits m1 to A and returns. For some delays:
+// - C emits m1 before the wave reads C, and m1 reaches A after A's read;
+// - A reduces m1, emits m2 to B and m3 to C, and returns;
+// - B returns m2 before the wave reads B;
+// - m3 is still in flight when the wave reads C.
+// That wave reads emitted {m0, m1} and received {m0, m2}: balanced, with m3
+// pending. m2 carries stamp k, since A's clock moved when wave k read it,
+// and B returned it before wave k read B: the stamp check vetoes the wave.
+// (With the check removed, the job ended after 2 of its 4 tuples at 26 of
+// the 700 delays swept here, 356-406, at 1 and 4 shards, checked or not.)
+struct SameLaneApp {
+  NetworkId a = 0, b = 0, c = 0;
+  Tick delay = 0;
+  EventLabel emit_m1 = 0;
+  Tick last_return = 0;
+};
+
+/// Key 0's map emits m0 to C. A tuple's key is its reduce lane; v0 is its
+/// index (0 for m0 ... 3 for m3).
+struct SameLaneMap : ThreadState {
+  void kv_map(Ctx& ctx) {
+    auto& lib = ctx.machine().service<Library>();
+    lib.emit(ctx, Library::map_job(ctx), ctx.machine().user<SameLaneApp>().c, 0);
+    lib.map_return(ctx, ctx.ccont());
+  }
+};
+
+struct SameLaneReduce : ThreadState {
+  Word job_op = 0;
+
+  void kv_reduce(Ctx& ctx) {
+    auto& lib = ctx.machine().service<Library>();
+    auto& app = ctx.machine().user<SameLaneApp>();
+    job_op = Library::job_operand(ctx);
+    const JobId job = Library::job_of(job_op);
+    switch (Library::reduce_val(ctx)) {
+      case 0:  // m0 on C: wait, then emit m1 (below)
+        ctx.send_event_delayed(ctx.evw_update_event(ctx.cevnt(), app.emit_m1), {}, IGNRCONT,
+                               app.delay);
+        return;
+      case 1:  // m1 on A
+        lib.emit(ctx, job, app.b, 2);
+        lib.emit(ctx, job, app.c, 3);
+        break;
+      default:  // m2 on B, m3 on C
+        break;
+    }
+    finish(ctx);
+  }
+
+  void emit_m1(Ctx& ctx) {
+    auto& app = ctx.machine().user<SameLaneApp>();
+    ctx.machine().service<Library>().emit(ctx, Library::job_of(job_op), app.a, 1);
+    finish(ctx);
+  }
+
+  void finish(Ctx& ctx) {
+    auto& app = ctx.machine().user<SameLaneApp>();
+    app.last_return = std::max(app.last_return, ctx.now());
+    ctx.machine().service<Library>().reduce_return(ctx, job_op);
+  }
+};
+
+class KvmsrStampedWaves : public ::testing::TestWithParam<std::tuple<std::uint32_t, bool>> {};
+
+TEST_P(KvmsrStampedWaves, SameLaneSuccessorsNeverEndEarly) {
+  const auto [shards, check] = GetParam();
+  EnvGuard gs("UD_SHARDS", std::to_string(shards).c_str());
+  EnvGuard gc("UD_CHECK", check ? "1" : "0");
+  std::uint32_t vetoed = 0;
+  for (Tick delay = 0; delay < 1400; delay += 2) {
+    SCOPED_TRACE("delay " + std::to_string(delay));
+    Machine m(MachineConfig::scaled(2));
+    auto& lib = Library::install(m);
+    auto& app = m.emplace_user<SameLaneApp>();
+    const NetworkId lpn = m.config().lanes_per_node();
+    app.a = 1;
+    app.b = lpn - 1;
+    app.c = lpn + 1;
+    app.delay = delay;
+    Program& p = m.program();
+    app.emit_m1 = p.event("SameLaneReduce::emit_m1", &SameLaneReduce::emit_m1);
+    JobSpec spec;
+    spec.kv_map = p.event("SameLaneMap::kv_map", &SameLaneMap::kv_map);
+    spec.kv_reduce = p.event("SameLaneReduce::kv_reduce", &SameLaneReduce::kv_reduce);
+    spec.reduce_binding = [](Word key, NetworkId, std::uint32_t) {
+      return static_cast<NetworkId>(key);
+    };
+    spec.reduces_emit = true;
+    spec.poll_backoff = 256;
+    const JobId job = lib.add_job(spec);
+    const JobState& st = lib.run_to_completion(job, 0, 1);
+    EXPECT_EQ(st.total_emitted, 4u);
+    EXPECT_GT(st.done_tick, app.last_return);
+    vetoed += st.vetoed_waves;
+    if (check) {
+      EXPECT_EQ(m.stats().check.errors(), 0u);
+    }
+  }
+  // The sweep builds the case: some wave balanced with m3 pending.
+  EXPECT_GT(vetoed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardsAndCheck, KvmsrStampedWaves,
                          ::testing::Combine(::testing::Values(1u, 4u), ::testing::Bool()));
 
 // ---------------------------------------------------------------------------

@@ -474,8 +474,8 @@ TEST(ServeScheduler, MidFlightCancellationDrainsCleanUnderCheck) {
 }
 
 // A BFS is one diffusing KVMSR job, so a cancel lands mid-traversal: its
-// reduces stop spawning expands and the job drains through the two-wave
-// termination gather. The cancelled ticket must finish before the same BFS
+// reduces stop spawning expands and the job drains through the stamped
+// one-wave termination test. The cancelled ticket must finish before the same BFS
 // run to the end, report cancelled, and leave no live thread or checker
 // error behind.
 TEST(ServeScheduler, MidTraversalBfsCancelDrainsCleanUnderCheck) {

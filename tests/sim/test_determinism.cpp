@@ -78,8 +78,8 @@ RunFingerprint run_bfs(std::uint32_t nodes, std::uint32_t shards = 1, bool check
   DeviceGraph dg = upload_graph(m, g);
   bfs::Result r = bfs::App::install(m, dg, {.root = 1}).run();
   // A BFS is one diffusing KVMSR job whose reduces emit, so its termination
-  // takes the two-wave gather, whose polls cross the drain path; a
-  // multi-level run keeps tuples in flight while the gather polls.
+  // takes the stamped poll waves, whose polls cross the drain path; a
+  // multi-level run keeps tuples in flight while the waves poll.
   EXPECT_GE(r.rounds, 2u);
   // rmat(9)'s 9,514 edges are at most 32 a lane from 16 nodes (512 lanes)
   // up, so the sender filter is on and drops tuples: fewer than one per
@@ -280,17 +280,23 @@ TEST(Determinism, PageRankGoldenCounts) {
   // The Hash binding then moved to hash64(key + 1), so key 0 no longer lands
   // on the set's first lane (which also runs the master and node 0's relay):
   // done_tick 37254 -> 37252. Nothing else moved.
+  // The sparse launch then stopped starting workers on lanes that hold no
+  // key: one of the query's jobs keys a prefix of the 128 lanes, and its 22
+  // keyless lanes no longer run a worker or reply. Events and messages
+  // 27941 -> 27897, threads 14673 -> 14651, charged cycles 187526 -> 187372
+  // and message bytes 984424 -> 983192; done_tick and DRAM traffic did not
+  // move.
   EXPECT_EQ(r.done_tick, 37252u);
-  EXPECT_EQ(s.events_executed, 27941u);
-  EXPECT_EQ(s.messages_sent, 27941u);
+  EXPECT_EQ(s.events_executed, 27897u);
+  EXPECT_EQ(s.messages_sent, 27897u);
   EXPECT_EQ(s.dram_reads, 7012u);
   EXPECT_EQ(s.dram_writes, 3010u);
-  EXPECT_EQ(s.threads_created, 14673u);
-  EXPECT_EQ(s.charged_cycles, 187526u);
+  EXPECT_EQ(s.threads_created, 14651u);
+  EXPECT_EQ(s.charged_cycles, 187372u);
   // Before the control tree: 991968 -> 991976 when pr::App became a wrapper
   // around the serve layer's PageRank query, whose driver's start message
   // carries the query id (one 8-byte operand).
-  EXPECT_EQ(s.message_bytes, 984424u);
+  EXPECT_EQ(s.message_bytes, 983192u);
 }
 
 TEST(Determinism, BfsGoldenCounts) {
@@ -336,13 +342,28 @@ TEST(Determinism, BfsGoldenCounts) {
   // writes or scans), threads 11301 -> 10922 and charged cycles 124914 ->
   // 121042. Levels (4) and traversed edges (9514), now computed from the
   // result, did not move.
-  EXPECT_EQ(r.done_tick, 18685u);
-  EXPECT_EQ(s.events_executed, 14726u);
-  EXPECT_EQ(s.messages_sent, 14726u);
+  // Three KVMSR changes then moved it, measured one at a time:
+  // - The sparse launch starts only the lanes that hold keys, so the one
+  //   seed's launch skips 127 keyless workers: done_tick 18685 -> 18572,
+  //   events and messages 14726 -> 14464, threads 10922 -> 10791, charged
+  //   cycles 121042 -> 120128.
+  // - The stamped one-wave termination test drops the confirming wave:
+  //   done_tick 18572 -> 18222, events and messages 14464 -> 14206, threads
+  //   10791 -> 10663. Charged cycles rose 120128 -> 132758: each emit pays
+  //   1 cycle to read its lane's poll clock, and each poll 6 more cycles for
+  //   the stamp counts. The new timing lowers two vertices' levels twice:
+  //   DRAM writes 472 -> 474.
+  // - Counted hub chunks (Library::hand_off) replace the owner expand's
+  //   wait for its chunks: events and messages 14206 -> 14204 and charged
+  //   cycles 132758 -> 132760.
+  // DRAM reads, levels and traversed edges did not move.
+  EXPECT_EQ(r.done_tick, 18222u);
+  EXPECT_EQ(s.events_executed, 14204u);
+  EXPECT_EQ(s.messages_sent, 14204u);
   EXPECT_EQ(s.dram_reads, 1928u);
-  EXPECT_EQ(s.dram_writes, 472u);
-  EXPECT_EQ(s.threads_created, 10922u);
-  EXPECT_EQ(s.charged_cycles, 121042u);
+  EXPECT_EQ(s.dram_writes, 474u);
+  EXPECT_EQ(s.threads_created, 10663u);
+  EXPECT_EQ(s.charged_cycles, 132760u);
   EXPECT_EQ(r.rounds, 4u);
   EXPECT_EQ(r.traversed_edges, 9514u);
 }
